@@ -236,7 +236,6 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         annotate_report,
         format_whatif_table,
         rank_report,
-        workspans_from_engine,
         workspans_from_profiles,
     )
 
@@ -277,7 +276,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
             engine = engine_from_dict(snap["engine"])
             emit(
                 engine.report(),
-                workspans_from_engine(engine),
+                engine.workspans(),
                 f"What-if predictions for session {snap['session']} @ {args.address}",
             )
         return 0

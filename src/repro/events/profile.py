@@ -6,16 +6,17 @@ Profiles are the unit of all downstream analysis: pattern detection,
 use-case derivation and visualization all consume a
 :class:`RuntimeProfile`.
 
-Analysis is vectorized: the profile exposes parallel numpy arrays
-(sequence numbers, op codes, kinds, positions, sizes, thread ids) built
-lazily and cached, so detectors scan even multi-million-event profiles
-in milliseconds.
+For descriptive statistics and plots the profile also exposes parallel
+numpy arrays (sequence numbers, op codes, kinds, positions, sizes,
+thread ids), built lazily and cached; the use-case analysis folds the
+event list directly (:class:`~repro.usecases.features.InstanceFold`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -43,6 +44,30 @@ class AllocationSite:
     def __str__(self) -> str:
         var = f" ({self.variable})" if self.variable else ""
         return f"{self.filename}:{self.lineno} in {self.function}{var}"
+
+
+def site_to_dict(site: AllocationSite | None) -> dict[str, Any] | None:
+    """JSON form of a site, as REGISTER entries and checkpoints carry it."""
+    if site is None:
+        return None
+    return {
+        "filename": site.filename,
+        "lineno": site.lineno,
+        "function": site.function,
+        "variable": site.variable,
+    }
+
+
+def site_from_dict(obj: dict[str, Any] | None) -> AllocationSite | None:
+    """Inverse of :func:`site_to_dict`, lenient about missing fields."""
+    if obj is None:
+        return None
+    return AllocationSite(
+        filename=obj.get("filename", "?"),
+        lineno=int(obj.get("lineno", 0)),
+        function=obj.get("function", "<module>"),
+        variable=obj.get("variable", ""),
+    )
 
 
 class RuntimeProfile:

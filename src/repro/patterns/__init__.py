@@ -6,9 +6,15 @@ regularity".
 """
 
 from .compare import ProfileDiff, ReportDiff, compare_profiles, compare_reports
-from .detector import DetectorConfig, PatternDetector, classify_run, detect
+from .detector import (
+    DetectorConfig,
+    PatternDetector,
+    classify_run,
+    detect,
+    patterns_from_runs,
+)
 from .model import AccessPattern, PatternAnalysis, PatternType
-from .phases import Run, segment
+from .phases import Run, RunSegmenter, segment
 from .regularity import RegularityClassifier, RegularityConfig, RegularityVerdict
 from .statistics import (
     EndAffinity,
@@ -35,7 +41,9 @@ __all__ = [
     "RegularityConfig",
     "RegularityVerdict",
     "Run",
+    "RunSegmenter",
     "classify_run",
     "detect",
+    "patterns_from_runs",
     "segment",
 ]

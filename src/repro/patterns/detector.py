@@ -9,6 +9,7 @@ engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..events.profile import RuntimeProfile
 from .model import AccessPattern, PatternAnalysis, PatternType
@@ -74,6 +75,34 @@ def classify_run(run: Run) -> PatternType:
     return PatternType.UNCLASSIFIED
 
 
+def patterns_from_runs(
+    runs: Iterable[Run], config: DetectorConfig
+) -> tuple[AccessPattern, ...]:
+    """Classify ``runs`` (in ``start`` order) into access patterns,
+    dropping short runs and, unless kept, unclassified ones."""
+    patterns: list[AccessPattern] = []
+    for run in runs:
+        if run.length < config.min_run_length:
+            continue
+        pattern_type = classify_run(run)
+        if pattern_type is PatternType.UNCLASSIFIED and not config.keep_unclassified:
+            continue
+        patterns.append(
+            AccessPattern(
+                pattern_type=pattern_type,
+                start=run.start,
+                stop=run.stop,
+                length=run.length,
+                first_position=run.first_position,
+                last_position=run.last_position,
+                distinct_positions=run.distinct_positions,
+                size_at_end=run.size_at_end,
+                thread_id=run.thread_id,
+            )
+        )
+    return tuple(patterns)
+
+
 class PatternDetector:
     """Stateless pattern detector configured once, applied to many
     profiles (DSspy "loads the patterns ... and maps them onto each
@@ -84,34 +113,10 @@ class PatternDetector:
 
     def detect(self, profile: RuntimeProfile) -> PatternAnalysis:
         """Segment and classify one profile."""
-        cfg = self.config
-        patterns: list[AccessPattern] = []
-        for run in segment(profile, max_gap=cfg.max_gap):
-            if run.length < cfg.min_run_length:
-                continue
-            pattern_type = classify_run(run)
-            if pattern_type is PatternType.UNCLASSIFIED and not cfg.keep_unclassified:
-                continue
-            patterns.append(
-                AccessPattern(
-                    pattern_type=pattern_type,
-                    start=run.start,
-                    stop=run.stop,
-                    length=run.length,
-                    first_position=run.first_position,
-                    last_position=run.last_position,
-                    distinct_positions=run.distinct_positions,
-                    size_at_end=run.size_at_end,
-                    thread_id=run.thread_id,
-                )
-            )
-        return PatternAnalysis(profile=profile, patterns=tuple(patterns))
-
-    def detect_all(
-        self, profiles: list[RuntimeProfile]
-    ) -> list[PatternAnalysis]:
-        """Analyze a batch of profiles (one DSspy capture session)."""
-        return [self.detect(p) for p in profiles]
+        runs = segment(profile, max_gap=self.config.max_gap)
+        return PatternAnalysis(
+            profile=profile, patterns=patterns_from_runs(runs, self.config)
+        )
 
 
 def detect(

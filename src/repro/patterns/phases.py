@@ -17,6 +17,7 @@ opaque single operations counted separately by the use-case rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..events.profile import RuntimeProfile
 from ..events.types import OperationKind
@@ -64,112 +65,134 @@ class Run:
     def distinct_positions(self) -> int:
         return len(self.positions)
 
+    # -- serialization (checkpoint / SNAPSHOT payloads) ------------------
 
-class _RunBuilder:
-    """Per-thread incremental run construction."""
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "category": self.category,
+            "thread_id": self.thread_id,
+            "start": self.start,
+            "stop": self.stop,
+            "length": self.length,
+            "direction": self.direction,
+            "first_position": self.first_position,
+            "last_position": self.last_position,
+            "positions": sorted(self.positions),
+            "size_at_end": self.size_at_end,
+            "all_front": self.all_front,
+            "all_back": self.all_back,
+        }
 
-    __slots__ = ("run", "max_gap")
+    @classmethod
+    def from_dict(cls, obj: dict[str, Any]) -> "Run":
+        return cls(
+            category=obj["category"],
+            thread_id=obj["thread_id"],
+            start=obj["start"],
+            stop=obj["stop"],
+            length=obj["length"],
+            direction=obj["direction"],
+            first_position=obj["first_position"],
+            last_position=obj["last_position"],
+            positions=set(obj["positions"]),
+            size_at_end=obj["size_at_end"],
+            all_front=obj["all_front"],
+            all_back=obj["all_back"],
+        )
+
+
+class RunSegmenter:
+    """Incremental segmentation: one event in, runs out.
+
+    Holds each thread's open run plus every run already closed, and
+    applies the decision order once for every caller: transparent
+    operations are skipped, breakers and position-less events close
+    their thread's run, positional operations extend or restart it.
+    :func:`segment` drives it over a whole profile and
+    :class:`~repro.usecases.features.InstanceFold` one event at a time,
+    so the two cannot disagree.
+
+    ``open`` maps every thread that raised a non-transparent event to
+    its open run (``None`` after a break).
+    """
+
+    __slots__ = ("max_gap", "open", "completed")
 
     def __init__(self, max_gap: int) -> None:
-        self.run: Run | None = None
         self.max_gap = max_gap
+        self.open: dict[int, Run | None] = {}
+        self.completed: list[Run] = []
 
     def feed(
-        self,
-        index: int,
-        category: str,
-        position: int,
-        size: int,
-        targets_back: bool,
-        thread_id: int,
-    ) -> Run | None:
-        """Add one event; returns a finished run when a break occurs."""
-        finished: Run | None = None
-        run = self.run
+        self, index: int, op: int, position: int | None, size: int, thread_id: int
+    ) -> None:
+        """Add the event at profile-relative ``index``."""
+        if op in _TRANSPARENT:
+            return
+        run = self.open.get(thread_id)
+        if op in _BREAKERS or position is None:
+            if run is not None:
+                self.completed.append(run)
+            self.open[thread_id] = None
+            return
+        category = _RUN_OPS.get(op)
+        if category is None:
+            self.open.setdefault(thread_id, None)
+            return
+        # AccessEvent.targets_back: an empty structure has no back.
+        targets_back = size != 0 and position >= size - 1
         if run is not None:
             delta = position - run.last_position
-            compatible = (
+            if (
                 category == run.category
                 and abs(delta) <= self.max_gap
-                and (
-                    delta == 0
-                    or run.direction == 0
-                    or (delta > 0) == (run.direction > 0)
-                )
-            )
-            if not compatible:
-                finished = run
-                run = None
-            else:
+                and (delta == 0 or run.direction == 0 or (delta > 0) == (run.direction > 0))
+            ):
                 if delta != 0 and run.direction == 0:
                     run.direction = 1 if delta > 0 else -1
-        if run is None:
-            run = Run(
-                category=category,
-                thread_id=thread_id,
-                start=index,
-                stop=index + 1,
-                length=1,
-                direction=0,
-                first_position=position,
-                last_position=position,
-            )
-            self.run = run
-        else:
-            run.length += 1
-            run.stop = index + 1
-            run.last_position = position
-        run.positions.add(position)
-        run.size_at_end = size
-        run.all_front = run.all_front and position == 0
-        run.all_back = run.all_back and targets_back
-        return finished
+                run.length += 1
+                run.stop = index + 1
+                run.last_position = position
+                run.positions.add(position)
+                run.size_at_end = size
+                run.all_front = run.all_front and position == 0
+                run.all_back = run.all_back and targets_back
+                return
+            self.completed.append(run)
+        self.open[thread_id] = Run(
+            category=category,
+            thread_id=thread_id,
+            start=index,
+            stop=index + 1,
+            length=1,
+            direction=0,
+            first_position=position,
+            last_position=position,
+            positions={position},
+            size_at_end=size,
+            all_front=position == 0,
+            all_back=targets_back,
+        )
 
-    def flush(self) -> Run | None:
-        run, self.run = self.run, None
-        return run
+    def runs(self) -> list[Run]:
+        """Closed and open runs in ``start`` order.
+
+        Open runs are read, not closed, so feeding can continue after a
+        snapshot.
+        """
+        out = self.completed + [run for run in self.open.values() if run is not None]
+        out.sort(key=lambda r: r.start)
+        return out
 
 
 def segment(profile: RuntimeProfile, max_gap: int = 1) -> list[Run]:
-    """Split ``profile`` into maximal consistent runs.
+    """Split ``profile`` into maximal consistent runs, in ``start`` order.
 
-    Runs are returned in order of completion; each covers events of a
-    single thread.  Single-event runs are included -- the detector
-    filters by minimum length.
+    Each run covers events of a single thread.  Single-event runs are
+    included -- the detector filters by minimum length.
     """
-    builders: dict[int, _RunBuilder] = {}
-    out: list[Run] = []
-
-    for index, event in enumerate(profile):
-        op = event.op
-        if op in _TRANSPARENT:
-            continue
-        builder = builders.get(event.thread_id)
-        if builder is None:
-            builder = builders[event.thread_id] = _RunBuilder(max_gap)
-        if op in _BREAKERS or event.position is None:
-            finished = builder.flush()
-            if finished is not None:
-                out.append(finished)
-            continue
-        category = _RUN_OPS.get(op)
-        if category is None:
-            continue
-        finished = builder.feed(
-            index,
-            category,
-            event.position,
-            event.size,
-            event.targets_back,
-            event.thread_id,
-        )
-        if finished is not None:
-            out.append(finished)
-
-    for builder in builders.values():
-        finished = builder.flush()
-        if finished is not None:
-            out.append(finished)
-
-    out.sort(key=lambda r: r.start)
-    return out
+    segmenter = RunSegmenter(max_gap)
+    feed = segmenter.feed
+    for index, event in enumerate(profile.events):
+        feed(index, event.op, event.position, event.size, event.thread_id)
+    return segmenter.runs()

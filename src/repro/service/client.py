@@ -29,7 +29,7 @@ from typing import Any
 
 from ..events.batching import BatchingChannel
 from ..events.event import RawEvent
-from ..events.profile import AllocationSite
+from ..events.profile import AllocationSite, site_to_dict
 from ..events.spill import RECORD_SIZE, SpillWriter, pack_record
 from ..events.types import StructureKind
 from ..testing.clock import SYSTEM_CLOCK, Clock
@@ -229,17 +229,6 @@ def fetch_snapshot(
         sock.close()
 
 
-def _site_to_dict(site: AllocationSite | None) -> dict[str, Any] | None:
-    if site is None:
-        return None
-    return {
-        "filename": site.filename,
-        "lineno": site.lineno,
-        "function": site.function,
-        "variable": site.variable,
-    }
-
-
 class BackoffPolicy:
     """Capped exponential backoff with jitter for reconnect attempts.
 
@@ -386,7 +375,7 @@ class RemoteChannel(BatchingChannel):
         entry = {
             "id": instance_id,
             "kind": kind.value,
-            "site": _site_to_dict(site),
+            "site": site_to_dict(site),
             "label": label,
         }
         with self._ship_lock:

@@ -61,18 +61,17 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from ..events.event import RawEvent
-from ..events.profile import AllocationSite
+from ..events.profile import AllocationSite, site_from_dict
 from ..events.spill import RECORD_SIZE, pack_record, unpack_record
 from ..events.types import StructureKind
 from ..patterns.detector import DetectorConfig
-from ..patterns.phases import Run, _RunBuilder
 from ..testing.clock import SYSTEM_CLOCK, Clock
+from ..usecases.features import InstanceFold
 from ..usecases.rules import ALL_RULES, Rule
 from ..usecases.thresholds import PAPER_THRESHOLDS, Thresholds
-from ..whatif.dag import LaneSummary
 from .governor import REAL_FS, RealFS, ResourceGovernor, is_resource_error
 from .protocol import _EVENTS_HEADER
-from .streaming import StreamingUseCaseEngine, _InstanceFold
+from .streaming import StreamingUseCaseEngine
 
 #: Every journal segment opens with ``DSPYWJ`` plus two ASCII digits
 #: naming the on-disk format generation that wrote it.  v1 and v2
@@ -176,142 +175,11 @@ def parse_register_entries(
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad REGISTER entry: {exc}") from exc
         site_obj = inst.get("site")
-        site = (
-            AllocationSite(
-                filename=site_obj.get("filename", "?"),
-                lineno=int(site_obj.get("lineno", 0)),
-                function=site_obj.get("function", "<module>"),
-                variable=site_obj.get("variable", ""),
-            )
-            if isinstance(site_obj, dict)
-            else None
-        )
+        site = site_from_dict(site_obj) if isinstance(site_obj, dict) else None
         yield instance_id, kind, site, str(inst.get("label", ""))
 
 
-def _site_to_dict(site: AllocationSite | None) -> dict[str, Any] | None:
-    if site is None:
-        return None
-    return {
-        "filename": site.filename,
-        "lineno": site.lineno,
-        "function": site.function,
-        "variable": site.variable,
-    }
-
-
-def _site_from_dict(obj: dict[str, Any] | None) -> AllocationSite | None:
-    if obj is None:
-        return None
-    return AllocationSite(
-        filename=obj.get("filename", "?"),
-        lineno=int(obj.get("lineno", 0)),
-        function=obj.get("function", "<module>"),
-        variable=obj.get("variable", ""),
-    )
-
-
 # -- engine serialization ----------------------------------------------------
-
-
-def _run_to_dict(run: Run) -> dict[str, Any]:
-    return {
-        "category": run.category,
-        "thread_id": run.thread_id,
-        "start": run.start,
-        "stop": run.stop,
-        "length": run.length,
-        "direction": run.direction,
-        "first_position": run.first_position,
-        "last_position": run.last_position,
-        "positions": sorted(run.positions),
-        "size_at_end": run.size_at_end,
-        "all_front": run.all_front,
-        "all_back": run.all_back,
-    }
-
-
-def _run_from_dict(obj: dict[str, Any]) -> Run:
-    return Run(
-        category=obj["category"],
-        thread_id=obj["thread_id"],
-        start=obj["start"],
-        stop=obj["stop"],
-        length=obj["length"],
-        direction=obj["direction"],
-        first_position=obj["first_position"],
-        last_position=obj["last_position"],
-        positions=set(obj["positions"]),
-        size_at_end=obj["size_at_end"],
-        all_front=obj["all_front"],
-        all_back=obj["all_back"],
-    )
-
-
-def _fold_to_dict(fold: _InstanceFold) -> dict[str, Any]:
-    return {
-        "instance_id": fold.instance_id,
-        "kind": fold.kind.value,
-        "site": _site_to_dict(fold.site),
-        "label": fold.label,
-        "index": fold.index,
-        "read_kind": fold.read_kind,
-        "op_counts": {str(op): n for op, n in fold.op_counts.items()},
-        "insert_front": fold.insert_front,
-        "insert_back": fold.insert_back,
-        "delete_front": fold.delete_front,
-        "delete_back": fold.delete_back,
-        "read_front": fold.read_front,
-        "read_back": fold.read_back,
-        "end_events": fold.end_events,
-        "sort_count": fold.sort_count,
-        "last_sort_index": fold.last_sort_index,
-        "trailing": fold.trailing,
-        "trailing_ops": sorted(fold.trailing_ops),
-        "trailing_positions": sorted(fold.trailing_positions),
-        "trailing_max_size": fold.trailing_max_size,
-        "builders": {
-            str(tid): (None if b.run is None else _run_to_dict(b.run))
-            for tid, b in fold.builders.items()
-        },
-        "completed_runs": [_run_to_dict(r) for r in fold.completed_runs],
-        "lanes": fold.lanes.to_dict(),
-    }
-
-
-def _fold_from_dict(obj: dict[str, Any], max_gap: int) -> _InstanceFold:
-    fold = _InstanceFold(
-        int(obj["instance_id"]),
-        StructureKind(obj["kind"]),
-        _site_from_dict(obj.get("site")),
-        obj.get("label", ""),
-        max_gap,
-    )
-    fold.index = obj["index"]
-    fold.read_kind = obj["read_kind"]
-    fold.op_counts = {int(op): n for op, n in obj["op_counts"].items()}
-    fold.insert_front = obj["insert_front"]
-    fold.insert_back = obj["insert_back"]
-    fold.delete_front = obj["delete_front"]
-    fold.delete_back = obj["delete_back"]
-    fold.read_front = obj["read_front"]
-    fold.read_back = obj["read_back"]
-    fold.end_events = obj["end_events"]
-    fold.sort_count = obj["sort_count"]
-    fold.last_sort_index = obj["last_sort_index"]
-    fold.trailing = obj["trailing"]
-    fold.trailing_ops = set(obj["trailing_ops"])
-    fold.trailing_positions = set(obj["trailing_positions"])
-    fold.trailing_max_size = obj["trailing_max_size"]
-    for tid_str, run_obj in obj["builders"].items():
-        builder = _RunBuilder(max_gap)
-        builder.run = None if run_obj is None else _run_from_dict(run_obj)
-        fold.builders[int(tid_str)] = builder
-    fold.completed_runs = [_run_from_dict(r) for r in obj["completed_runs"]]
-    # Checkpoints written before the what-if profiler existed have no
-    # lane summary; recover them with an empty one rather than failing.
-    fold.lanes = LaneSummary.from_dict(obj.get("lanes"))
-    return fold
 
 
 def engine_to_dict(engine: StreamingUseCaseEngine) -> dict[str, Any]:
@@ -322,7 +190,7 @@ def engine_to_dict(engine: StreamingUseCaseEngine) -> dict[str, Any]:
         "peak_resident_events": engine.peak_resident_events,
         "unknown_instance_events": engine.unknown_instance_events,
         "folds": [
-            _fold_to_dict(engine._folds[iid]) for iid in sorted(engine._folds)
+            engine._folds[iid].to_dict() for iid in sorted(engine._folds)
         ],
     }
 
@@ -346,7 +214,7 @@ def engine_from_dict(
     engine.unknown_instance_events = obj["unknown_instance_events"]
     max_gap = engine.config.max_gap
     for fold_obj in obj["folds"]:
-        fold = _fold_from_dict(fold_obj, max_gap)
+        fold = InstanceFold.from_dict(fold_obj, max_gap)
         engine._folds[fold.instance_id] = fold
     return engine
 

@@ -40,6 +40,7 @@ from collections import deque
 from typing import Any, Callable
 
 from ..events.event import RawEvent
+from ..events.profile import site_to_dict
 from ..events.spill import SpillWriter, iter_spill_raw
 from ..testing.clock import SYSTEM_CLOCK, Clock
 from .protocol import ProtocolError
@@ -559,14 +560,12 @@ class Session:
     def register(self, instance_id: int, kind, site, label) -> None:
         with self._lock:
             if self.journal is not None:
-                from .durability import _site_to_dict
-
                 self.journal.append_register(
                     [
                         {
                             "id": instance_id,
                             "kind": kind.value,
-                            "site": _site_to_dict(site),
+                            "site": site_to_dict(site),
                             "label": label,
                         }
                     ]

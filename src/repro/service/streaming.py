@@ -1,29 +1,18 @@
 """Bounded-memory streaming use-case analysis.
 
-The batch pipeline keeps every event until the program ends, then runs
-segmentation, numpy aggregation, and the rules over the full history.
-A long-running daemon cannot do that — a day of profiling is billions
-of events — so :class:`StreamingUseCaseEngine` folds each event into
-per-instance state the moment it arrives and discards it.  Memory is
-O(instances + completed runs), never O(events).
+A long-running daemon cannot keep every event until the program ends —
+a day of profiling is billions of events — so
+:class:`StreamingUseCaseEngine` keeps one
+:class:`~repro.usecases.features.InstanceFold` per registered instance,
+feeds each event into it the moment it arrives, and discards the event.
+Memory is O(instances + completed runs), never O(events).
 
 Convergence with batch analysis is by construction, not by
-approximation, and rests on two facts:
-
-- every scalar the rules threshold is an order-preserving fold
-  (:class:`~repro.usecases.features.ProfileFeatures` counters), and the
-  fold here mirrors the numpy expressions of
-  :func:`~repro.usecases.features.features_of` exactly — including
-  their edge conventions (an event can count as both front *and* back
-  on a one-element structure; ``position >= size - 1`` is evaluated
-  without a ``size == 0`` guard, as in the vectorized mask);
-- phase segmentation is already incremental: the same per-thread
-  :class:`~repro.patterns.phases._RunBuilder` the batch ``segment()``
-  drives is driven here, one event at a time, with the identical
-  transparent/breaker/feed decision order.
-
-Feeding the same events in the same per-instance order therefore
-yields the identical features, and — through the shared
+approximation: the batch :class:`~repro.usecases.engine.UseCaseEngine`
+runs the very same fold over a finished profile
+(:func:`~repro.usecases.features.features_of`).  Feeding the same
+events in the same per-instance order therefore yields the identical
+features, and — through the shared
 :func:`~repro.usecases.engine.evaluate_rules` — identical use cases
 with identical evidence.
 """
@@ -32,221 +21,15 @@ from __future__ import annotations
 
 from ..events.event import RawEvent
 from ..events.profile import AllocationSite, RuntimeProfile
-from ..events.types import AccessKind, OperationKind, StructureKind
-from ..patterns.detector import DetectorConfig, classify_run
-from ..patterns.model import AccessPattern, PatternAnalysis, PatternType
-from ..patterns.phases import _BREAKERS, _RUN_OPS, _TRANSPARENT, _RunBuilder
+from ..events.types import StructureKind
+from ..patterns.detector import DetectorConfig
+from ..patterns.model import PatternAnalysis
 from ..usecases.engine import UseCaseReport, evaluate_rules
-from ..usecases.features import ProfileFeatures
+from ..usecases.features import InstanceFold
 from ..usecases.model import UseCase, UseCaseKind
 from ..usecases.rules import ALL_RULES, Rule
 from ..usecases.thresholds import PAPER_THRESHOLDS, Thresholds
-from ..whatif.dag import LaneSummary
-
-_READ = int(AccessKind.READ)
-_INSERT = int(OperationKind.INSERT)
-_DELETE = int(OperationKind.DELETE)
-_OP_READ = int(OperationKind.READ)
-_SORT = int(OperationKind.SORT)
-_INIT = int(OperationKind.INIT)
-
-
-class _InstanceFold:
-    """All per-instance analysis state, updated one event at a time."""
-
-    __slots__ = (
-        "instance_id",
-        "kind",
-        "site",
-        "label",
-        "max_gap",
-        "index",
-        "read_kind",
-        "op_counts",
-        "insert_front",
-        "insert_back",
-        "delete_front",
-        "delete_back",
-        "read_front",
-        "read_back",
-        "end_events",
-        "sort_count",
-        "last_sort_index",
-        "trailing",
-        "trailing_ops",
-        "trailing_positions",
-        "trailing_max_size",
-        "builders",
-        "completed_runs",
-        "lanes",
-    )
-
-    def __init__(
-        self,
-        instance_id: int,
-        kind: StructureKind,
-        site: AllocationSite | None,
-        label: str,
-        max_gap: int,
-    ) -> None:
-        self.instance_id = instance_id
-        self.kind = kind
-        self.site = site
-        self.label = label
-        self.max_gap = max_gap
-        self.index = 0  # profile-relative event index (matches enumerate())
-        self.read_kind = 0
-        self.op_counts: dict[int, int] = {}
-        self.insert_front = 0
-        self.insert_back = 0
-        self.delete_front = 0
-        self.delete_back = 0
-        self.read_front = 0
-        self.read_back = 0
-        self.end_events = 0
-        self.sort_count = 0
-        self.last_sort_index = -1
-        self.trailing = 0
-        self.trailing_ops: set[int] = set()
-        self.trailing_positions: set[int] = set()
-        self.trailing_max_size = 0
-        self.builders: dict[int, _RunBuilder] = {}
-        self.completed_runs: list = []
-        # Happens-before lane summary for the what-if profiler: O(threads)
-        # state that survives checkpoints, because the events themselves
-        # are discarded after this fold (the bug ISSUE 8 fixes).
-        self.lanes = LaneSummary()
-
-    def feed(self, raw: RawEvent) -> None:
-        _, op, kind, position, size, thread_id, _ = raw
-        i = self.index
-        self.index = i + 1
-        self.lanes.feed(thread_id, kind == _READ)
-
-        # -- scalar aggregates (features_of's numpy masks, one row) -----
-        counts = self.op_counts
-        counts[op] = counts.get(op, 0) + 1
-
-        # Write-without-read tail: non-Init events after the last
-        # read-kind event.  A read resets the tail; an Init neither
-        # joins nor resets it.
-        if kind == _READ:
-            self.read_kind += 1
-            if self.trailing:
-                self.trailing = 0
-                self.trailing_ops.clear()
-                self.trailing_positions.clear()
-                self.trailing_max_size = 0
-        elif op != _INIT:
-            self.trailing += 1
-            self.trailing_ops.add(op)
-            if position is not None:
-                self.trailing_positions.add(position)
-            if size > self.trailing_max_size:
-                self.trailing_max_size = size
-
-        if position is not None:
-            at_front = position == 0
-            at_back = position >= size - 1  # numpy mask convention
-            if at_front or at_back:
-                self.end_events += 1
-            if op == _INSERT:
-                if at_front:
-                    self.insert_front += 1
-                if at_back:
-                    self.insert_back += 1
-            elif op == _DELETE:
-                if at_front:
-                    self.delete_front += 1
-                if at_back:
-                    self.delete_back += 1
-            elif op == _OP_READ:
-                if at_front:
-                    self.read_front += 1
-                if at_back:
-                    self.read_back += 1
-
-        if op == _SORT:
-            self.sort_count += 1
-            self.last_sort_index = i
-
-        # -- run building (segment()'s loop body, one iteration) --------
-        if op in _TRANSPARENT:
-            return
-        builder = self.builders.get(thread_id)
-        if builder is None:
-            builder = self.builders[thread_id] = _RunBuilder(self.max_gap)
-        if op in _BREAKERS or position is None:
-            finished = builder.flush()
-            if finished is not None:
-                self.completed_runs.append(finished)
-            return
-        category = _RUN_OPS.get(op)
-        if category is None:
-            return
-        # event.targets_back semantics (size==0 excluded), unlike the
-        # aggregate at_back mask above — both conventions are batch's.
-        targets_back = False if size == 0 else position >= size - 1
-        finished = builder.feed(i, category, position, size, targets_back, thread_id)
-        if finished is not None:
-            self.completed_runs.append(finished)
-
-    # -- snapshots (non-destructive) ------------------------------------
-
-    def patterns(self, config: DetectorConfig) -> tuple[AccessPattern, ...]:
-        """Classified patterns as the batch detector would emit them now.
-
-        In-flight runs are *read*, not flushed, so the fold keeps
-        accepting events after a snapshot.
-        """
-        runs = list(self.completed_runs)
-        for builder in self.builders.values():
-            if builder.run is not None:
-                runs.append(builder.run)
-        runs.sort(key=lambda r: r.start)
-        out: list[AccessPattern] = []
-        for run in runs:
-            if run.length < config.min_run_length:
-                continue
-            pattern_type = classify_run(run)
-            if pattern_type is PatternType.UNCLASSIFIED and not config.keep_unclassified:
-                continue
-            out.append(
-                AccessPattern(
-                    pattern_type=pattern_type,
-                    start=run.start,
-                    stop=run.stop,
-                    length=run.length,
-                    first_position=run.first_position,
-                    last_position=run.last_position,
-                    distinct_positions=run.distinct_positions,
-                    size_at_end=run.size_at_end,
-                    thread_id=run.thread_id,
-                )
-            )
-        return tuple(out)
-
-    def features(self, config: DetectorConfig) -> ProfileFeatures:
-        return ProfileFeatures(
-            kind=self.kind,
-            total_events=self.index,
-            read_kind_events=self.read_kind,
-            op_counts=self.op_counts,
-            insert_front=self.insert_front,
-            insert_back=self.insert_back,
-            delete_front=self.delete_front,
-            delete_back=self.delete_back,
-            read_front=self.read_front,
-            read_back=self.read_back,
-            end_events=self.end_events,
-            sort_count=self.sort_count,
-            last_sort_index=self.last_sort_index,
-            trailing_writes=self.trailing,
-            trailing_ops=frozenset(OperationKind(op) for op in self.trailing_ops),
-            trailing_distinct_positions=len(self.trailing_positions),
-            trailing_max_size=self.trailing_max_size,
-            patterns=self.patterns(config),
-        )
+from ..whatif.dag import WorkSpan
 
 
 class StreamingUseCaseEngine:
@@ -272,7 +55,7 @@ class StreamingUseCaseEngine:
         self.thresholds = thresholds
         self.config = detector_config if detector_config is not None else DetectorConfig()
         self.rules = rules
-        self._folds: dict[int, _InstanceFold] = {}
+        self._folds: dict[int, InstanceFold] = {}
         self.events_folded = 0
         self.peak_resident_events = 0
         self.unknown_instance_events = 0
@@ -289,18 +72,19 @@ class StreamingUseCaseEngine:
         """Declare an instance before its events arrive.  Idempotent —
         a re-registration after session resume is a no-op."""
         if instance_id not in self._folds:
-            self._folds[instance_id] = _InstanceFold(
+            self._folds[instance_id] = InstanceFold(
                 instance_id, kind, site, label, self.config.max_gap
             )
 
     def feed(self, raw: RawEvent) -> None:
         """Fold one raw event tuple.  Events of unregistered instances
         are dropped and counted, never guessed at."""
-        fold = self._folds.get(raw[0])
+        instance_id, op, kind, position, size, thread_id, _ = raw
+        fold = self._folds.get(instance_id)
         if fold is None:
             self.unknown_instance_events += 1
             return
-        fold.feed(raw)
+        fold.feed(op, kind, position, size, thread_id)
         self.events_folded += 1
 
     def feed_window(self, batch: list[RawEvent]) -> None:
@@ -348,6 +132,16 @@ class StreamingUseCaseEngine:
         return UseCaseReport(
             use_cases=tuple(use_cases), instances_analyzed=len(self._folds)
         )
+
+    def workspans(self) -> dict[int, WorkSpan]:
+        """Per-instance work/span from the folds' lane summaries (live
+        SNAPSHOT path — no event history needed); instances without
+        events are left out."""
+        return {
+            instance_id: fold.lanes.workspan()
+            for instance_id, fold in self._folds.items()
+            if fold.lanes.work > 0
+        }
 
     def flagged_kinds(self) -> dict[int, list[str]]:
         """``{instance_id: [abbreviations]}`` for quick stats output."""

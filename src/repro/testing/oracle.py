@@ -1,11 +1,11 @@
 """Differential correctness oracle for the profiling stack.
 
 One generated trace (:mod:`~repro.testing.traces`) is pushed through
-three independent implementations of "analyze this event stream":
+three independent ways of getting an event stream to the analysis:
 
 1. **Batch** — per-instance :class:`~repro.events.profile.RuntimeProfile`
-   objects through the paper's :class:`~repro.usecases.UseCaseEngine`.
-   This is the reference semantics.
+   objects through the paper's :class:`~repro.usecases.UseCaseEngine`,
+   which folds each finished profile in one pass.
 2. **Streaming** — the same events window-fed straight into a
    :class:`~repro.service.streaming.StreamingUseCaseEngine`, no network.
 3. **Daemon round trip** — a protocol client ships the events through
@@ -13,11 +13,14 @@ three independent implementations of "analyze this event stream":
    :class:`~repro.service.ProfilingDaemon`, surviving whatever faults
    the seeded plan injects, and the daemon's FIN report is taken.
 
-All three must produce the identical flagged use-case set — same
+All three end in the same :class:`~repro.usecases.features.InstanceFold`
+and must produce the identical flagged use-case set — same
 ``(instance, kind)`` pairs — *and* identical evidence dicts.  Any
-divergence is a real bug in exactly the machinery PR 2's convergence
-claim rests on: the fold, the wire protocol, resume/dedup, or the
-ingest pipeline.
+divergence is a real bug in what lies between the events and the
+fold: profile assembly, windowing, checkpoint/restore, the wire
+protocol, resume/dedup, or the ingest pipeline.  The fold's own
+arithmetic is checked against an independent numpy reference in the
+test suite.
 
 The daemon driver here is deliberately synchronous (no background
 drainer or heartbeat threads): it speaks the same reconnect-and-
@@ -56,7 +59,7 @@ FAULT_SEED_SALT = 0x5EED_FA17
 
 
 def run_batch_path(trace: Trace) -> dict[str, Any]:
-    """Reference semantics: per-instance profiles, batch engine."""
+    """Per-instance profiles, each folded whole by the batch engine."""
     streams: dict[int, list] = {inst.instance_id: [] for inst in trace.instances}
     for seq, raw in enumerate(trace.events):
         streams[raw[0]].append(materialize(seq, raw))

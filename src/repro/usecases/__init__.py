@@ -5,7 +5,7 @@ each yielding a recommendation with its supporting evidence.
 """
 
 from .engine import UseCaseEngine, UseCaseReport, evaluate_rules
-from .features import ProfileFeatures, end_purity, features_of
+from .features import InstanceFold, ProfileFeatures, end_purity, features_of
 from .explain import (
     Criterion,
     RuleExplanation,
@@ -45,6 +45,7 @@ __all__ = [
     "explain_use_case",
     "near_misses",
     "FrequentLongReadRule",
+    "InstanceFold",
     "FrequentSearchRule",
     "ImplementQueueRule",
     "InsertDeleteFrontRule",

@@ -15,6 +15,7 @@ from ..events.collector import EventCollector
 from ..events.profile import RuntimeProfile
 from ..events.sampling import SamplingPolicy
 from ..patterns.detector import DetectorConfig, PatternDetector
+from ..patterns.model import PatternAnalysis
 from .features import ProfileFeatures, features_of
 from .model import UseCase, UseCaseKind
 from .rules import ALL_RULES, Evidence, Rule
@@ -127,16 +128,10 @@ class UseCaseEngine:
     rules: tuple[Rule, ...] = ALL_RULES
 
     def analyze_profile(self, profile: RuntimeProfile) -> list[UseCase]:
-        """Apply every rule to one profile.
-
-        Categories are exclusive where one subsumes another:
-        Sort-After-Insert implies a long insertion phase, so when SAI
-        fires, the plain Long-Insert diagnosis is suppressed (its
-        recommendation — parallelize the insert — is contained in
-        SAI's).
-        """
-        analysis = self.detector.detect(profile)
-        features = features_of(analysis)
+        """Fold one profile (:func:`features_of`) and apply the rules
+        (:func:`evaluate_rules`)."""
+        features = features_of(profile, self.detector.config)
+        analysis = PatternAnalysis(profile=profile, patterns=features.patterns)
         return [
             UseCase(
                 kind=rule.kind,

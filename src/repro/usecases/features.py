@@ -1,39 +1,45 @@
-"""Scalar profile features shared by batch and streaming analysis.
+"""Per-instance analysis as one fold: features, patterns and work/span.
 
-The use-case rules originally reached straight into a profile's numpy
-arrays, which ties them to a fully materialized event history.  The
-streaming service (:mod:`repro.service`) cannot afford that — it folds
-each event into per-instance state and discards it — so every quantity
-a rule thresholds is factored out here into :class:`ProfileFeatures`,
-an exact, order-insensitive summary small enough to keep per instance.
+Every quantity a use-case rule thresholds is an order-preserving fold
+over an instance's events, so :class:`InstanceFold` computes all of
+them in a single O(1)-per-event pass — the scalar counters of
+:class:`ProfileFeatures`, phase segmentation through the shared
+:class:`~repro.patterns.phases.RunSegmenter`, and the happens-before
+:class:`~repro.whatif.dag.LaneSummary` the what-if profiler reads
+(TASKPROF-style work/span, PAPERS.md) — with memory bounded by
+O(threads + runs), never O(events).
 
-Two producers exist:
+The fold is the only analysis implementation:
 
-- :func:`features_of` extracts the features from a batch
-  :class:`~repro.patterns.model.PatternAnalysis` with the same
-  vectorized numpy expressions the rules used inline, and
-- :class:`~repro.service.streaming.StreamingUseCaseEngine` accumulates
-  the identical quantities incrementally, one event at a time.
+- batch :class:`~repro.usecases.engine.UseCaseEngine` runs it over a
+  finished profile via :func:`features_of`, and
+- :class:`~repro.service.streaming.StreamingUseCaseEngine` keeps one
+  per live instance, feeds it as windows arrive, and checkpoints it
+  through :meth:`InstanceFold.to_dict`.
 
-Because both paths feed the same
+Both hand the resulting :class:`ProfileFeatures` to the same
 :meth:`~repro.usecases.rules.Rule.evaluate_features` implementations,
-streaming and batch analysis cannot drift apart: equal features imply
-equal use cases *and* equal evidence dictionaries.
+so equal event streams yield equal use cases *and* equal evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Any, Mapping
 
-import numpy as np
-
-from ..events.profile import NO_POSITION
+from ..events.profile import AllocationSite, RuntimeProfile, site_from_dict, site_to_dict
 from ..events.types import AccessKind, OperationKind, StructureKind
+from ..patterns.detector import DetectorConfig, patterns_from_runs
 from ..patterns.model import AccessPattern
+from ..patterns.phases import Run, RunSegmenter
+from ..whatif.dag import LaneSummary
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..patterns.model import PatternAnalysis
+_READ = int(AccessKind.READ)
+_INSERT = int(OperationKind.INSERT)
+_DELETE = int(OperationKind.DELETE)
+_OP_READ = int(OperationKind.READ)
+_SORT = int(OperationKind.SORT)
+_INIT = int(OperationKind.INIT)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +62,8 @@ class ProfileFeatures:
         Positional events of that operation targeting the front
         (``position == 0``) resp. the back (``position >= size - 1``).
         An event can hit both ends of a one-element structure and then
-        counts in both, exactly like the numpy masks it replaces.
+        counts in both.  Here "back" is ``position >= size - 1`` with no
+        ``size == 0`` guard, unlike the segmenter's ``targets_back``.
     end_events:
         Events that hit the front or the back (each counted once).
     sort_count / last_sort_index:
@@ -142,73 +149,220 @@ def end_purity(count: int, front: int, back: int) -> tuple[str | None, float, in
     return "back", back / count, count
 
 
-def features_of(analysis: "PatternAnalysis") -> ProfileFeatures:
-    """Extract :class:`ProfileFeatures` from a batch pattern analysis.
+class InstanceFold:
+    """All analysis state of one instance, updated one event at a time.
 
-    Every expression matches what the rules previously computed inline
-    from the profile's numpy arrays, so refactored rules return
-    bit-identical evidence.
+    ``feed`` takes an event's fields in per-instance order; ``index``
+    counts events fed so far, which makes every pattern bound
+    profile-relative exactly as in a batch profile.  Snapshots
+    (:meth:`patterns`, :meth:`features`) are non-destructive, so the
+    fold keeps accepting events afterwards.
     """
-    profile = analysis.profile
-    n = len(profile)
-    if n == 0:
-        return ProfileFeatures(
-            kind=profile.kind, total_events=0, patterns=analysis.patterns
-        )
 
-    ops = profile.ops
-    kinds = profile.kinds
-    positions = profile.positions
-    sizes = profile.sizes
-
-    has_pos = positions != NO_POSITION
-    at_front = has_pos & (positions == 0)
-    at_back = has_pos & (positions >= sizes - 1)
-
-    def _front_back(op: OperationKind) -> tuple[int, int]:
-        mask = ops == op
-        return (
-            int(np.count_nonzero(mask & at_front)),
-            int(np.count_nonzero(mask & at_back)),
-        )
-
-    insert_front, insert_back = _front_back(OperationKind.INSERT)
-    delete_front, delete_back = _front_back(OperationKind.DELETE)
-    read_front, read_back = _front_back(OperationKind.READ)
-
-    sort_indices = np.flatnonzero(ops == OperationKind.SORT)
-
-    # Write-without-read tail: non-Init events after the last read.
-    reads = np.flatnonzero(kinds == AccessKind.READ)
-    first_trailing = int(reads[-1]) + 1 if reads.size else 0
-    trailing = [
-        i
-        for i in range(first_trailing, n)
-        if OperationKind(int(ops[i])) is not OperationKind.INIT
-    ]
-    trailing_ops = frozenset(OperationKind(int(ops[i])) for i in trailing)
-    trailing_positions = {
-        int(positions[i]) for i in trailing if positions[i] != NO_POSITION
-    }
-    trailing_max_size = max((int(sizes[i]) for i in trailing), default=0)
-
-    return ProfileFeatures(
-        kind=profile.kind,
-        total_events=n,
-        read_kind_events=int(np.count_nonzero(kinds == AccessKind.READ)),
-        op_counts=profile.op_histogram(),
-        insert_front=insert_front,
-        insert_back=insert_back,
-        delete_front=delete_front,
-        delete_back=delete_back,
-        read_front=read_front,
-        read_back=read_back,
-        end_events=int(np.count_nonzero(at_front | at_back)),
-        sort_count=int(sort_indices.size),
-        last_sort_index=int(sort_indices[-1]) if sort_indices.size else -1,
-        trailing_writes=len(trailing),
-        trailing_ops=trailing_ops,
-        trailing_distinct_positions=len(trailing_positions),
-        trailing_max_size=trailing_max_size,
-        patterns=analysis.patterns,
+    #: Integer counters serialized verbatim by :meth:`to_dict`.
+    _COUNTERS = (
+        "insert_front",
+        "insert_back",
+        "delete_front",
+        "delete_back",
+        "read_front",
+        "read_back",
+        "end_events",
+        "sort_count",
+        "last_sort_index",
     )
+
+    __slots__ = (
+        "instance_id",
+        "kind",
+        "site",
+        "label",
+        "index",
+        "read_kind",
+        "op_counts",
+        *_COUNTERS,
+        "trailing",
+        "trailing_ops",
+        "trailing_positions",
+        "trailing_max_size",
+        "segmenter",
+        "lanes",
+    )
+
+    def __init__(
+        self,
+        instance_id: int,
+        kind: StructureKind,
+        site: AllocationSite | None,
+        label: str,
+        max_gap: int,
+    ) -> None:
+        self.instance_id = instance_id
+        self.kind = kind
+        self.site = site
+        self.label = label
+        self.index = 0
+        self.read_kind = 0
+        self.op_counts: dict[int, int] = {}
+        self.insert_front = 0
+        self.insert_back = 0
+        self.delete_front = 0
+        self.delete_back = 0
+        self.read_front = 0
+        self.read_back = 0
+        self.end_events = 0
+        self.sort_count = 0
+        self.last_sort_index = -1
+        self.trailing = 0
+        self.trailing_ops: set[int] = set()
+        self.trailing_positions: set[int] = set()
+        self.trailing_max_size = 0
+        self.segmenter = RunSegmenter(max_gap)
+        self.lanes = LaneSummary()
+
+    def feed(
+        self, op: int, kind: int, position: int | None, size: int, thread_id: int
+    ) -> None:
+        i = self.index
+        self.index = i + 1
+        is_read = kind == _READ
+        self.lanes.feed(thread_id, is_read)
+
+        counts = self.op_counts
+        counts[op] = counts.get(op, 0) + 1
+
+        # Write-without-read tail: non-Init events after the last
+        # read-kind event.  A read resets the tail; an Init neither
+        # joins nor resets it.
+        if is_read:
+            self.read_kind += 1
+            if self.trailing:
+                self.trailing = 0
+                self.trailing_ops.clear()
+                self.trailing_positions.clear()
+                self.trailing_max_size = 0
+        elif op != _INIT:
+            self.trailing += 1
+            self.trailing_ops.add(op)
+            if position is not None:
+                self.trailing_positions.add(position)
+            if size > self.trailing_max_size:
+                self.trailing_max_size = size
+
+        if position is not None:
+            at_front = position == 0
+            at_back = position >= size - 1
+            if at_front or at_back:
+                self.end_events += 1
+            if op == _INSERT:
+                if at_front:
+                    self.insert_front += 1
+                if at_back:
+                    self.insert_back += 1
+            elif op == _DELETE:
+                if at_front:
+                    self.delete_front += 1
+                if at_back:
+                    self.delete_back += 1
+            elif op == _OP_READ:
+                if at_front:
+                    self.read_front += 1
+                if at_back:
+                    self.read_back += 1
+
+        if op == _SORT:
+            self.sort_count += 1
+            self.last_sort_index = i
+
+        self.segmenter.feed(i, op, position, size, thread_id)
+
+    # -- snapshots (non-destructive) ------------------------------------
+
+    def patterns(self, config: DetectorConfig) -> tuple[AccessPattern, ...]:
+        """Classified patterns as the batch detector would emit them now."""
+        return patterns_from_runs(self.segmenter.runs(), config)
+
+    def features(self, config: DetectorConfig) -> ProfileFeatures:
+        return ProfileFeatures(
+            kind=self.kind,
+            total_events=self.index,
+            read_kind_events=self.read_kind,
+            op_counts=dict(self.op_counts),
+            insert_front=self.insert_front,
+            insert_back=self.insert_back,
+            delete_front=self.delete_front,
+            delete_back=self.delete_back,
+            read_front=self.read_front,
+            read_back=self.read_back,
+            end_events=self.end_events,
+            sort_count=self.sort_count,
+            last_sort_index=self.last_sort_index,
+            trailing_writes=self.trailing,
+            trailing_ops=frozenset(OperationKind(op) for op in self.trailing_ops),
+            trailing_distinct_positions=len(self.trailing_positions),
+            trailing_max_size=self.trailing_max_size,
+            patterns=self.patterns(config),
+        )
+
+    # -- serialization (checkpoint / SNAPSHOT payloads) ------------------
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "instance_id": self.instance_id,
+            "kind": self.kind.value,
+            "site": site_to_dict(self.site),
+            "label": self.label,
+            "index": self.index,
+            "read_kind": self.read_kind,
+            "op_counts": {str(op): n for op, n in self.op_counts.items()},
+            **{name: getattr(self, name) for name in self._COUNTERS},
+            "trailing": self.trailing,
+            "trailing_ops": sorted(self.trailing_ops),
+            "trailing_positions": sorted(self.trailing_positions),
+            "trailing_max_size": self.trailing_max_size,
+            "builders": {
+                str(tid): (None if run is None else run.to_dict())
+                for tid, run in self.segmenter.open.items()
+            },
+            "completed_runs": [run.to_dict() for run in self.segmenter.completed],
+            "lanes": self.lanes.to_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, obj: dict[str, Any], max_gap: int) -> "InstanceFold":
+        fold = cls(
+            int(obj["instance_id"]),
+            StructureKind(obj["kind"]),
+            site_from_dict(obj.get("site")),
+            obj.get("label", ""),
+            max_gap,
+        )
+        fold.index = obj["index"]
+        fold.read_kind = obj["read_kind"]
+        fold.op_counts = {int(op): n for op, n in obj["op_counts"].items()}
+        for name in cls._COUNTERS:
+            setattr(fold, name, obj[name])
+        fold.trailing = obj["trailing"]
+        fold.trailing_ops = set(obj["trailing_ops"])
+        fold.trailing_positions = set(obj["trailing_positions"])
+        fold.trailing_max_size = obj["trailing_max_size"]
+        fold.segmenter.open = {
+            int(tid): (None if run is None else Run.from_dict(run))
+            for tid, run in obj["builders"].items()
+        }
+        fold.segmenter.completed = [Run.from_dict(r) for r in obj["completed_runs"]]
+        # Checkpoints written before the what-if profiler existed have no
+        # lane summary; recover them with an empty one rather than failing.
+        fold.lanes = LaneSummary.from_dict(obj.get("lanes"))
+        return fold
+
+
+def features_of(profile: RuntimeProfile, config: DetectorConfig) -> ProfileFeatures:
+    """Fold a whole batch profile into its :class:`ProfileFeatures`."""
+    fold = InstanceFold(
+        profile.instance_id, profile.kind, profile.site, profile.label, config.max_gap
+    )
+    feed = fold.feed
+    for event in profile.events:
+        feed(event.op, event.kind, event.position, event.size, event.thread_id)
+    return fold.features(config)

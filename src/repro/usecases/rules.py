@@ -7,14 +7,11 @@ the thresholds) or ``None``.  Rule definitions follow §III-B of the
 paper verbatim; where the paper is qualitative (IDF, SI, WWR) the
 operationalization is documented inline.
 
-Rules deliberately never touch raw event arrays: the same
-``evaluate_features`` implementations serve the batch engine (features
-extracted from a full :class:`~repro.patterns.model.PatternAnalysis`
-via :func:`~repro.usecases.features.features_of`) and the streaming
-service engine (features accumulated event-by-event with bounded
-memory), which is what guarantees the two analysis modes converge to
-identical reports.  ``evaluate(analysis, th)`` remains as a
-convenience wrapper for callers holding a full analysis.
+Rules never touch raw events: the features come from the one
+per-instance :class:`~repro.usecases.features.InstanceFold`, whether
+the batch engine ran it over a finished profile or the streaming
+service fed it window by window, so both analysis modes reach identical
+reports.
 """
 
 from __future__ import annotations
@@ -24,8 +21,8 @@ from typing import Any, Protocol
 import numpy as np
 
 from ..events.types import OperationKind, StructureKind
-from ..patterns.model import AccessPattern, PatternAnalysis
-from .features import ProfileFeatures, end_purity, features_of
+from ..patterns.model import AccessPattern
+from .features import ProfileFeatures, end_purity
 from .model import Recommendation, UseCaseKind
 from .thresholds import Thresholds
 
@@ -39,16 +36,6 @@ class Rule(Protocol):
         self, features: ProfileFeatures, th: Thresholds
     ) -> Evidence | None:
         """Evidence dict when the rule fires, else ``None``."""
-
-    def evaluate(self, analysis: PatternAnalysis, th: Thresholds) -> Evidence | None:
-        """Convenience wrapper: extract features, then evaluate them."""
-
-
-class _FeatureRule:
-    """Shared ``evaluate`` plumbing: analysis → features → thresholds."""
-
-    def evaluate(self, analysis: PatternAnalysis, th: Thresholds) -> Evidence | None:
-        return self.evaluate_features(features_of(analysis), th)
 
 
 # -- shared helpers ---------------------------------------------------------
@@ -69,7 +56,7 @@ def _is_linear(features: ProfileFeatures) -> bool:
 # -- the five parallel-potential rules ------------------------------------------
 
 
-class LongInsertRule(_FeatureRule):
+class LongInsertRule:
     """LI: an insertion pattern from either end inserting more than one
     element, with frequent insertion phases (>30% of runtime) of which
     at least one is long (≥100 consecutive access events)."""
@@ -106,7 +93,7 @@ class LongInsertRule(_FeatureRule):
         )
 
 
-class ImplementQueueRule(_FeatureRule):
+class ImplementQueueRule:
     """IQ: the structure is used like a queue but implemented as a list
     -- a high amount of reads and writes (>60% in sum) affect two
     *different* ends."""
@@ -157,7 +144,7 @@ class ImplementQueueRule(_FeatureRule):
         )
 
 
-class SortAfterInsertRule(_FeatureRule):
+class SortAfterInsertRule:
     """SAI: the structure is sorted after a long insertion phase (>30%
     of runtime, >100 consecutive events); insertion order is obviously
     unimportant, so both insert and search phases can be parallelized."""
@@ -201,7 +188,7 @@ class SortAfterInsertRule(_FeatureRule):
         )
 
 
-class FrequentSearchRule(_FeatureRule):
+class FrequentSearchRule:
     """FS: the program often searches a linear structure (>1000 search
     operations); searches are *frequent* when at least 2% of all access
     events belong to Read-Forward/Backward patterns or explicit
@@ -239,7 +226,7 @@ class FrequentSearchRule(_FeatureRule):
         )
 
 
-class FrequentLongReadRule(_FeatureRule):
+class FrequentLongReadRule:
     """FLR: more than 10 sequential read patterns recur, ≥50% of all
     access types are Read or Search, and each pattern reads at least
     50% of the data structure — a disguised search."""
@@ -287,7 +274,7 @@ class FrequentLongReadRule(_FeatureRule):
 # -- the three sequential-optimization rules ------------------------------------
 
 
-class InsertDeleteFrontRule(_FeatureRule):
+class InsertDeleteFrontRule:
     """IDF: insert/delete churn on a fixed-size array causes repeated
     reallocate+copy overhead; a dynamic structure fits better.
 
@@ -322,7 +309,7 @@ class InsertDeleteFrontRule(_FeatureRule):
         )
 
 
-class StackImplementationRule(_FeatureRule):
+class StackImplementationRule:
     """SI: insert and delete operations always access a common end of a
     list — the list implements a stack.
 
@@ -367,7 +354,7 @@ class StackImplementationRule(_FeatureRule):
         )
 
 
-class WriteWithoutReadRule(_FeatureRule):
+class WriteWithoutReadRule:
     """WWR: the profile ends with write accesses whose results are never
     read — cleanup work better left to deallocation.
 

@@ -7,11 +7,9 @@ recommendation would pay on k cores (TASKPROF-style causal profiling
 over the recorded event stream), so reports rank by expected payoff."""
 
 from .dag import (
-    CriticalPathFold,
     LaneSummary,
     WorkSpan,
     fold_profile,
-    fold_raw_events,
     longest_path_span,
     potential_speedup,
 )
@@ -22,26 +20,22 @@ from .predict import (
     predict_use_case,
     rank_report,
     transform_ways,
-    workspans_from_engine,
     workspans_from_profiles,
 )
 from .report import format_whatif_table
 
 __all__ = [
-    "CriticalPathFold",
     "LaneSummary",
     "Prediction",
     "WorkSpan",
     "annotate_report",
     "end_to_end_speedup",
     "fold_profile",
-    "fold_raw_events",
     "format_whatif_table",
     "longest_path_span",
     "potential_speedup",
     "predict_use_case",
     "rank_report",
     "transform_ways",
-    "workspans_from_engine",
     "workspans_from_profiles",
 ]

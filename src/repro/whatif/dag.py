@@ -23,24 +23,20 @@ The DAG never needs to be materialized.  Because the recorded stream
 serializes conflicting accesses in arrival order, the longest path
 ending at each event depends only on three running maxima — the end of
 its thread's own lane, the end of the latest write, and the end of the
-latest read — so :class:`CriticalPathFold` computes work and span in
-O(1) time and O(threads) memory per event.  That is what lets the
-streaming engine carry a :class:`LaneSummary` per instance without
-retaining history (the bounded-memory contract), while
-:func:`longest_path_span` keeps the O(n²)-edge textbook computation
-around as the property-test oracle.
+latest read — so :class:`LaneSummary` computes work and span in O(1)
+time and O(threads) memory per event.  It is part of every
+:class:`~repro.usecases.features.InstanceFold`, which is what lets the
+streaming engine keep work/span without retaining history (the
+bounded-memory contract), while :func:`longest_path_span` keeps the
+O(n²)-edge textbook computation around as the property-test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
-from ..events.event import AccessEvent, RawEvent
 from ..events.profile import RuntimeProfile
-from ..events.types import AccessKind
-
-_READ = int(AccessKind.READ)
 
 
 @dataclass
@@ -90,6 +86,10 @@ class LaneSummary:
     @property
     def thread_count(self) -> int:
         return len(self.lane_end)
+
+    def workspan(self) -> "WorkSpan":
+        """Work and span of every event fed so far."""
+        return WorkSpan(work=float(self.work), span=self.span)
 
     # -- serialization (checkpoint / SNAPSHOT payloads) ------------------
 
@@ -145,43 +145,12 @@ def potential_speedup(work: float, span: float, cores: int) -> float:
     return work / max(span, work / cores)
 
 
-class CriticalPathFold:
-    """Incremental work/span over one instance's event stream."""
-
-    def __init__(self) -> None:
-        self.lanes = LaneSummary()
-
-    def feed(self, thread_id: int, is_read: bool) -> None:
-        self.lanes.feed(thread_id, is_read)
-
-    def feed_event(self, event: AccessEvent) -> None:
-        self.feed(event.thread_id, event.is_read)
-
-    def feed_raw(self, raw: RawEvent) -> None:
-        # (instance_id, op, kind, position, size, thread_id, wall_time)
-        self.feed(raw[5], raw[2] == _READ)
-
-    def result(self) -> WorkSpan:
-        return WorkSpan(work=float(self.lanes.work), span=self.lanes.span)
-
-
 def fold_profile(profile: RuntimeProfile) -> WorkSpan:
     """Work/span of one batch profile's full event history."""
-    fold = CriticalPathFold()
+    lanes = LaneSummary()
     for event in profile.events:
-        fold.feed_event(event)
-    return fold.result()
-
-
-def fold_raw_events(raws: Iterable[RawEvent]) -> dict[int, WorkSpan]:
-    """Per-instance work/span over a raw event stream (spill replay)."""
-    folds: dict[int, CriticalPathFold] = {}
-    for raw in raws:
-        fold = folds.get(raw[0])
-        if fold is None:
-            fold = folds[raw[0]] = CriticalPathFold()
-        fold.feed_raw(raw)
-    return {iid: fold.result() for iid, fold in folds.items()}
+        lanes.feed(event.thread_id, event.is_read)
+    return lanes.workspan()
 
 
 def longest_path_span(events: Sequence[tuple[int, bool]]) -> float:
@@ -192,7 +161,7 @@ def longest_path_span(events: Sequence[tuple[int, bool]]) -> float:
     Edges: program order within a thread; write→anything and
     anything→write across threads (conflicting accesses serialize in
     recorded order).  O(n²) — the property-test oracle for
-    :class:`CriticalPathFold`, never the production path.
+    :class:`LaneSummary`, never the production path.
     """
     n = len(events)
     predecessors: list[list[int]] = [[] for _ in range(n)]
@@ -215,11 +184,9 @@ def longest_path_span(events: Sequence[tuple[int, bool]]) -> float:
 
 
 __all__ = [
-    "CriticalPathFold",
     "LaneSummary",
     "WorkSpan",
     "fold_profile",
-    "fold_raw_events",
     "longest_path_span",
     "potential_speedup",
 ]

@@ -31,7 +31,7 @@ quantifies (``dsspy bench --whatif``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..events.profile import RuntimeProfile
 from ..parallel.machine import SimulatedMachine
@@ -40,9 +40,11 @@ from ..parallel.transforms import (
     estimate_region,
     transform_ways,
 )
-from ..usecases.engine import UseCaseReport
 from ..usecases.model import UseCase
 from .dag import WorkSpan, fold_profile, potential_speedup
+
+if TYPE_CHECKING:  # pragma: no cover - usecases.features imports whatif.dag
+    from ..usecases.engine import UseCaseReport
 
 
 def end_to_end_speedup(
@@ -129,17 +131,6 @@ def workspans_from_profiles(
     return {p.instance_id: fold_profile(p) for p in profiles}
 
 
-def workspans_from_engine(engine) -> dict[int, WorkSpan]:
-    """Per-instance work/span from a streaming engine's lane summaries
-    (live SNAPSHOT path — no event history needed)."""
-    out: dict[int, WorkSpan] = {}
-    for instance_id, fold in engine._folds.items():
-        lanes = fold.lanes
-        if lanes.work > 0:
-            out[instance_id] = WorkSpan(work=float(lanes.work), span=lanes.span)
-    return out
-
-
 def annotate_report(
     report: UseCaseReport,
     machine: SimulatedMachine,
@@ -157,9 +148,7 @@ def annotate_report(
         )
         for u in report.use_cases
     )
-    return UseCaseReport(
-        use_cases=annotated, instances_analyzed=report.instances_analyzed
-    )
+    return replace(report, use_cases=annotated)
 
 
 def rank_report(report: UseCaseReport) -> UseCaseReport:
@@ -175,9 +164,7 @@ def rank_report(report: UseCaseReport) -> UseCaseReport:
             key=lambda u: -(u.predicted_speedup if u.predicted_speedup is not None else 1.0),
         )
     )
-    return UseCaseReport(
-        use_cases=ranked, instances_analyzed=report.instances_analyzed
-    )
+    return replace(report, use_cases=ranked)
 
 
 __all__ = [
@@ -187,6 +174,5 @@ __all__ = [
     "predict_use_case",
     "rank_report",
     "transform_ways",
-    "workspans_from_engine",
     "workspans_from_profiles",
 ]

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..parallel.machine import SimulatedMachine
-from ..usecases.engine import UseCaseReport
 from ..usecases.model import UseCase
 from .dag import WorkSpan
 from .predict import Prediction, predict_use_case
+
+if TYPE_CHECKING:  # pragma: no cover - usecases.features imports whatif.dag
+    from ..usecases.engine import UseCaseReport
 
 
 def _site_of(use_case: UseCase) -> str:

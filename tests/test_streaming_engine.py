@@ -144,12 +144,12 @@ class TestLaneSummaryRetention:
     snapshots to seed the what-if DAG."""
 
     def test_lanes_match_batch_workspans(self):
-        from repro.whatif import fold_profile, workspans_from_engine
+        from repro.whatif import fold_profile
 
         with collecting() as collector:
             EVALUATION_WORKLOADS[0].run_tracked(scale=0.5)
         engine = _stream_collector(collector)
-        streamed = workspans_from_engine(engine)
+        streamed = engine.workspans()
         for profile in collector.profiles():
             if len(profile) == 0:
                 continue
@@ -158,13 +158,12 @@ class TestLaneSummaryRetention:
 
     def test_lanes_round_trip_through_engine_dict(self):
         from repro.service.durability import engine_from_dict, engine_to_dict
-        from repro.whatif import workspans_from_engine
 
         with collecting() as collector:
             EVALUATION_WORKLOADS[0].run_tracked(scale=0.5)
         engine = _stream_collector(collector)
         restored = engine_from_dict(engine_to_dict(engine))
-        assert workspans_from_engine(restored) == workspans_from_engine(engine)
+        assert restored.workspans() == engine.workspans()
         # The restored lanes keep folding: same event -> same state.
         iid = next(iter(engine._folds))
         raw = (iid, 2, 1, 0, 1, 3, None)
@@ -174,7 +173,6 @@ class TestLaneSummaryRetention:
 
     def test_pre_lane_checkpoints_still_load(self):
         from repro.service.durability import engine_from_dict, engine_to_dict
-        from repro.whatif import workspans_from_engine
 
         with collecting() as collector:
             EVALUATION_WORKLOADS[0].run_tracked(scale=0.5)
@@ -185,5 +183,5 @@ class TestLaneSummaryRetention:
         restored = engine_from_dict(old_doc)
         # Loads fine; lane data is honestly empty, and the report is
         # unaffected (lanes feed only the what-if profiler).
-        assert workspans_from_engine(restored) == {}
+        assert restored.workspans() == {}
         assert _signature(restored.report()) == _signature(engine.report())

@@ -13,12 +13,11 @@ from repro.eval.speedup_eval import (
 )
 from repro.parallel.machine import MachineConfig, SimulatedMachine
 from repro.parallel.transforms import execute_transform, transform_ways
+from repro.service.streaming import StreamingUseCaseEngine
 from repro.testing.traces import generate_trace
 from repro.whatif import (
-    CriticalPathFold,
     LaneSummary,
     WorkSpan,
-    fold_raw_events,
     longest_path_span,
     potential_speedup,
 )
@@ -27,11 +26,11 @@ _READ_KIND = 0  # AccessKind.READ == 0 is asserted below; traces use ints
 
 
 def _span_by_fold(events):
-    """events: [(tid, is_read)] -> span via the incremental fold."""
-    fold = CriticalPathFold()
+    """events: [(tid, is_read)] -> work/span via the incremental fold."""
+    lanes = LaneSummary()
     for tid, is_read in events:
-        fold.feed(tid, is_read)
-    return fold.result()
+        lanes.feed(tid, is_read)
+    return lanes.workspan()
 
 
 class TestFoldVsBruteForce:
@@ -48,7 +47,13 @@ class TestFoldVsBruteForce:
         trace = generate_trace(
             seed, max_instances=4, max_segments=5, max_segment_events=40
         )
-        workspans = fold_raw_events(trace.events)
+        # The interleaved trace goes through the streaming engine, whose
+        # per-instance folds carry the lane summaries.
+        engine = StreamingUseCaseEngine()
+        for inst in trace.instances:
+            engine.register_instance(inst.instance_id, inst.kind)
+        engine.feed_window(trace.events)
+        workspans = engine.workspans()
         checked = 0
         for inst in trace.instances:
             raws = trace.events_of(inst.instance_id)
@@ -103,7 +108,7 @@ class TestDegenerateLaws:
         assert potential_speedup(ws.work, ws.span, 8) == 1.0
 
     def test_empty_stream(self):
-        ws = CriticalPathFold().result()
+        ws = LaneSummary().workspan()
         assert ws.work == 0.0 and ws.span == 0.0
         assert potential_speedup(ws.work, ws.span, 8) == 1.0
 
