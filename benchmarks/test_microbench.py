@@ -128,11 +128,12 @@ class TestOverheadBudget:
         import json
 
         from benchmarks.conftest import save_result
+        from repro.bench import SCHEMA_VERSION
 
         save_result(
             results_dir, "overhead.json", json.dumps(overhead_doc, indent=2)
         )
-        assert overhead_doc["schema"] == 2
+        assert overhead_doc["schema"] == SCHEMA_VERSION
         assert overhead_doc["events"] == 100_000
 
     def test_batching_beats_async_recording(self, overhead_doc):

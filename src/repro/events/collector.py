@@ -4,9 +4,12 @@ One :class:`EventCollector` corresponds to one DSspy capture session.
 Tracked structures register themselves on construction (obtaining an
 instance id) and call :meth:`EventCollector.record` on every interface
 method.  After the workload finishes, :meth:`EventCollector.finish`
-drains the channel, stamps logical timestamps in arrival order, and
-routes each event into the :class:`~repro.events.profile.RuntimeProfile`
-of its instance.
+drains the channel and routes each raw tuple, stamped with its arrival
+index as logical timestamp, into the
+:class:`~repro.events.profile.RuntimeProfile` of its instance.  The
+tuple itself is what the profile stores; no per-event object is built
+until a caller asks a profile for :class:`~repro.events.event.AccessEvent`
+views.
 
 A module-level *ambient* collector makes tracked structures usable
 without ceremony; the :func:`collecting` context manager installs a
@@ -26,8 +29,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from .channel import AsyncChannel, Channel, SynchronousChannel
-from .event import materialize
-from .profile import AllocationSite, RuntimeProfile
+from .profile import AllocationSite, RuntimeProfile, route_records
 from .sampling import RecordAll, SamplingPolicy
 from .types import AccessKind, OperationKind, StructureKind
 
@@ -227,15 +229,11 @@ class EventCollector:
     # -- post-mortem assembly ---------------------------------------------
 
     def _assemble(self, raws: list) -> None:
-        for seq in range(self._assembled, len(raws)):
-            event = materialize(seq, raws[seq])
-            profile = self._profiles.get(event.instance_id)
-            if profile is not None:
-                profile.append(event)
+        route_records(self._profiles, raws, self._assembled)
         self._assembled = len(raws)
 
     def assemble(self) -> dict[int, RuntimeProfile]:
-        """Materialize newly recorded events without closing the channel.
+        """Route newly recorded events without closing the channel.
 
         Lets callers inspect profiles mid-session; recording continues
         afterwards.  :meth:`finish` performs the terminal drain.
@@ -247,6 +245,9 @@ class EventCollector:
     def finish(self) -> dict[int, RuntimeProfile]:
         """Drain the channel and assemble all runtime profiles.
 
+        Assembly is a routing pass: each drained raw tuple is appended,
+        with its arrival index as ``seq``, to its instance's profile as
+        a record (:func:`~repro.events.profile.route_records`).
         Idempotent: subsequent calls return the already-assembled
         profiles.
         """

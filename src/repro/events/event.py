@@ -86,10 +86,13 @@ class AccessEvent:
         )
 
 
-#: Compact tuple layout used on the hot recording path.  The channel
-#: transports plain tuples and the collector materializes
-#: :class:`AccessEvent` objects post-mortem, keeping per-access overhead
-#: to one tuple allocation and one queue put.
+#: Compact tuple layout used on the hot recording path, and the stored
+#: form of every event: the channel transports plain tuples, the
+#: collector routes them unchanged into the profiles of their instances
+#: (with the arrival index as logical ``seq``), and analysis reads them
+#: there.  :class:`AccessEvent` objects are built from them only on
+#: demand (:func:`materialize`), keeping per-access overhead to one tuple
+#: allocation and one queue put.
 RawEvent = tuple  # (instance_id, op_value, kind_value, position, size, thread_id, wall_time)
 
 

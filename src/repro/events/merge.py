@@ -12,7 +12,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .event import AccessEvent
 from .profile import RuntimeProfile
 from .serialize import read_profiles
 
@@ -40,20 +39,10 @@ def merge_profiles(
                 site=profile.site,
                 label=profile.label,
             )
-            for event in profile:
-                max_thread = max(max_thread, event.thread_id)
-                renumbered.append(
-                    AccessEvent(
-                        seq=event.seq,
-                        kind=event.kind,
-                        op=event.op,
-                        position=event.position,
-                        size=event.size,
-                        thread_id=event.thread_id + thread_offset,
-                        instance_id=next_instance,
-                        wall_time=event.wall_time,
-                    )
-                )
+            for seq, (_, op, kind, position, size, thread_id, wall) in profile.records():
+                max_thread = max(max_thread, thread_id)
+                raw = (next_instance, op, kind, position, size, thread_id + thread_offset, wall)
+                renumbered.append_record(seq, raw)
             merged.append(renumbered)
             next_instance += 1
         thread_offset += max_thread + 1

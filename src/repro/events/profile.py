@@ -6,21 +6,29 @@ Profiles are the unit of all downstream analysis: pattern detection,
 use-case derivation and visualization all consume a
 :class:`RuntimeProfile`.
 
-For descriptive statistics and plots the profile also exposes parallel
-numpy arrays (sequence numbers, op codes, kinds, positions, sizes,
-thread ids), built lazily and cached; the use-case analysis folds the
-event list directly (:class:`~repro.usecases.features.InstanceFold`).
+A profile stores each event as its *record*: the logical ``seq`` plus
+the raw tuple the recorder produced (:data:`~repro.events.event.RawEvent`),
+so assembly (:func:`route_records`) is a routing pass that allocates
+nothing per event.  Analysis iterates :attr:`RuntimeProfile.raws`
+(:meth:`RuntimeProfile.records` adds each ``seq``);
+:class:`~repro.events.event.AccessEvent` objects are an on-demand view
+(:attr:`RuntimeProfile.events`, iteration, indexing), built on first use
+and cached until the next append.  For descriptive statistics and plots
+the profile also exposes parallel numpy arrays (sequence numbers, op
+codes, kinds, positions, sizes, thread ids), built lazily from the
+records and cached the same way.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
-from .event import AccessEvent
+from .event import AccessEvent, RawEvent, materialize
 from .types import AccessKind, OperationKind, StructureKind
 
 #: Sentinel stored in the positions array for whole-structure events.
@@ -73,6 +81,9 @@ def site_from_dict(obj: dict[str, Any] | None) -> AllocationSite | None:
 class RuntimeProfile:
     """Chronologically ordered access events of one instance.
 
+    Stores records (parallel lists of ``seq`` and raw tuples) only;
+    :attr:`events` and the numpy arrays are views built from them.
+
     Parameters
     ----------
     instance_id:
@@ -90,6 +101,8 @@ class RuntimeProfile:
         "kind",
         "site",
         "label",
+        "_seqs",
+        "_raws",
         "_events",
         "_arrays",
     )
@@ -105,19 +118,38 @@ class RuntimeProfile:
         self.kind = kind
         self.site = site
         self.label = label
-        self._events: list[AccessEvent] = []
+        self._seqs: list[int] = []
+        self._raws: list[RawEvent] = []
+        self._events: list[AccessEvent] | None = None
         self._arrays: dict[str, np.ndarray] | None = None
 
     # -- construction -------------------------------------------------
 
-    def append(self, event: AccessEvent) -> None:
-        """Add an event; events must arrive in non-decreasing ``seq``."""
-        self._events.append(event)
+    def append_record(self, seq: int, raw: RawEvent) -> None:
+        """Add one event as its record; ``seq`` must not decrease."""
+        self._seqs.append(seq)
+        self._raws.append(raw)
+        self._events = None
         self._arrays = None
 
+    def append(self, event: AccessEvent) -> None:
+        """Add an event (stored as its record)."""
+        self.append_record(
+            event.seq,
+            (
+                event.instance_id,
+                int(event.op),
+                int(event.kind),
+                event.position,
+                event.size,
+                event.thread_id,
+                event.wall_time,
+            ),
+        )
+
     def extend(self, events: Iterable[AccessEvent]) -> None:
-        self._events.extend(events)
-        self._arrays = None
+        for event in events:
+            self.append(event)
 
     @classmethod
     def from_events(
@@ -133,52 +165,75 @@ class RuntimeProfile:
         profile.extend(events)
         return profile
 
-    # -- sequence protocol --------------------------------------------
+    def _like(self, label: str | None = None) -> "RuntimeProfile":
+        """An empty profile with this one's metadata."""
+        return RuntimeProfile(
+            self.instance_id,
+            kind=self.kind,
+            site=self.site,
+            label=self.label if label is None else label,
+        )
+
+    # -- records: the stored form ---------------------------------------
+
+    @property
+    def raws(self) -> Sequence[RawEvent]:
+        """The raw tuples in order (read-only) -- what the analysis
+        folds iterate; they need no ``seq``, and skipping it is the
+        cheapest per-event loop."""
+        return self._raws
+
+    def records(self) -> Iterator[tuple[int, RawEvent]]:
+        """``(seq, raw)`` per event, in order, for readers that need the
+        logical timestamp too (archive, merge, views)."""
+        return zip(self._seqs, self._raws)
+
+    # -- sequence protocol (AccessEvent views) ----------------------------
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._raws)
 
     def __iter__(self) -> Iterator[AccessEvent]:
-        return iter(self._events)
+        return iter(self.events)
 
     def __getitem__(self, index):
-        return self._events[index]
+        return self.events[index]
 
     def __repr__(self) -> str:
         where = f" @ {self.site}" if self.site else ""
         return (
             f"RuntimeProfile(#{self.instance_id} {self.kind.value}, "
-            f"{len(self._events)} events{where})"
+            f"{len(self)} events{where})"
         )
 
     @property
     def events(self) -> Sequence[AccessEvent]:
+        """The events as :class:`AccessEvent` objects, materialized on
+        first use and cached until the next append."""
+        if self._events is None:
+            self._events = [materialize(seq, raw) for seq, raw in self.records()]
         return self._events
 
     # -- vectorized views ----------------------------------------------
 
     def _build_arrays(self) -> dict[str, np.ndarray]:
-        n = len(self._events)
-        seqs = np.empty(n, dtype=np.int64)
-        ops = np.empty(n, dtype=np.int8)
-        kinds = np.empty(n, dtype=np.int8)
-        positions = np.empty(n, dtype=np.int64)
-        sizes = np.empty(n, dtype=np.int64)
-        threads = np.empty(n, dtype=np.int64)
-        for i, ev in enumerate(self._events):
-            seqs[i] = ev.seq
-            ops[i] = ev.op
-            kinds[i] = ev.kind
-            positions[i] = NO_POSITION if ev.position is None else ev.position
-            sizes[i] = ev.size
-            threads[i] = ev.thread_id
+        raws = self._raws
+        n = len(raws)
+
+        def column(index: int, dtype) -> np.ndarray:
+            return np.fromiter(map(itemgetter(index), raws), dtype=dtype, count=n)
+
         return {
-            "seq": seqs,
-            "op": ops,
-            "kind": kinds,
-            "position": positions,
-            "size": sizes,
-            "thread": threads,
+            "seq": np.array(self._seqs, dtype=np.int64),
+            "op": column(1, np.int8),
+            "kind": column(2, np.int8),
+            "position": np.fromiter(
+                (NO_POSITION if raw[3] is None else raw[3] for raw in raws),
+                dtype=np.int64,
+                count=n,
+            ),
+            "size": column(4, np.int64),
+            "thread": column(5, np.int64),
         }
 
     def _array(self, name: str) -> np.ndarray:
@@ -229,31 +284,31 @@ class RuntimeProfile:
     @property
     def read_fraction(self) -> float:
         """Share of events that are reads; 0.0 on an empty profile."""
-        if not self._events:
+        if not self._raws:
             return 0.0
-        return self.count_kind(AccessKind.READ) / len(self._events)
+        return self.count_kind(AccessKind.READ) / len(self._raws)
 
     @property
     def write_fraction(self) -> float:
-        if not self._events:
+        if not self._raws:
             return 0.0
-        return self.count_kind(AccessKind.WRITE) / len(self._events)
+        return self.count_kind(AccessKind.WRITE) / len(self._raws)
 
     @property
     def max_size(self) -> int:
         """Largest element count the structure reached."""
-        if not self._events:
+        if not self._raws:
             return 0
         return int(self.sizes.max())
 
     @property
     def final_size(self) -> int:
-        return int(self.sizes[-1]) if self._events else 0
+        return int(self.sizes[-1]) if self._raws else 0
 
     @property
     def thread_ids(self) -> list[int]:
         """Distinct thread ids observed, ascending."""
-        if not self._events:
+        if not self._raws:
             return []
         return [int(t) for t in np.unique(self.threads)]
 
@@ -269,30 +324,57 @@ class RuntimeProfile:
         each thread).
         """
         out: dict[int, RuntimeProfile] = {}
-        for ev in self._events:
-            sub = out.get(ev.thread_id)
+        for seq, raw in self.records():
+            thread_id = raw[5]  # RawEvent layout
+            sub = out.get(thread_id)
             if sub is None:
-                sub = RuntimeProfile(
-                    self.instance_id,
-                    kind=self.kind,
-                    site=self.site,
-                    label=f"{self.label}[t{ev.thread_id}]" if self.label else "",
+                sub = out[thread_id] = self._like(
+                    f"{self.label}[t{thread_id}]" if self.label else ""
                 )
-                out[ev.thread_id] = sub
-            sub.append(ev)
+            sub.append_record(seq, raw)
         return out
 
     def slice(self, start: int, stop: int) -> "RuntimeProfile":
         """Sub-profile covering events ``start:stop`` (by index)."""
-        sub = RuntimeProfile(
-            self.instance_id, kind=self.kind, site=self.site, label=self.label
-        )
-        sub.extend(self._events[start:stop])
+        sub = self._like()
+        sub._seqs = self._seqs[start:stop]
+        sub._raws = self._raws[start:stop]
         return sub
 
     def op_histogram(self) -> dict[OperationKind, int]:
         """Event count per compound operation kind (zero entries omitted)."""
-        if not self._events:
+        if not self._raws:
             return {}
         values, counts = np.unique(self.ops, return_counts=True)
         return {OperationKind(int(v)): int(c) for v, c in zip(values, counts)}
+
+
+def route_records(
+    profiles: Mapping[int, RuntimeProfile], raws: Sequence[RawEvent], start: int = 0
+) -> None:
+    """Append ``raws[start:]`` to the profiles of their instances.
+
+    The raw append path: the list index of each raw tuple is its
+    logical ``seq`` (channel arrival order), and the tuple itself is
+    stored as the record -- no per-event object is built.  Tuples of
+    instances missing from ``profiles`` are dropped.
+    """
+    sinks: dict[int, tuple | None] = {}
+    for seq in range(start, len(raws)):
+        raw = raws[seq]
+        instance_id = raw[0]
+        try:
+            sink = sinks[instance_id]
+        except KeyError:
+            profile = profiles.get(instance_id)
+            if profile is None:
+                sink = None
+            else:
+                profile._events = None
+                profile._arrays = None
+                sink = (profile._seqs.append, profile._raws.append)
+            sinks[instance_id] = sink
+        if sink is not None:
+            add_seq, add_raw = sink
+            add_seq(seq)
+            add_raw(raw)

@@ -15,11 +15,13 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .collector import EventCollector
-from .event import AccessEvent
-from .profile import AllocationSite, RuntimeProfile
+from .profile import RuntimeProfile, site_from_dict, site_to_dict
 from .types import AccessKind, OperationKind, StructureKind
 
 FORMAT_VERSION = 1
+
+_OPS = frozenset(int(op) for op in OperationKind)
+_KINDS = frozenset(int(kind) for kind in AccessKind)
 
 
 def _profile_header(profile: RuntimeProfile) -> dict:
@@ -32,34 +34,21 @@ def _profile_header(profile: RuntimeProfile) -> dict:
         "events": len(profile),
     }
     if profile.site is not None:
-        header["site"] = {
-            "filename": profile.site.filename,
-            "lineno": profile.site.lineno,
-            "function": profile.site.function,
-            "variable": profile.site.variable,
-        }
+        header["site"] = site_to_dict(profile.site)
     return header
 
 
-def _event_record(event: AccessEvent) -> list:
-    """Compact positional encoding: [seq, op, kind, position, size, thread]."""
-    return [
-        event.seq,
-        int(event.op),
-        int(event.kind),
-        event.position,
-        event.size,
-        event.thread_id,
-    ]
-
-
 def dump_profiles(profiles: Iterable[RuntimeProfile], fh: TextIO) -> int:
-    """Write profiles as JSON lines; returns the profile count."""
+    """Write profiles as JSON lines; returns the profile count.
+
+    Each event is the compact positional encoding
+    ``[seq, op, kind, position, size, thread]``.
+    """
     count = 0
     for profile in profiles:
         fh.write(json.dumps(_profile_header(profile)) + "\n")
-        for event in profile:
-            fh.write(json.dumps(_event_record(event)) + "\n")
+        for seq, (_, op, kind, position, size, thread_id, _) in profile.records():
+            fh.write(json.dumps([seq, op, kind, position, size, thread_id]) + "\n")
         count += 1
     return count
 
@@ -76,17 +65,6 @@ def save_profiles(
 def save_collector(collector: EventCollector, path: str | Path) -> Path:
     """Persist everything a (finished) collector captured."""
     return save_profiles(collector.profiles(), path)
-
-
-def _parse_site(raw: dict | None) -> AllocationSite | None:
-    if raw is None:
-        return None
-    return AllocationSite(
-        filename=raw["filename"],
-        lineno=raw["lineno"],
-        function=raw.get("function", "<module>"),
-        variable=raw.get("variable", ""),
-    )
 
 
 def load_profiles(fh: TextIO) -> Iterator[RuntimeProfile]:
@@ -112,7 +90,7 @@ def load_profiles(fh: TextIO) -> Iterator[RuntimeProfile]:
             current = RuntimeProfile(
                 record["instance_id"],
                 kind=StructureKind(record["kind"]),
-                site=_parse_site(record.get("site")),
+                site=site_from_dict(record.get("site")),
                 label=record.get("label", ""),
             )
             remaining = record["events"]
@@ -122,16 +100,11 @@ def load_profiles(fh: TextIO) -> Iterator[RuntimeProfile]:
             if remaining <= 0:
                 raise ValueError(f"line {lineno}: more events than declared")
             seq, op, kind, position, size, thread_id = record
-            current.append(
-                AccessEvent(
-                    seq=seq,
-                    kind=AccessKind(kind),
-                    op=OperationKind(op),
-                    position=position,
-                    size=size,
-                    thread_id=thread_id,
-                    instance_id=current.instance_id,
-                )
+            if op not in _OPS or kind not in _KINDS:
+                raise ValueError(f"line {lineno}: bad op/kind in {record!r}")
+            current.append_record(
+                seq,
+                (current.instance_id, op, kind, position, size, thread_id, None),
             )
             remaining -= 1
     if current is not None:

@@ -193,6 +193,6 @@ def segment(profile: RuntimeProfile, max_gap: int = 1) -> list[Run]:
     """
     segmenter = RunSegmenter(max_gap)
     feed = segmenter.feed
-    for index, event in enumerate(profile.events):
-        feed(index, event.op, event.position, event.size, event.thread_id)
+    for index, (_, op, _, position, size, thread_id, _) in enumerate(profile.raws):
+        feed(index, op, position, size, thread_id)
     return segmenter.runs()

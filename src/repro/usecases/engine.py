@@ -192,9 +192,8 @@ class UseCaseEngine:
                 use_cases.extend(self.analyze_profile(profile))
             else:
                 prefix = policy.exact_prefix(profile.instance_id)
-                use_cases.extend(
-                    sampled_engine.analyze_profile(_drop_prefix(profile, prefix))
-                )
+                tail = profile.slice(prefix, len(profile)) if prefix else profile
+                use_cases.extend(sampled_engine.analyze_profile(tail))
         return UseCaseReport(
             use_cases=tuple(use_cases), instances_analyzed=len(profiles)
         )
@@ -228,19 +227,3 @@ class UseCaseEngine:
             detector=PatternDetector(DetectorConfig(max_gap=2 * stride - 1)),
             rules=rules,
         )
-
-
-def _drop_prefix(profile: RuntimeProfile, prefix: int) -> RuntimeProfile:
-    """A copy of ``profile`` without its first ``prefix`` events (the
-    full-rate burst head); the original when there is nothing to drop."""
-    if prefix <= 0:
-        return profile
-    tail = RuntimeProfile(
-        profile.instance_id,
-        kind=profile.kind,
-        site=profile.site,
-        label=profile.label,
-    )
-    for event in profile.events[prefix:]:
-        tail.append(event)
-    return tail

@@ -363,6 +363,6 @@ def features_of(profile: RuntimeProfile, config: DetectorConfig) -> ProfileFeatu
         profile.instance_id, profile.kind, profile.site, profile.label, config.max_gap
     )
     feed = fold.feed
-    for event in profile.events:
-        feed(event.op, event.kind, event.position, event.size, event.thread_id)
+    for _, op, kind, position, size, thread_id, _ in profile.raws:
+        feed(op, kind, position, size, thread_id)
     return fold.features(config)

@@ -37,6 +37,9 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..events.profile import RuntimeProfile
+from ..events.types import AccessKind
+
+_READ = int(AccessKind.READ)
 
 
 @dataclass
@@ -148,8 +151,9 @@ def potential_speedup(work: float, span: float, cores: int) -> float:
 def fold_profile(profile: RuntimeProfile) -> WorkSpan:
     """Work/span of one batch profile's full event history."""
     lanes = LaneSummary()
-    for event in profile.events:
-        lanes.feed(event.thread_id, event.is_read)
+    feed = lanes.feed
+    for _, _, kind, _, _, thread_id, _ in profile.raws:
+        feed(thread_id, kind == _READ)
     return lanes.workspan()
 
 
