@@ -20,7 +20,9 @@ SCALE = 0.5
 
 @pytest.fixture(scope="module")
 def summary():
-    return evaluate_all(scale=SCALE, repeats=1)
+    # Each side of a row's slowdown is the mean of three timed runs: a
+    # single timing per side is too noisy for the row floor below.
+    return evaluate_all(scale=SCALE, repeats=3)
 
 
 def test_table4_counts(benchmark, results_dir):
@@ -47,7 +49,13 @@ def test_table4_per_row_counts(summary):
 
 def test_table4_slowdown_is_real(summary):
     """Instrumentation costs real time on every workload; the paper's
-    point that the slowdown is material (avg 47.13x there) but one-off."""
+    point that the slowdown is material (avg 47.13x there) but one-off.
+
+    The row check means: the instrumented time (recording plus the
+    collector's ``finish``) exceeds the plain time by a material margin
+    — more than 1.5x, each side the mean of three runs — not that it
+    reaches any particular paper figure.  The mean floor (3x) asks the
+    same of the whole evaluation."""
     for row in summary.rows:
         assert row.slowdown > 1.5, (row.name, row.slowdown)
     assert summary.mean_slowdown > 3.0

@@ -26,6 +26,15 @@
  * both cache levels, forcing every thread back through `bind` — the
  * channel uses it to re-impose the gate, and the fork handler uses it
  * to drop buffers that belong to the parent process.
+ *
+ * Runtime-guard diversion: a Recorder built with a guard cell (the
+ * one-slot `repro.runtime.guard.ACTIVE_GUARD` list) and a `guarded`
+ * callable checks the cell on every call — one pointer compare — and,
+ * while a guard is armed, hands the call to `guarded` instead of
+ * packing.  That callable is the collector's firewall: it skips the
+ * event or contains its faults, and packs through `store`, the same
+ * kernel without the diversion.  So containment follows the guard per
+ * event, whenever the structure holding this kernel was built.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -43,6 +52,8 @@ typedef struct {
     unsigned long cached_ident;
     long cached_tid;
     PyObject *cached_buf;   /* strong reference to the cached bytearray */
+    PyObject *guard_cell;   /* optional one-slot list; non-None diverts   */
+    PyObject *guarded;      /* callable taking diverted calls (or NULL)  */
 } RecorderObject;
 
 static int
@@ -90,14 +101,9 @@ recorder_bind(RecorderObject *self, unsigned long ident)
 }
 
 static PyObject *
-recorder_call(PyObject *obj, PyObject *const *args, size_t nargsf, PyObject *kwnames)
+recorder_store(PyObject *obj, PyObject *const *args, Py_ssize_t nargs)
 {
     RecorderObject *self = (RecorderObject *)obj;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    if (kwnames != NULL && PyTuple_GET_SIZE(kwnames)) {
-        PyErr_SetString(PyExc_TypeError, "record takes no keyword arguments");
-        return NULL;
-    }
     if (nargs != 5) {
         PyErr_SetString(
             PyExc_TypeError,
@@ -153,18 +159,52 @@ recorder_call(PyObject *obj, PyObject *const *args, size_t nargsf, PyObject *kwn
     Py_RETURN_NONE;
 }
 
+static PyObject *
+recorder_call(PyObject *obj, PyObject *const *args, size_t nargsf, PyObject *kwnames)
+{
+    RecorderObject *self = (RecorderObject *)obj;
+    if (kwnames != NULL && PyTuple_GET_SIZE(kwnames)) {
+        PyErr_SetString(PyExc_TypeError, "record takes no keyword arguments");
+        return NULL;
+    }
+    PyObject *cell = self->guard_cell;
+    if (cell != NULL && PyList_GET_SIZE(cell) > 0
+        && PyList_GET_ITEM(cell, 0) != Py_None)
+        return PyObject_Vectorcall(self->guarded, args, nargsf, NULL);
+    return recorder_store(obj, args, PyVectorcall_NARGS(nargsf));
+}
+
 static int
 recorder_init(RecorderObject *self, PyObject *args, PyObject *kwds)
 {
     PyObject *bind;
+    PyObject *guard_cell = Py_None;
+    PyObject *guarded = Py_None;
     if (kwds != NULL && PyDict_GET_SIZE(kwds)) {
         PyErr_SetString(PyExc_TypeError, "Recorder takes no keyword arguments");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "O", &bind))
+    if (!PyArg_ParseTuple(args, "O|OO", &bind, &guard_cell, &guarded))
         return -1;
+    if (guard_cell != Py_None
+        && (!PyList_Check(guard_cell) || !PyCallable_Check(guarded))) {
+        PyErr_SetString(PyExc_TypeError,
+                        "Recorder(bind, guard_cell, guarded) needs a list "
+                        "guard cell and a callable");
+        return -1;
+    }
     Py_INCREF(bind);
     Py_XSETREF(self->bind, bind);
+    if (guard_cell == Py_None) {
+        Py_CLEAR(self->guard_cell);
+        Py_CLEAR(self->guarded);
+    }
+    else {
+        Py_INCREF(guard_cell);
+        Py_XSETREF(self->guard_cell, guard_cell);
+        Py_INCREF(guarded);
+        Py_XSETREF(self->guarded, guarded);
+    }
     PyObject *buffers = PyDict_New();
     if (buffers == NULL)
         return -1;
@@ -182,6 +222,8 @@ recorder_dealloc(RecorderObject *self)
     Py_XDECREF(self->buffers);
     Py_XDECREF(self->bind);
     Py_XDECREF(self->cached_buf);
+    Py_XDECREF(self->guard_cell);
+    Py_XDECREF(self->guarded);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -196,6 +238,9 @@ recorder_invalidate(RecorderObject *self, PyObject *Py_UNUSED(ignored))
 }
 
 static PyMethodDef recorder_methods[] = {
+    {"store", (PyCFunction)(void (*)(void))recorder_store, METH_FASTCALL,
+     "Pack one event like a call, but never divert to the guarded "
+     "callable (the firewall's own path into the kernel)."},
     {"invalidate", (PyCFunction)recorder_invalidate, METH_NOARGS,
      "Drop every cached thread buffer; the next record on each thread "
      "re-enters the bind callable."},

@@ -201,8 +201,8 @@ def _time_tracked_batching(events: int) -> float:
 
 def _time_tracked_append(events: int, guard=None) -> float:
     """Seconds for the full structure hot path — ``TrackedList.append``
-    through ``_record`` into a batching channel — optionally under an
-    armed (healthy) firewall."""
+    through the collector's record hook into a batching channel —
+    optionally under an armed (healthy) firewall."""
     from .events import BatchingChannel, EventCollector
     from .structures import TrackedList
 

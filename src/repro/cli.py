@@ -62,15 +62,15 @@ import sys
 from pathlib import Path
 
 
-def _rank_with_predictions(report, profiles, cores: int = 8):
+def _rank_with_predictions(report, cores: int = 8):
     """Annotate every use case with its what-if predicted speedup and
-    order the report by expected payoff (ties keep threshold order)."""
+    order the report by expected payoff (ties keep threshold order).
+    The work/span come from the report's own analysis fold."""
     from .parallel.machine import MachineConfig, SimulatedMachine
-    from .whatif import annotate_report, rank_report, workspans_from_profiles
+    from .whatif import annotate_report, rank_report
 
     machine = SimulatedMachine(MachineConfig(cores=cores))
-    spans = workspans_from_profiles(profiles)
-    return rank_report(annotate_report(report, machine, spans))
+    return rank_report(annotate_report(report, machine))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -82,9 +82,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.load:
         profiles = read_profiles(args.load)
         print(f"{args.load}: {len(profiles)} archived profiles loaded")
-        report = _rank_with_predictions(
-            UseCaseEngine().analyze(profiles), profiles
-        )
+        report = _rank_with_predictions(UseCaseEngine().analyze(profiles))
         print(format_table_v(report, title=f"DSspy use cases from {args.load}"))
         print(format_summary(report, name=str(args.load)))
         return 0
@@ -190,9 +188,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"profiles archived to {args.save}")
     # analyze_collector recalibrates the detector when the capture was
     # sampled (wider max_gap, rescaled count thresholds).
-    report = _rank_with_predictions(
-        UseCaseEngine().analyze_collector(run.collector), run.profiles
-    )
+    report = _rank_with_predictions(UseCaseEngine().analyze_collector(run.collector))
     print()
     print(format_table_v(report, title=f"DSspy use cases for {args.file}"))
     print()
@@ -232,12 +228,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_whatif(args: argparse.Namespace) -> int:
     from .parallel.machine import MachineConfig, SimulatedMachine
     from .usecases import UseCaseEngine, report_to_json
-    from .whatif import (
-        annotate_report,
-        format_whatif_table,
-        rank_report,
-        workspans_from_profiles,
-    )
+    from .whatif import annotate_report, format_whatif_table, rank_report
 
     machine = SimulatedMachine(MachineConfig(cores=args.cores))
 
@@ -316,11 +307,8 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         except (ValueError, UnicodeDecodeError) as exc:
             print(f"{path}: not a spill file or profile archive: {exc}", file=sys.stderr)
             return 2
-    emit(
-        UseCaseEngine().analyze(profiles),
-        workspans_from_profiles(profiles),
-        f"What-if predictions for {path}",
-    )
+    report = UseCaseEngine().analyze(profiles)
+    emit(report, report.workspans, f"What-if predictions for {path}")
     return 0
 
 

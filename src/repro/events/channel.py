@@ -66,6 +66,16 @@ class SynchronousChannel:
             raise RuntimeError("channel already drained")
         self._buffer.append(raw)
 
+    def producer(self):
+        """The hot-path produce callable: the buffer's bound ``append``
+        while the channel is open (no Python frame per event), the
+        raising :meth:`post` once it is drained.  Callers must not keep
+        it across the drain; the collector drops its cached producers
+        in ``finish``."""
+        if self._closed:
+            return self.post
+        return self._buffer.append
+
     def drain(self) -> list[RawEvent]:
         self._closed = True
         return self._buffer

@@ -28,6 +28,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
+from ..runtime.guard import ACTIVE_GUARD
 from .channel import AsyncChannel, Channel, SynchronousChannel
 from .profile import AllocationSite, RuntimeProfile, route_records
 from .sampling import RecordAll, SamplingPolicy
@@ -145,8 +146,9 @@ class EventCollector:
         """
         from .fastpath import kernel_name, make_recorder
 
-        recorder = make_recorder(self._fast_bind)
+        recorder = make_recorder(self._fast_bind, ACTIVE_GUARD, self._record_contained)
         self._recorder = recorder
+        self._store = recorder.store
         self._fastpath_kind = kernel_name()
         add = getattr(self._channel, "add_invalidate_listener", None)
         if add is not None:
@@ -159,6 +161,30 @@ class EventCollector:
         backpressure gate before handing out the packed buffer."""
         return (self._dense_thread_id(), self._channel.acquire_buffer())
 
+    def _record_contained(
+        self,
+        instance_id: int,
+        op: OperationKind,
+        kind: AccessKind,
+        position: int | None,
+        size: int,
+    ) -> None:
+        """The record kernel's firewall: the kernel diverts every call
+        here while a guard is armed.  Recording is skipped while the
+        breaker is tripped or a profiler internal is running, and a
+        raising kernel or bind (e.g. a backpressure timeout) is
+        contained and counted as a ``record`` fault; nothing is cached
+        on a failed bind, so the next event retries it."""
+        guard = ACTIVE_GUARD[0]
+        if guard is not None and (guard._blocked[0] or guard._tls.inside):
+            return
+        try:
+            self._store(instance_id, op, kind, position, size)
+        except Exception as exc:
+            if guard is None:
+                raise
+            guard.fault("record", exc)
+
     @property
     def fastpath(self) -> str | None:
         """Active record kernel (``"c"`` or ``"python"``), or ``None``
@@ -170,10 +196,11 @@ class EventCollector:
         ``(dense thread id, produce callable)`` in a thread-local.
 
         ``produce`` is the channel's per-thread :meth:`producer` fast
-        path when it offers one (the batching channel), otherwise the
-        bound ``post``; either way :meth:`record` pays one thread-local
-        getattr per event instead of ``get_ident`` + dict probe +
-        channel dispatch."""
+        path when it offers one (the synchronous channel's buffer
+        ``append``, the batching channel's per-thread buffer), otherwise
+        the bound ``post``; either way :meth:`record` pays one
+        thread-local getattr per event instead of ``get_ident`` + dict
+        probe + channel dispatch."""
         tid = self._dense_thread_id()
         producer = getattr(self._channel, "producer", None)
         produce = producer() if producer is not None else self._post
@@ -213,18 +240,33 @@ class EventCollector:
         position: int | None,
         size: int,
     ) -> None:
-        """Record one access event (called by tracked structures)."""
-        sampler = self._sampler
-        if sampler is not None and not sampler.admit(instance_id):
-            self._sampled_out += 1
+        """Record one access event (called by tracked structures).
+
+        The tuple path's firewall lives here, so a guarded event costs
+        this one Python frame between the container method and the
+        channel's producer: with a guard armed, recording is skipped
+        while the breaker is tripped or a profiler internal is running
+        (``guard._tls.inside``), and a raising sampler or producer is
+        contained and counted as a ``record`` fault.  With no guard
+        armed every exception propagates (fail-loud)."""
+        guard = ACTIVE_GUARD[0]
+        if guard is not None and (guard._blocked[0] or guard._tls.inside):
             return
-        tls = self._tls
         try:
-            tid, produce = tls.state
-        except AttributeError:
-            tid, produce = self._thread_state()
-        wall = time.perf_counter() if self._capture_wall_time else None
-        produce((instance_id, int(op), int(kind), position, size, tid, wall))
+            sampler = self._sampler
+            if sampler is not None and not sampler.admit(instance_id):
+                self._sampled_out += 1
+                return
+            try:
+                tid, produce = self._tls.state
+            except AttributeError:
+                tid, produce = self._thread_state()
+            wall = time.perf_counter() if self._capture_wall_time else None
+            produce((instance_id, int(op), int(kind), position, size, tid, wall))
+        except Exception as exc:
+            if guard is None:
+                raise
+            guard.fault("record", exc)
 
     # -- post-mortem assembly ---------------------------------------------
 
@@ -249,11 +291,15 @@ class EventCollector:
         with its arrival index as ``seq``, to its instance's profile as
         a record (:func:`~repro.events.profile.route_records`).
         Idempotent: subsequent calls return the already-assembled
-        profiles.
+        profiles.  The cached per-thread producers are dropped, so a
+        record after the drain goes back to the closed channel and
+        raises there.
         """
         if not self._finished:
             self._finished = True
-            self._assemble(self._channel.drain())
+            raws = self._channel.drain()
+            self._tls = threading.local()
+            self._assemble(raws)
         return self._profiles
 
     @property

@@ -23,11 +23,22 @@ Both kernels resolve their per-thread buffer through a *bind*
 callable — the slow boundary.  The collector's bind registers the
 thread and asks the channel for the thread's buffer via
 :meth:`PackedBatchingChannel.acquire_buffer`, which is where the
-backpressure gate and (when armed) the runtime guard live: the
-per-event store itself is unconditional and ungated.  When the channel
-closes its gate it *invalidates* every registered kernel, forcing each
-thread's next record back through bind — gate enforcement at rebind
-granularity instead of a per-event check.
+backpressure gate lives: the per-event store itself is unconditional
+and ungated.  When the channel closes its gate it *invalidates* every
+registered kernel, forcing each thread's next record back through
+bind — gate enforcement at rebind granularity instead of a per-event
+check.
+
+The runtime guard sits at the kernel's own entry.  The collector
+builds its kernel with the guard cell
+(:data:`~repro.runtime.guard.ACTIVE_GUARD`) and its firewall callable:
+with no guard armed a call costs one extra pointer compare and packs
+directly; while a guard is armed every call diverts to the collector's
+contained record (pass-through once the breaker trips or inside
+profiler internals, faults of the kernel and its bind counted), which
+packs through the kernel's non-diverting ``store``.  The check is per
+event, so it holds for structures built before the guard was armed
+too.
 
 The legacy tuple path remains fully supported (``fastpath="off"`` on
 the collector, or any non-packed channel); the differential oracle
@@ -60,20 +71,39 @@ def kernel_name() -> str:
 
 
 class PyRecorder:
-    """Pure-python record kernel: same signature and byte output as the
-    compiled ``Recorder``, one ``struct.pack`` + ``bytearray`` extend
-    per event through a thread-local closure.
+    """Pure-python record kernel: same signature, byte output and guard
+    diversion as the compiled ``Recorder``, one ``struct.pack`` +
+    ``bytearray`` extend per event through a thread-local closure.
 
     ``invalidate()`` swaps the ``threading.local`` wholesale, so every
     thread's next call re-enters ``bind`` (the channel's gate)."""
 
-    __slots__ = ("_bind", "_tls")
+    __slots__ = ("_bind", "_tls", "_guard_cell", "_guarded")
 
-    def __init__(self, bind: Callable[[], tuple[int, bytearray]]) -> None:
+    def __init__(
+        self,
+        bind: Callable[[], tuple[int, bytearray]],
+        guard_cell: list | None = None,
+        guarded: Callable[..., None] | None = None,
+    ) -> None:
         self._bind = bind
         self._tls = threading.local()
+        self._guard_cell = guard_cell if guard_cell is not None else [None]
+        self._guarded = guarded
 
     def __call__(self, instance_id, op, kind, position, size) -> None:
+        if self._guard_cell[0] is not None:
+            self._guarded(instance_id, op, kind, position, size)
+            return
+        try:
+            pack = self._tls.pack
+        except AttributeError:
+            pack = self._rebind()
+        pack(instance_id, op, kind, position, size)
+
+    def store(self, instance_id, op, kind, position, size) -> None:
+        """Pack one event without the guard diversion (the firewall's
+        own path into the kernel)."""
         try:
             pack = self._tls.pack
         except AttributeError:
@@ -105,11 +135,17 @@ class PyRecorder:
         self._tls = threading.local()
 
 
-def make_recorder(bind: Callable[[], tuple[int, bytearray]]):
-    """The fastest available record kernel bound to ``bind``."""
+def make_recorder(
+    bind: Callable[[], tuple[int, bytearray]],
+    guard_cell: list | None = None,
+    guarded: Callable[..., None] | None = None,
+):
+    """The fastest available record kernel bound to ``bind``; with a
+    ``guard_cell``, calls divert to ``guarded`` while its slot is not
+    ``None``."""
     if _CRecorder is not None:
-        return _CRecorder(bind)
-    return PyRecorder(bind)
+        return _CRecorder(bind, guard_cell, guarded)
+    return PyRecorder(bind, guard_cell, guarded)
 
 
 class PackedBatchingChannel(BatchingChannel):

@@ -54,6 +54,24 @@ class TransformOutcome:
         )
 
 
+def _max_size(use_case: UseCase) -> int:
+    """Largest size the structure reached: from the analysis fold's
+    features when the use case carries them, else measured on the
+    profile (a pass over its events)."""
+    features = use_case.features
+    if features is not None and features.max_size is not None:
+        return features.max_size
+    return use_case.profile.max_size
+
+
+def _count(use_case: UseCase, op: OperationKind) -> int:
+    """Events of ``op``: from the analysis fold's features when the use
+    case carries them, else counted on the profile."""
+    if use_case.features is not None:
+        return use_case.features.count(op)
+    return use_case.profile.count(op)
+
+
 def estimate_region(use_case: UseCase) -> ParallelRegion:
     """Parallelizable work implied by a use case's evidence.
 
@@ -66,7 +84,6 @@ def estimate_region(use_case: UseCase) -> ParallelRegion:
     - Frequent-Long-Read: the events inside the long read patterns.
     """
     kind = use_case.kind
-    profile = use_case.profile
     analysis = use_case.analysis
     evidence = use_case.evidence
 
@@ -75,8 +92,8 @@ def estimate_region(use_case: UseCase) -> ParallelRegion:
         return ParallelRegion(work=float(work), name="insert phases")
 
     if kind is UseCaseKind.IMPLEMENT_QUEUE:
-        work = profile.count(OperationKind.INSERT) + profile.count(
-            OperationKind.DELETE
+        work = _count(use_case, OperationKind.INSERT) + _count(
+            use_case, OperationKind.DELETE
         )
         return ParallelRegion(
             work=float(work), max_parallelism=2, name="queue end operations"
@@ -86,7 +103,7 @@ def estimate_region(use_case: UseCase) -> ParallelRegion:
         import math
 
         insert_work = analysis.events_in(lambda p: p.pattern_type.is_insert)
-        n = max(profile.max_size, 2)
+        n = max(_max_size(use_case), 2)
         sort_work = n * math.log2(n)
         return ParallelRegion(
             work=float(insert_work + sort_work), name="insert + sort"
@@ -96,7 +113,7 @@ def estimate_region(use_case: UseCase) -> ParallelRegion:
         # Granularity matters: each search is its own fork/join region
         # (one scan of half the structure on average), so thousands of
         # tiny searches do NOT aggregate into one big parallel region.
-        avg_scan = max(profile.max_size, 1) / 2
+        avg_scan = max(_max_size(use_case), 1) / 2
         return ParallelRegion(work=float(avg_scan), name="single search scan")
 
     if kind is UseCaseKind.FREQUENT_LONG_READ:
@@ -114,11 +131,11 @@ def estimate_operations(use_case: UseCase) -> int:
     for Frequent-Search, whose region is a single scan.
     """
     if use_case.kind is UseCaseKind.FREQUENT_SEARCH:
-        return int(
-            use_case.evidence.get(
-                "search_ops", use_case.profile.count(OperationKind.SEARCH)
-            )
-        )
+        # Counted only when the rule's evidence lacks the count.
+        search_ops = use_case.evidence.get("search_ops")
+        if search_ops is None:
+            search_ops = _count(use_case, OperationKind.SEARCH)
+        return int(search_ops)
     return 1
 
 

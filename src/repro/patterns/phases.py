@@ -22,26 +22,32 @@ from typing import Any
 from ..events.profile import RuntimeProfile
 from ..events.types import OperationKind
 
+# The segmentation decision tables, keyed by plain op codes (what raw
+# event tuples carry).
+
 #: Operation categories that can form positional runs.
-_RUN_OPS = {
-    OperationKind.READ: "read",
-    OperationKind.WRITE: "write",
-    OperationKind.INSERT: "insert",
-    OperationKind.DELETE: "delete",
+RUN_CATEGORIES = {
+    int(OperationKind.READ): "read",
+    int(OperationKind.WRITE): "write",
+    int(OperationKind.INSERT): "insert",
+    int(OperationKind.DELETE): "delete",
 }
 
 #: Operations that are transparent to segmentation.
-_TRANSPARENT = {OperationKind.FORALL, OperationKind.INIT}
+TRANSPARENT_OPS = frozenset({int(OperationKind.FORALL), int(OperationKind.INIT)})
 
 #: Operations that end the current run of their thread.
-_BREAKERS = {
-    OperationKind.CLEAR,
-    OperationKind.SORT,
-    OperationKind.REVERSE,
-    OperationKind.COPY,
-    OperationKind.RESIZE,
-    OperationKind.SEARCH,
-}
+BREAKER_OPS = frozenset(
+    int(op)
+    for op in (
+        OperationKind.CLEAR,
+        OperationKind.SORT,
+        OperationKind.REVERSE,
+        OperationKind.COPY,
+        OperationKind.RESIZE,
+        OperationKind.SEARCH,
+    )
+)
 
 
 @dataclass(slots=True)
@@ -102,15 +108,15 @@ class Run:
 
 
 class RunSegmenter:
-    """Incremental segmentation: one event in, runs out.
+    """Segmentation state: each thread's open run plus every run
+    already closed.
 
-    Holds each thread's open run plus every run already closed, and
-    applies the decision order once for every caller: transparent
+    :meth:`~repro.usecases.features.InstanceFold.fold_raws` advances it
+    — the one place the decision order is applied: transparent
     operations are skipped, breakers and position-less events close
-    their thread's run, positional operations extend or restart it.
-    :func:`segment` drives it over a whole profile and
-    :class:`~repro.usecases.features.InstanceFold` one event at a time,
-    so the two cannot disagree.
+    their thread's run, positional operations extend or restart it —
+    and :func:`segment` drives that same fold over a whole profile, so
+    batch and streaming segmentation cannot disagree.
 
     ``open`` maps every thread that raised a non-transparent event to
     its open run (``None`` after a break).
@@ -122,57 +128,6 @@ class RunSegmenter:
         self.max_gap = max_gap
         self.open: dict[int, Run | None] = {}
         self.completed: list[Run] = []
-
-    def feed(
-        self, index: int, op: int, position: int | None, size: int, thread_id: int
-    ) -> None:
-        """Add the event at profile-relative ``index``."""
-        if op in _TRANSPARENT:
-            return
-        run = self.open.get(thread_id)
-        if op in _BREAKERS or position is None:
-            if run is not None:
-                self.completed.append(run)
-            self.open[thread_id] = None
-            return
-        category = _RUN_OPS.get(op)
-        if category is None:
-            self.open.setdefault(thread_id, None)
-            return
-        # AccessEvent.targets_back: an empty structure has no back.
-        targets_back = size != 0 and position >= size - 1
-        if run is not None:
-            delta = position - run.last_position
-            if (
-                category == run.category
-                and abs(delta) <= self.max_gap
-                and (delta == 0 or run.direction == 0 or (delta > 0) == (run.direction > 0))
-            ):
-                if delta != 0 and run.direction == 0:
-                    run.direction = 1 if delta > 0 else -1
-                run.length += 1
-                run.stop = index + 1
-                run.last_position = position
-                run.positions.add(position)
-                run.size_at_end = size
-                run.all_front = run.all_front and position == 0
-                run.all_back = run.all_back and targets_back
-                return
-            self.completed.append(run)
-        self.open[thread_id] = Run(
-            category=category,
-            thread_id=thread_id,
-            start=index,
-            stop=index + 1,
-            length=1,
-            direction=0,
-            first_position=position,
-            last_position=position,
-            positions={position},
-            size_at_end=size,
-            all_front=position == 0,
-            all_back=targets_back,
-        )
 
     def runs(self) -> list[Run]:
         """Closed and open runs in ``start`` order.
@@ -189,10 +144,9 @@ def segment(profile: RuntimeProfile, max_gap: int = 1) -> list[Run]:
     """Split ``profile`` into maximal consistent runs, in ``start`` order.
 
     Each run covers events of a single thread.  Single-event runs are
-    included -- the detector filters by minimum length.
+    included -- the detector filters by minimum length.  A thin call of
+    the analysis fold (imported here: the fold builds on this module).
     """
-    segmenter = RunSegmenter(max_gap)
-    feed = segmenter.feed
-    for index, (_, op, _, position, size, thread_id, _) in enumerate(profile.raws):
-        feed(index, op, position, size, thread_id)
-    return segmenter.runs()
+    from ..usecases.features import InstanceFold
+
+    return InstanceFold.of_profile(profile, max_gap).segmenter.runs()

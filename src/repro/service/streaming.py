@@ -4,8 +4,9 @@ A long-running daemon cannot keep every event until the program ends —
 a day of profiling is billions of events — so
 :class:`StreamingUseCaseEngine` keeps one
 :class:`~repro.usecases.features.InstanceFold` per registered instance,
-feeds each event into it the moment it arrives, and discards the event.
-Memory is O(instances + completed runs), never O(events).
+splits each arriving window by instance (keeping every instance's
+order), folds each instance's share in one batched call, and discards
+the window.  Memory is O(instances + completed runs), never O(events).
 
 Convergence with batch analysis is by construction, not by
 approximation: the batch :class:`~repro.usecases.engine.UseCaseEngine`
@@ -77,24 +78,36 @@ class StreamingUseCaseEngine:
             )
 
     def feed(self, raw: RawEvent) -> None:
-        """Fold one raw event tuple.  Events of unregistered instances
-        are dropped and counted, never guessed at."""
-        instance_id, op, kind, position, size, thread_id, _ = raw
-        fold = self._folds.get(instance_id)
-        if fold is None:
-            self.unknown_instance_events += 1
-            return
-        fold.feed(op, kind, position, size, thread_id)
-        self.events_folded += 1
+        """Fold one raw event tuple: a one-event window."""
+        self.feed_window([raw])
 
     def feed_window(self, batch: list[RawEvent]) -> None:
         """Fold one window of events; the window is the only event
-        storage that ever exists, and its size is recorded."""
+        storage that ever exists, and its size is recorded.
+
+        Events are grouped by instance, each group in window order, and
+        every group is folded in one call — per-instance folds are
+        independent, so this equals folding event by event.  Events of
+        unregistered instances are dropped and counted, never guessed
+        at."""
         if len(batch) > self.peak_resident_events:
             self.peak_resident_events = len(batch)
-        fold = self.feed
+        groups: dict[int, list[RawEvent]] = {}
         for raw in batch:
-            fold(raw)
+            instance_id = raw[0]
+            group = groups.get(instance_id)
+            if group is None:
+                groups[instance_id] = [raw]
+            else:
+                group.append(raw)
+        folds = self._folds
+        for instance_id, group in groups.items():
+            fold = folds.get(instance_id)
+            if fold is None:
+                self.unknown_instance_events += len(group)
+                continue
+            fold.fold_raws(group)
+            self.events_folded += len(group)
 
     # -- reporting -------------------------------------------------------
 

@@ -6,17 +6,23 @@ data structures or use cases" (§IV).  :class:`TrackedBase` is that
 proxy root: it registers the instance with the active
 :class:`~repro.events.collector.EventCollector`, captures the allocation
 site from the call stack, and funnels every interface interaction
-through :meth:`TrackedBase._record`.
+through the record hook it caches at construction (``_record_fn``,
+reached via :meth:`TrackedBase._record` or called directly on the
+hottest paths).
 
 Fail-open containment: when a :class:`~repro.runtime.guard.RuntimeGuard`
-is armed, both the constructor and :meth:`_record` run under the
-exception firewall — a raising collector/channel is contained and
-counted instead of propagating into user code, re-entrant recording
-from profiler internals is suppressed, and once the circuit breaker
-trips the instance degrades to a near-zero-overhead plain delegate.
-With no guard armed (the default), behaviour is byte-identical to the
-fail-loud seed: profiler exceptions propagate, which is what tests and
-debugging want.
+is armed, the constructor runs under the exception firewall (a raising
+registration untracks the instance).  Recording needs no guard branch
+here: every event is one call of the cached ``collector.record``, and
+the record hook itself checks the guard per event — the tuple path's
+:meth:`~repro.events.collector.EventCollector.record`, or the record
+kernel, which diverts to the collector's contained record while a
+guard is armed.  Either way recording faults are contained and
+counted, re-entrant recording from profiler internals is suppressed,
+and recording stops once the circuit breaker trips, also for instances
+built before the guard was armed.  With no guard armed (the default),
+behaviour is byte-identical to the fail-loud seed: profiler exceptions
+propagate, which is what tests and debugging want.
 """
 
 from __future__ import annotations
@@ -102,10 +108,11 @@ class TrackedBase:
     """Common machinery for all instrumented containers.
 
     Subclasses declare their species via ``KIND`` and call
-    :meth:`_record` from every interface method.  The recording path is
-    deliberately minimal -- one method call, one tuple, one channel
-    post -- because the instrumentation slowdown (Table IV) is dominated
-    by exactly this path.
+    :meth:`_record` (or, on the hottest paths, the cached ``_record_fn``
+    directly) from every interface method.  The recording path is
+    deliberately minimal -- one hook call, one tuple, one buffer append
+    -- because the instrumentation slowdown (Table IV) is dominated by
+    exactly this path.
     """
 
     KIND: StructureKind = StructureKind.OTHER
@@ -195,13 +202,4 @@ class TrackedBase:
         position: int | None,
         size: int,
     ) -> None:
-        guard = ACTIVE_GUARD[0]
-        if guard is None:
-            self._record_fn(self._instance_id, op, kind, position, size)
-            return
-        if guard._blocked[0] or guard._tls.inside:
-            return  # pass-through: breaker open, or profiler-internal call
-        try:
-            self._record_fn(self._instance_id, op, kind, position, size)
-        except Exception as exc:
-            guard.fault("record", exc)
+        self._record_fn(self._instance_id, op, kind, position, size)

@@ -17,16 +17,15 @@ from typing import Any
 from ..events.collector import EventCollector
 from ..events.profile import AllocationSite
 from ..events.types import AccessKind, OperationKind, StructureKind
-from ..runtime.guard import ACTIVE_GUARD
 from .base import TrackedBase
 
 _READ = AccessKind.READ
 _WRITE = AccessKind.WRITE
 _OP = OperationKind
 
-# Plain-int spellings for the inlined guard-free hot paths below: the
-# record hook only needs the enum *values*, and a module-global int
-# load is cheaper than an enum attribute access per event.
+# Plain-int spellings for the inlined hot paths below: the record hook
+# only needs the enum *values*, and a module-global int load is cheaper
+# than an enum attribute access per event.
 _OP_READ = int(_OP.READ)
 _OP_WRITE = int(_OP.WRITE)
 _OP_INSERT = int(_OP.INSERT)
@@ -104,18 +103,15 @@ class TrackedList(TrackedBase):
                 self._record(_OP.READ, _READ, j, self._reported_size())
             return [self._data[j] for j in indices]
         value = self._data[i]
-        if ACTIVE_GUARD[0] is None:
-            n = len(self._data)
-            cap = self._capacity
-            self._record_fn(
-                self._instance_id,
-                _OP_READ,
-                _K_READ,
-                i + n if i < 0 else i,
-                n if n >= cap else cap,
-            )
-        else:
-            self._record(_OP.READ, _READ, self._index(i), self._reported_size())
+        n = len(self._data)
+        cap = self._capacity
+        self._record_fn(
+            self._instance_id,
+            _OP_READ,
+            _K_READ,
+            i + n if i < 0 else i,
+            n if n >= cap else cap,
+        )
         return value
 
     def __setitem__(self, i, value) -> None:
@@ -129,18 +125,15 @@ class TrackedList(TrackedBase):
                 self._record(_OP.WRITE, _WRITE, j, self._reported_size())
             return
         self._data[i] = value
-        if ACTIVE_GUARD[0] is None:
-            n = len(self._data)
-            cap = self._capacity
-            self._record_fn(
-                self._instance_id,
-                _OP_WRITE,
-                _K_WRITE,
-                i + n if i < 0 else i,
-                n if n >= cap else cap,
-            )
-        else:
-            self._record(_OP.WRITE, _WRITE, self._index(i), self._reported_size())
+        n = len(self._data)
+        cap = self._capacity
+        self._record_fn(
+            self._instance_id,
+            _OP_WRITE,
+            _K_WRITE,
+            i + n if i < 0 else i,
+            n if n >= cap else cap,
+        )
 
     def __delitem__(self, i) -> None:
         if isinstance(i, slice):
@@ -201,14 +194,12 @@ class TrackedList(TrackedBase):
         if self._capacity:
             self._grow_if_needed()
             self._record(_OP.INSERT, _WRITE, len(data) - 1, self._reported_size())
-        elif ACTIVE_GUARD[0] is None:
-            # Inlined guard-free hot path: one direct call into the
-            # pre-bound record hook (the packed kernel when the fast
-            # path is engaged) — no helper frames per event.
+        else:
+            # Inlined hot path: one direct call into the pre-bound
+            # record hook (the collector's record, or the packed kernel
+            # when the fast path is engaged) — no helper frames.
             n = len(data)
             self._record_fn(self._instance_id, _OP_INSERT, _K_WRITE, n - 1, n)
-        else:
-            self._record(_OP.INSERT, _WRITE, len(data) - 1, len(data))
 
     #: .NET spelling used throughout the paper's snippets.
     add = append

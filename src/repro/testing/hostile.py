@@ -6,8 +6,9 @@ itself, inside the host process — the failure modes the
 :mod:`repro.runtime` firewall exists to contain:
 
 ``raising-record``
-    :class:`HostileCollector` raises :class:`ProfilerBug` from
-    ``record`` (every call, or every *n*-th).
+    :class:`HostileCollector` raises :class:`ProfilerBug` while
+    recording (every call, or every *n*-th), from the per-thread
+    producer behind ``record`` — under the record hook's firewall.
 
 ``raising-register``
     The collector raises from ``register_instance``, so construction of
@@ -59,6 +60,14 @@ class ProfilerBug(RuntimeError):
 class HostileCollector(EventCollector):
     """An :class:`~repro.events.collector.EventCollector` that raises.
 
+    The record fault is injected *under* the hook, in the per-thread
+    producer :meth:`record` hands each event to, so it meets the same
+    firewall a real broken transport would: contained and counted under
+    an armed guard, skipped entirely once the breaker trips, propagated
+    with no guard armed.  ``record_calls`` counts the events that
+    reached the producer.  Injection needs the tuple path; with a
+    packed channel the record kernel bypasses the producer.
+
     Parameters
     ----------
     fail_record / fail_register:
@@ -94,11 +103,17 @@ class HostileCollector(EventCollector):
             )
         return super().register_instance(kind, site=site, label=label)
 
-    def record(self, instance_id, op, kind, position, size):
-        self.record_calls += 1
-        if self.fail_record and self.record_calls % self.every == 0:
-            raise ProfilerBug(f"injected record fault (call {self.record_calls})")
-        super().record(instance_id, op, kind, position, size)
+    def _thread_state(self):
+        tid, produce = super()._thread_state()
+
+        def hostile_produce(raw):
+            self.record_calls += 1
+            if self.fail_record and self.record_calls % self.every == 0:
+                raise ProfilerBug(f"injected record fault (call {self.record_calls})")
+            produce(raw)
+
+        state = self._tls.state = (tid, hostile_produce)
+        return state
 
 
 class RaisingChannel:

@@ -10,12 +10,14 @@ reduction the evaluation quantifies (Table IV).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from ..events.collector import EventCollector
 from ..events.profile import RuntimeProfile
 from ..events.sampling import SamplingPolicy
 from ..patterns.detector import DetectorConfig, PatternDetector
 from ..patterns.model import PatternAnalysis
+from ..whatif.dag import WorkSpan, fold_profile
 from .features import ProfileFeatures, features_of
 from .model import UseCase, UseCaseKind
 from .rules import ALL_RULES, Evidence, Rule
@@ -61,10 +63,19 @@ class UseCaseReport:
     instances_analyzed:
         Number of data structure instances in the session — the
         denominator of the search-space reduction.
+    workspans:
+        Work/span per analyzed instance id, read off the analysis
+        fold's lanes — what :func:`~repro.whatif.annotate_report` uses
+        by default, so ranking needs no second pass over the events.
+        Empty for reports not built by a batch engine; not part of
+        equality.
     """
 
     use_cases: tuple[UseCase, ...]
     instances_analyzed: int
+    workspans: Mapping[int, WorkSpan] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     # -- search-space metrics (Table IV) --------------------------------
 
@@ -130,18 +141,24 @@ class UseCaseEngine:
     def analyze_profile(self, profile: RuntimeProfile) -> list[UseCase]:
         """Fold one profile (:func:`features_of`) and apply the rules
         (:func:`evaluate_rules`)."""
+        return self._analyze(profile)[0]
+
+    def _analyze(self, profile: RuntimeProfile) -> tuple[list[UseCase], WorkSpan]:
+        """Use cases of one profile plus its work/span, from one fold."""
         features = features_of(profile, self.detector.config)
         analysis = PatternAnalysis(profile=profile, patterns=features.patterns)
-        return [
+        use_cases = [
             UseCase(
                 kind=rule.kind,
                 profile=profile,
                 analysis=analysis,
                 recommendation=rule.recommend(evidence),
                 evidence=evidence,
+                features=features,
             )
             for rule, evidence in evaluate_rules(features, self.thresholds, self.rules)
         ]
+        return use_cases, features.workspan
 
     def analyze(self, profiles: list[RuntimeProfile]) -> UseCaseReport:
         """Analyze a batch of profiles into a report.
@@ -151,10 +168,14 @@ class UseCaseEngine:
         engineer would otherwise inspect.
         """
         use_cases: list[UseCase] = []
+        workspans: dict[int, WorkSpan] = {}
         for profile in profiles:
-            use_cases.extend(self.analyze_profile(profile))
+            found, workspans[profile.instance_id] = self._analyze(profile)
+            use_cases.extend(found)
         return UseCaseReport(
-            use_cases=tuple(use_cases), instances_analyzed=len(profiles)
+            use_cases=tuple(use_cases),
+            instances_analyzed=len(profiles),
+            workspans=workspans,
         )
 
     def analyze_collector(self, collector: EventCollector) -> UseCaseReport:
@@ -175,6 +196,10 @@ class UseCaseEngine:
           which would bias every fraction-based rule, while the
           remaining tail is a uniform 1-in-stride sample the
           recalibrated thresholds are built for.
+
+        The report's work/span is always that of the whole captured
+        profile: a decimated instance's comes from a separate lane fold
+        over all its events, since its analysis fold saw only the tail.
         """
         policy = collector.sampling
         profiles = collector.profiles()
@@ -187,15 +212,20 @@ class UseCaseEngine:
             return self.analyze(profiles)
         sampled_engine = UseCaseEngine.for_sampling(policy, rules=self.rules)
         use_cases: list[UseCase] = []
+        workspans: dict[int, WorkSpan] = {}
         for profile in profiles:
             if policy.is_exact(profile.instance_id):
-                use_cases.extend(self.analyze_profile(profile))
+                found, workspans[profile.instance_id] = self._analyze(profile)
             else:
                 prefix = policy.exact_prefix(profile.instance_id)
                 tail = profile.slice(prefix, len(profile)) if prefix else profile
-                use_cases.extend(sampled_engine.analyze_profile(tail))
+                found, span = sampled_engine._analyze(tail)
+                workspans[profile.instance_id] = fold_profile(profile) if prefix else span
+            use_cases.extend(found)
         return UseCaseReport(
-            use_cases=tuple(use_cases), instances_analyzed=len(profiles)
+            use_cases=tuple(use_cases),
+            instances_analyzed=len(profiles),
+            workspans=workspans,
         )
 
     @classmethod

@@ -3,19 +3,24 @@
 Every quantity a use-case rule thresholds is an order-preserving fold
 over an instance's events, so :class:`InstanceFold` computes all of
 them in a single O(1)-per-event pass — the scalar counters of
-:class:`ProfileFeatures`, phase segmentation through the shared
+:class:`ProfileFeatures`, phase segmentation into the runs of a
 :class:`~repro.patterns.phases.RunSegmenter`, and the happens-before
 :class:`~repro.whatif.dag.LaneSummary` the what-if profiler reads
 (TASKPROF-style work/span, PAPERS.md) — with memory bounded by
 O(threads + runs), never O(events).
 
-The fold is the only analysis implementation:
+The fold has one entry, :meth:`InstanceFold.fold_raws`: a batch of raw
+event tuples folded in one loop with the whole state in locals.  It is
+the only analysis implementation:
 
-- batch :class:`~repro.usecases.engine.UseCaseEngine` runs it over a
-  finished profile via :func:`features_of`, and
+- batch :class:`~repro.usecases.engine.UseCaseEngine` runs it once
+  over a finished profile via :func:`features_of`, whose features also
+  carry the lanes' work/span for the what-if ranking;
+- :func:`~repro.patterns.phases.segment` and
+  :func:`~repro.whatif.dag.fold_profile` are thin calls of it; and
 - :class:`~repro.service.streaming.StreamingUseCaseEngine` keeps one
-  per live instance, feeds it as windows arrive, and checkpoints it
-  through :meth:`InstanceFold.to_dict`.
+  fold per live instance, folds each window's events of that instance
+  as they arrive, and checkpoints it through :meth:`InstanceFold.to_dict`.
 
 Both hand the resulting :class:`ProfileFeatures` to the same
 :meth:`~repro.usecases.rules.Rule.evaluate_features` implementations,
@@ -25,14 +30,15 @@ so equal event streams yield equal use cases *and* equal evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
+from ..events.event import RawEvent
 from ..events.profile import AllocationSite, RuntimeProfile, site_from_dict, site_to_dict
 from ..events.types import AccessKind, OperationKind, StructureKind
 from ..patterns.detector import DetectorConfig, patterns_from_runs
 from ..patterns.model import AccessPattern
-from ..patterns.phases import Run, RunSegmenter
-from ..whatif.dag import LaneSummary
+from ..patterns.phases import BREAKER_OPS, RUN_CATEGORIES, TRANSPARENT_OPS, Run, RunSegmenter
+from ..whatif.dag import LaneSummary, WorkSpan
 
 _READ = int(AccessKind.READ)
 _INSERT = int(OperationKind.INSERT)
@@ -79,6 +85,15 @@ class ProfileFeatures:
     patterns:
         The detected access patterns (maximal consistent runs), in
         ``start`` order.
+    workspan:
+        Work and span of the instance's happens-before DAG, from the
+        fold's lane summary — what the what-if ranking reads.  Not a
+        rule input, so it takes no part in equality.
+    max_size:
+        Largest structure size among the folded events — what the
+        what-if region estimates read.  ``None`` when the fold was
+        restored from a checkpoint, which does not carry it.  Not a
+        rule input, so it takes no part in equality.
     """
 
     kind: StructureKind
@@ -99,6 +114,8 @@ class ProfileFeatures:
     trailing_distinct_positions: int = 0
     trailing_max_size: int = 0
     patterns: tuple[AccessPattern, ...] = ()
+    workspan: WorkSpan | None = field(default=None, compare=False)
+    max_size: int | None = field(default=None, compare=False)
 
     # -- derived quantities the rules threshold --------------------------
 
@@ -150,11 +167,11 @@ def end_purity(count: int, front: int, back: int) -> tuple[str | None, float, in
 
 
 class InstanceFold:
-    """All analysis state of one instance, updated one event at a time.
+    """All analysis state of one instance, updated a batch at a time.
 
-    ``feed`` takes an event's fields in per-instance order; ``index``
-    counts events fed so far, which makes every pattern bound
-    profile-relative exactly as in a batch profile.  Snapshots
+    :meth:`fold_raws` takes raw event tuples in per-instance order;
+    ``index`` counts events folded so far, which makes every pattern
+    bound profile-relative exactly as in a batch profile.  Snapshots
     (:meth:`patterns`, :meth:`features`) are non-destructive, so the
     fold keeps accepting events afterwards.
     """
@@ -187,6 +204,7 @@ class InstanceFold:
         "trailing_max_size",
         "segmenter",
         "lanes",
+        "max_size",
     )
 
     def __init__(
@@ -219,62 +237,190 @@ class InstanceFold:
         self.trailing_max_size = 0
         self.segmenter = RunSegmenter(max_gap)
         self.lanes = LaneSummary()
+        #: Largest size folded so far; not checkpointed, so ``None``
+        #: after :meth:`from_dict`.
+        self.max_size: int | None = 0
 
-    def feed(
-        self, op: int, kind: int, position: int | None, size: int, thread_id: int
-    ) -> None:
-        i = self.index
-        self.index = i + 1
-        is_read = kind == _READ
-        self.lanes.feed(thread_id, is_read)
+    @classmethod
+    def of_profile(cls, profile: RuntimeProfile, max_gap: int) -> "InstanceFold":
+        """A fold over a whole batch profile (one pass over its raws)."""
+        fold = cls(profile.instance_id, profile.kind, profile.site, profile.label, max_gap)
+        fold.fold_raws(profile.raws)
+        return fold
 
+    def fold_raws(self, raws: Iterable[RawEvent]) -> None:
+        """Fold raw event tuples of this instance, in per-instance order.
+
+        One loop, with every counter, the trailing tail, the open runs
+        and the lane summary's scalars held in locals and written back
+        at the end; the result equals folding the events one at a time
+        in any window split.  Per event, in order: the lane summary
+        (a read follows its lane and the latest write; a write also
+        follows the latest read; one unit each), the op count, the
+        write-without-read tail (a read resets it, ``Init`` neither
+        joins nor resets it), the front/back counters, the last sort,
+        and segmentation (transparent ops are skipped; breakers and
+        position-less events close their thread's run; run operations
+        extend or restart it).  The largest size seen is tracked too
+        (not checkpointed).
+        """
         counts = self.op_counts
-        counts[op] = counts.get(op, 0) + 1
+        read_kind = self.read_kind
+        insert_front = self.insert_front
+        insert_back = self.insert_back
+        delete_front = self.delete_front
+        delete_back = self.delete_back
+        read_front = self.read_front
+        read_back = self.read_back
+        end_events = self.end_events
+        sort_count = self.sort_count
+        last_sort_index = self.last_sort_index
+        trailing = self.trailing
+        trailing_ops = self.trailing_ops
+        trailing_positions = self.trailing_positions
+        trailing_max_size = self.trailing_max_size
+        segmenter = self.segmenter
+        max_gap = segmenter.max_gap
+        open_runs = segmenter.open
+        completed = segmenter.completed
+        lanes = self.lanes
+        lane_end = lanes.lane_end
+        last_write_end = lanes.last_write_end
+        max_read_end = lanes.max_read_end
+        max_size = self.max_size or 0
+        first = self.index
+        i = first - 1
 
-        # Write-without-read tail: non-Init events after the last
-        # read-kind event.  A read resets the tail; an Init neither
-        # joins nor resets it.
-        if is_read:
-            self.read_kind += 1
-            if self.trailing:
-                self.trailing = 0
-                self.trailing_ops.clear()
-                self.trailing_positions.clear()
-                self.trailing_max_size = 0
-        elif op != _INIT:
-            self.trailing += 1
-            self.trailing_ops.add(op)
-            if position is not None:
-                self.trailing_positions.add(position)
-            if size > self.trailing_max_size:
-                self.trailing_max_size = size
+        for i, (_, op, kind, position, size, thread_id, _) in enumerate(raws, first):
+            if size > max_size:
+                max_size = size
+            start = lane_end.get(thread_id, 0.0)
+            if last_write_end > start:
+                start = last_write_end
+            counts[op] = counts.get(op, 0) + 1
+            if kind == _READ:
+                end = start + 1.0
+                if end > max_read_end:
+                    max_read_end = end
+                read_kind += 1
+                if trailing:
+                    trailing = 0
+                    trailing_ops.clear()
+                    trailing_positions.clear()
+                    trailing_max_size = 0
+            else:
+                if max_read_end > start:
+                    start = max_read_end
+                end = start + 1.0
+                last_write_end = end
+                if op != _INIT:
+                    trailing += 1
+                    trailing_ops.add(op)
+                    if position is not None:
+                        trailing_positions.add(position)
+                    if size > trailing_max_size:
+                        trailing_max_size = size
+            lane_end[thread_id] = end
 
-        if position is not None:
+            if op == _SORT:
+                sort_count += 1
+                last_sort_index = i
+
+            if position is None:
+                if op in TRANSPARENT_OPS:
+                    continue
+                run = open_runs.get(thread_id)
+                if run is not None:
+                    completed.append(run)
+                open_runs[thread_id] = None
+                continue
+
             at_front = position == 0
             at_back = position >= size - 1
             if at_front or at_back:
-                self.end_events += 1
-            if op == _INSERT:
-                if at_front:
-                    self.insert_front += 1
-                if at_back:
-                    self.insert_back += 1
-            elif op == _DELETE:
-                if at_front:
-                    self.delete_front += 1
-                if at_back:
-                    self.delete_back += 1
-            elif op == _OP_READ:
-                if at_front:
-                    self.read_front += 1
-                if at_back:
-                    self.read_back += 1
+                end_events += 1
+                if op == _INSERT:
+                    if at_front:
+                        insert_front += 1
+                    if at_back:
+                        insert_back += 1
+                elif op == _DELETE:
+                    if at_front:
+                        delete_front += 1
+                    if at_back:
+                        delete_back += 1
+                elif op == _OP_READ:
+                    if at_front:
+                        read_front += 1
+                    if at_back:
+                        read_back += 1
 
-        if op == _SORT:
-            self.sort_count += 1
-            self.last_sort_index = i
+            category = RUN_CATEGORIES.get(op)
+            if category is None:
+                if op in TRANSPARENT_OPS:
+                    continue
+                if op in BREAKER_OPS:
+                    run = open_runs.get(thread_id)
+                    if run is not None:
+                        completed.append(run)
+                    open_runs[thread_id] = None
+                else:
+                    open_runs.setdefault(thread_id, None)
+                continue
+            run = open_runs.get(thread_id)
+            if run is not None:
+                delta = position - run.last_position
+                if (
+                    category == run.category
+                    and -max_gap <= delta <= max_gap
+                    and (delta == 0 or run.direction == 0 or (delta > 0) == (run.direction > 0))
+                ):
+                    if delta != 0 and run.direction == 0:
+                        run.direction = 1 if delta > 0 else -1
+                    run.length += 1
+                    run.stop = i + 1
+                    run.last_position = position
+                    run.positions.add(position)
+                    run.size_at_end = size
+                    if run.all_front and not at_front:
+                        run.all_front = False
+                    if run.all_back and (size == 0 or not at_back):
+                        run.all_back = False
+                    continue
+                completed.append(run)
+            open_runs[thread_id] = Run(
+                category=category,
+                thread_id=thread_id,
+                start=i,
+                stop=i + 1,
+                length=1,
+                direction=0,
+                first_position=position,
+                last_position=position,
+                positions={position},
+                size_at_end=size,
+                all_front=at_front,
+                all_back=size != 0 and at_back,
+            )
 
-        self.segmenter.feed(i, op, position, size, thread_id)
+        self.index = i + 1
+        lanes.work += self.index - first
+        self.read_kind = read_kind
+        self.insert_front = insert_front
+        self.insert_back = insert_back
+        self.delete_front = delete_front
+        self.delete_back = delete_back
+        self.read_front = read_front
+        self.read_back = read_back
+        self.end_events = end_events
+        self.sort_count = sort_count
+        self.last_sort_index = last_sort_index
+        self.trailing = trailing
+        self.trailing_max_size = trailing_max_size
+        lanes.last_write_end = last_write_end
+        lanes.max_read_end = max_read_end
+        if self.max_size is not None:
+            self.max_size = max_size
 
     # -- snapshots (non-destructive) ------------------------------------
 
@@ -302,6 +448,8 @@ class InstanceFold:
             trailing_distinct_positions=len(self.trailing_positions),
             trailing_max_size=self.trailing_max_size,
             patterns=self.patterns(config),
+            workspan=self.lanes.workspan(),
+            max_size=self.max_size,
         )
 
     # -- serialization (checkpoint / SNAPSHOT payloads) ------------------
@@ -354,15 +502,11 @@ class InstanceFold:
         # Checkpoints written before the what-if profiler existed have no
         # lane summary; recover them with an empty one rather than failing.
         fold.lanes = LaneSummary.from_dict(obj.get("lanes"))
+        fold.max_size = None
         return fold
 
 
 def features_of(profile: RuntimeProfile, config: DetectorConfig) -> ProfileFeatures:
-    """Fold a whole batch profile into its :class:`ProfileFeatures`."""
-    fold = InstanceFold(
-        profile.instance_id, profile.kind, profile.site, profile.label, config.max_gap
-    )
-    feed = fold.feed
-    for _, op, kind, position, size, thread_id, _ in profile.raws:
-        feed(op, kind, position, size, thread_id)
-    return fold.features(config)
+    """Fold a whole batch profile, in one pass over its raws, into its
+    :class:`ProfileFeatures` (work/span included)."""
+    return InstanceFold.of_profile(profile, config.max_gap).features(config)

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..events.profile import AllocationSite, RuntimeProfile
 from ..patterns.model import PatternAnalysis
+
+if TYPE_CHECKING:
+    from .features import ProfileFeatures
 
 
 class TransformHint(enum.Enum):
@@ -135,6 +138,11 @@ class UseCase:
     (:func:`repro.whatif.annotate_report`): the end-to-end speedup the
     recommendation is expected to yield on the analysis machine.  It is
     ``None`` until annotated; sequential-optimization kinds get 1.0.
+
+    ``features`` are the folded features the rule fired on, when the
+    engine that built the use case has them (the batch engine does):
+    the what-if region estimates read sizes and counts from them
+    instead of re-scanning the profile.  Not part of equality.
     """
 
     kind: UseCaseKind
@@ -143,6 +151,7 @@ class UseCase:
     recommendation: Recommendation
     evidence: dict[str, Any] = field(default_factory=dict)
     predicted_speedup: float | None = None
+    features: "ProfileFeatures | None" = field(default=None, compare=False, repr=False)
 
     @property
     def site(self) -> AllocationSite | None:

@@ -23,12 +23,16 @@ The DAG never needs to be materialized.  Because the recorded stream
 serializes conflicting accesses in arrival order, the longest path
 ending at each event depends only on three running maxima — the end of
 its thread's own lane, the end of the latest write, and the end of the
-latest read — so :class:`LaneSummary` computes work and span in O(1)
+latest read — so :class:`LaneSummary` holds work and span in O(1)
 time and O(threads) memory per event.  It is part of every
-:class:`~repro.usecases.features.InstanceFold`, which is what lets the
-streaming engine keep work/span without retaining history (the
-bounded-memory contract), while :func:`longest_path_span` keeps the
-O(n²)-edge textbook computation around as the property-test oracle.
+:class:`~repro.usecases.features.InstanceFold`, whose one batched loop
+(:meth:`~repro.usecases.features.InstanceFold.fold_raws`) advances the
+lanes alongside the use-case features.  That is what lets the streaming
+engine keep work/span without retaining history (the bounded-memory
+contract) and the batch what-if ranking read the lanes of the analysis
+pass instead of folding each profile a second time, while
+:func:`longest_path_span` keeps the O(n²)-edge textbook computation
+around as the property-test oracle.
 """
 
 from __future__ import annotations
@@ -37,15 +41,12 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..events.profile import RuntimeProfile
-from ..events.types import AccessKind
-
-_READ = int(AccessKind.READ)
 
 
 @dataclass
 class LaneSummary:
-    """O(threads) happens-before state of one instance, fed one event
-    at a time.
+    """O(threads) happens-before state of one instance, advanced by the
+    analysis fold (:meth:`~repro.usecases.features.InstanceFold.fold_raws`).
 
     ``lane_end[tid]`` is the end time of thread ``tid``'s latest event
     (program order), ``last_write_end`` the end of the latest write on
@@ -58,22 +59,6 @@ class LaneSummary:
     last_write_end: float = 0.0
     max_read_end: float = 0.0
     work: int = 0
-
-    def feed(self, thread_id: int, is_read: bool) -> None:
-        start = self.lane_end.get(thread_id, 0.0)
-        if self.last_write_end > start:
-            start = self.last_write_end
-        if is_read:
-            end = start + 1.0
-            if end > self.max_read_end:
-                self.max_read_end = end
-        else:
-            if self.max_read_end > start:
-                start = self.max_read_end
-            end = start + 1.0
-            self.last_write_end = end
-        self.lane_end[thread_id] = end
-        self.work += 1
 
     @property
     def span(self) -> float:
@@ -149,12 +134,13 @@ def potential_speedup(work: float, span: float, cores: int) -> float:
 
 
 def fold_profile(profile: RuntimeProfile) -> WorkSpan:
-    """Work/span of one batch profile's full event history."""
-    lanes = LaneSummary()
-    feed = lanes.feed
-    for _, _, kind, _, _, thread_id, _ in profile.raws:
-        feed(thread_id, kind == _READ)
-    return lanes.workspan()
+    """Work/span of one batch profile's full event history: a thin call
+    of the analysis fold (imported here: the fold builds on this
+    module).  Callers that already ran the analysis read
+    :attr:`~repro.usecases.features.ProfileFeatures.workspan` instead."""
+    from ..usecases.features import InstanceFold
+
+    return InstanceFold.of_profile(profile, 1).lanes.workspan()
 
 
 def longest_path_span(events: Sequence[tuple[int, bool]]) -> float:

@@ -127,7 +127,9 @@ def predict_use_case(
 def workspans_from_profiles(
     profiles: Iterable[RuntimeProfile],
 ) -> dict[int, WorkSpan]:
-    """Per-instance work/span folded from batch profiles."""
+    """Per-instance work/span folded from batch profiles — for callers
+    without an analysis report; a batch report already carries them
+    (:attr:`~repro.usecases.engine.UseCaseReport.workspans`)."""
     return {p.instance_id: fold_profile(p) for p in profiles}
 
 
@@ -137,8 +139,12 @@ def annotate_report(
     workspans: Mapping[int, WorkSpan] | None = None,
 ) -> UseCaseReport:
     """A copy of ``report`` where every use case carries its
-    ``predicted_speedup`` (sequential kinds get 1.0)."""
-    spans = workspans or {}
+    ``predicted_speedup`` (sequential kinds get 1.0).
+
+    ``workspans`` defaults to the report's own
+    :attr:`~repro.usecases.engine.UseCaseReport.workspans` — the lanes
+    its analysis fold already computed."""
+    spans = workspans or report.workspans
     annotated = tuple(
         replace(
             u,

@@ -137,5 +137,8 @@ def test_streaming_feed_and_checkpoint_equal_batch_fold():
         for index, event in enumerate(profile.events):
             if index == half:
                 fold = InstanceFold.from_dict(fold.to_dict(), config.max_gap)
-            fold.feed(int(event.op), int(event.kind), event.position, event.size, event.thread_id)
+            fold.fold_raws([
+                (profile.instance_id, int(event.op), int(event.kind), event.position,
+                 event.size, event.thread_id, None)
+            ])
         assert fold.features(config) == features_of(profile, config)

@@ -35,6 +35,8 @@ from repro.usecases.features import InstanceFold
 from repro.whatif import annotate_report, rank_report, workspans_from_profiles
 from repro.workloads import EVALUATION_WORKLOADS
 
+from .reference_analysis import reference_feed
+
 SCALE = 0.25
 SEEDS = range(12)
 
@@ -71,7 +73,7 @@ def reference_features(profile: RuntimeProfile, events: list[AccessEvent], confi
         profile.instance_id, profile.kind, profile.site, profile.label, config.max_gap
     )
     for e in events:
-        fold.feed(e.op, e.kind, e.position, e.size, e.thread_id)
+        reference_feed(fold, e.op, e.kind, e.position, e.size, e.thread_id)
     return fold.features(config)
 
 

@@ -11,10 +11,12 @@ from repro.eval.speedup_eval import (
     WHATIF_TOLERANCE,
     run_whatif_validation,
 )
+from repro.events.types import StructureKind
 from repro.parallel.machine import MachineConfig, SimulatedMachine
 from repro.parallel.transforms import execute_transform, transform_ways
 from repro.service.streaming import StreamingUseCaseEngine
 from repro.testing.traces import generate_trace
+from repro.usecases.features import InstanceFold
 from repro.whatif import (
     LaneSummary,
     WorkSpan,
@@ -22,15 +24,17 @@ from repro.whatif import (
     potential_speedup,
 )
 
+from .reference_analysis import reference_lane_feed
+
 _READ_KIND = 0  # AccessKind.READ == 0 is asserted below; traces use ints
 
 
 def _span_by_fold(events):
-    """events: [(tid, is_read)] -> work/span via the incremental fold."""
-    lanes = LaneSummary()
-    for tid, is_read in events:
-        lanes.feed(tid, is_read)
-    return lanes.workspan()
+    """events: [(tid, is_read)] -> work/span via the analysis fold."""
+    fold = InstanceFold(0, StructureKind.LIST, None, "", 1)
+    code = {True: 0, False: 1}  # READ / WRITE, as both op and access kind
+    fold.fold_raws([(0, code[r], code[r], None, 0, tid, None) for tid, r in events])
+    return fold.lanes.workspan()
 
 
 class TestFoldVsBruteForce:
@@ -124,13 +128,13 @@ class TestLaneSummary:
 
         rng = random.Random(42)
         for _ in range(200):
-            lanes.feed(rng.randrange(3), rng.random() < 0.5)
+            reference_lane_feed(lanes, rng.randrange(3), rng.random() < 0.5)
         clone = LaneSummary.from_dict(lanes.to_dict())
         assert clone == lanes
         # The restored summary keeps folding identically.
         for args in ((0, True), (2, False), (1, True)):
-            lanes.feed(*args)
-            clone.feed(*args)
+            reference_lane_feed(lanes, *args)
+            reference_lane_feed(clone, *args)
         assert clone == lanes and clone.span == lanes.span
 
     def test_missing_dict_yields_empty(self):
