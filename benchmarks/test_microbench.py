@@ -136,16 +136,6 @@ class TestOverheadBudget:
         assert overhead_doc["schema"] == SCHEMA_VERSION
         assert overhead_doc["events"] == 100_000
 
-    def test_batching_beats_async_recording(self, overhead_doc):
-        derived = overhead_doc["derived"]
-        # Acceptance bar: the drop-policy fast path (bare list.append
-        # bound method) must be >=3x cheaper per event than AsyncChannel
-        # on the 100k-event workload; the block-policy path pays a
-        # closure call for backpressure accounting, so its bound is
-        # looser but still well clear of noise.
-        assert derived["batching_drop_vs_async"] >= 3.0
-        assert derived["batching_vs_async"] >= 1.8
-
     def test_batching_is_near_plain_append(self, overhead_doc):
         # The machine-normalized metric the CI gate tracks: batched
         # posting costs a small constant factor over a plain

@@ -1,13 +1,15 @@
 """Recording-overhead benchmark core and CI perf-ratchet.
 
 Measures the per-event cost of every transport at its hot-path
-producer API — ``post`` for the synchronous and async channels, the
-cached :meth:`~repro.events.BatchingChannel.producer` callable for the
-batched pipeline, the record kernel of :mod:`repro.events.fastpath`
-for the encode-at-record path — timed over a full capture (post loop
-*plus* terminal drain, so asynchronous transports cannot hide work in
-their drainer thread).  Emits one JSON document consumed by the CI
-perf-ratchet (``dsspy bench --check``).
+producer API — ``post`` for the synchronous channel, the cached
+:meth:`~repro.events.BatchingChannel.producer` callable for the
+batched pipeline and the networked transports built on it — timed over
+a full capture (post loop *plus* terminal drain, so a drainer thread
+cannot hide work), and of the record hook itself
+(``EventCollector.record`` and ``TrackedList.append``).  These are
+record-hook-layer numbers; the end-to-end cost of ``dsspy analyze``
+lives in the ``benchmarks/e2e`` ledger.  Emits one JSON document
+consumed by the CI perf-ratchet (``dsspy bench --check``).
 
 Absolute nanoseconds vary wildly across machines, so every gated
 metric is *normalized*: a per-event cost divided by a bare
@@ -17,22 +19,16 @@ baseline (``benchmarks/baselines/overhead_baseline.json``):
 
 - **relative**: no metric in :data:`GATED_METRICS` may regress by more
   than ``--max-regression`` (CI uses 10%) against the baseline value;
-- **absolute**: the baseline's ``gates`` object pins hard ceilings
-  that hold regardless of what the baseline measured —
-  ``tracked_batching_vs_plain`` ≤ 5× is the headline ratchet locking
-  in the encode-at-record fast path.
+- **absolute**: a ``gates`` object in the baseline pins hard ceilings
+  that hold regardless of what the baseline measured.
 
 Metric map (all under ``derived``):
 
 ``batching_vs_plain``
     The batched tuple pipeline's producer callable.
-``tracked_batching_vs_plain``
-    The realistic ``EventCollector.record`` hook through the packed
-    fast path (record kernel → per-thread byte buffer).  Successor of
-    the legacy ``record_batching_vs_plain`` (kept, informational).
-``fastpath_vs_plain``
-    The full structure hot path — ``TrackedList.append`` — with the
-    fast path engaged.
+``record_batching_vs_plain``
+    The realistic ``EventCollector.record`` hook into a batching
+    channel (informational).
 ``remote_vs_plain`` / ``journal_vs_plain``
     The networked transport against a loopback daemon, without and
     with the write-ahead journal.
@@ -41,7 +37,8 @@ Metric map (all under ``derived``):
     (:mod:`repro.service.shm`) — gated relatively like the others, and
     expected to beat ``remote_vs_plain`` on the same machine.
 ``guard_vs_plain``
-    The tracked-append path under an armed fail-open firewall.
+    The full structure hot path — ``TrackedList.append`` through
+    ``EventCollector.record`` — under an armed fail-open firewall.
 
 With ``--fleet`` the document additionally carries a ``fleet`` section:
 a many-producer ingestion load (default 1000 sessions) replayed
@@ -85,33 +82,23 @@ import tempfile
 import time
 from pathlib import Path
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: The machine-normalized metrics the ratchet enforces relatively
 #: (``current <= baseline * (1 + max_regression)``).
 GATED_METRICS = (
     "batching_vs_plain",
-    "tracked_batching_vs_plain",
-    "fastpath_vs_plain",
     "remote_vs_plain",
     "journal_vs_plain",
     "shm_vs_plain",
     "guard_vs_plain",
 )
 
-#: Hard ceilings embedded in every emitted document (and therefore in
-#: the regenerated baseline): these hold no matter what the baseline
-#: measured, so a "ratchet by regenerating a slower baseline" loophole
-#: does not exist for them.
-ABSOLUTE_GATES = {
-    "tracked_batching_vs_plain": 5.0,
-}
-
-#: Hard minimums — the dual of :data:`ABSOLUTE_GATES` — embedded in
-#: every document that measured the fleet benchmark.  Enforced by
-#: :func:`check` only when the current document was measured on at
-#: least :data:`FLEET_FLOOR_MIN_CORES` cores (scaling is physically
-#: bounded by core count; a 1-core machine cannot speak to it).
+#: Hard minimums — the dual of a baseline's ``gates`` ceilings —
+#: embedded in every document that measured the fleet benchmark.
+#: Enforced by :func:`check` only when the current document was
+#: measured on at least :data:`FLEET_FLOOR_MIN_CORES` cores (scaling is
+#: physically bounded by core count; a 1-core machine cannot speak to it).
 ABSOLUTE_FLOORS = {
     "fleet_4w_vs_1w": 2.5,
     # Every Table V workload's measured speedup must land inside the
@@ -141,10 +128,10 @@ _RAW = (0, 1, 0, 5, 1000, 0, None)
 # -- measurement ------------------------------------------------------------
 
 
-def _time_channel(make_channel, events: int) -> float:
+def _time_channel(factory, events: int) -> float:
     """Seconds to push ``events`` raw tuples through a channel's hot
     path and drain it."""
-    channel = make_channel()
+    channel = factory()
     produce = channel.producer() if hasattr(channel, "producer") else channel.post
     raw = _RAW
     start = time.perf_counter()
@@ -154,16 +141,13 @@ def _time_channel(make_channel, events: int) -> float:
     return time.perf_counter() - start
 
 
-def _time_record(make_channel, events: int, sampling=None) -> float:
-    """Seconds for the realistic legacy path: ``EventCollector.record``
-    per event through the tuple pipeline, then the channel drained
-    (profiles not materialized — that cost is post-mortem analysis,
-    not recording)."""
+def _time_record(factory, events: int, sampling=None) -> float:
+    """Seconds for the realistic path: ``EventCollector.record`` per
+    event, then the channel drained (profiles not materialized — that
+    cost is post-mortem analysis, not recording)."""
     from .events import AccessKind, EventCollector, OperationKind, StructureKind
 
-    collector = EventCollector(
-        channel=make_channel(), sampling=sampling, fastpath="off"
-    )
+    collector = EventCollector(channel=factory(), sampling=sampling)
     iid = collector.register_instance(StructureKind.LIST)
     record = collector.record
     op = OperationKind.READ
@@ -175,30 +159,6 @@ def _time_record(make_channel, events: int, sampling=None) -> float:
     return time.perf_counter() - start
 
 
-def _time_tracked_batching(events: int) -> float:
-    """Seconds for the fast record hook: the collector's pre-bound
-    record kernel packing straight into per-thread byte buffers of a
-    :class:`~repro.events.fastpath.PackedBatchingChannel`.
-
-    Times the fixed representative event of the channels section (the
-    hook's cost does not depend on the position value), with
-    :meth:`drain_packed` as the terminal barrier — the fast
-    architecture's natural end state (durable packed bytes, ready for
-    spill or wire), symmetric with the legacy drain's end state
-    (tuples in memory, encoding deferred to spill or wire)."""
-    from .events import EventCollector, PackedBatchingChannel, StructureKind
-
-    channel = PackedBatchingChannel()
-    collector = EventCollector(channel=channel)
-    iid = collector.register_instance(StructureKind.LIST)
-    record = collector.record  # the kernel instance when fastpath engaged
-    start = time.perf_counter()
-    for _ in range(events):
-        record(iid, 1, 0, 5, 1000)
-    channel.drain_packed()
-    return time.perf_counter() - start
-
-
 def _time_tracked_append(events: int, guard=None) -> float:
     """Seconds for the full structure hot path — ``TrackedList.append``
     through the collector's record hook into a batching channel —
@@ -207,7 +167,7 @@ def _time_tracked_append(events: int, guard=None) -> float:
     from .structures import TrackedList
 
     channel = BatchingChannel()
-    collector = EventCollector(channel=channel, fastpath="off")
+    collector = EventCollector(channel=channel)
     xs = TrackedList(collector=collector)
     append = xs.append
     if guard is not None:
@@ -221,24 +181,6 @@ def _time_tracked_append(events: int, guard=None) -> float:
     finally:
         if guard is not None:
             guard.__exit__(None, None, None)
-
-
-def _time_fastpath_append(events: int) -> float:
-    """Seconds for the full structure hot path with the encode-at-record
-    fast path engaged: ``TrackedList.append`` calling the record kernel
-    directly, packed bytes as the end state."""
-    from .events import EventCollector, PackedBatchingChannel
-    from .structures import TrackedList
-
-    channel = PackedBatchingChannel()
-    collector = EventCollector(channel=channel)
-    xs = TrackedList(collector=collector)
-    append = xs.append
-    start = time.perf_counter()
-    for _ in range(events):
-        append(1)
-    channel.drain_packed()
-    return time.perf_counter() - start
 
 
 def _time_plain_append(events: int) -> float:
@@ -259,20 +201,12 @@ def _best(measure, repeats: int) -> float:
 
 def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
     """Measure every transport and sampling tier; return the JSON doc."""
-    from .events import (
-        AsyncChannel,
-        BatchingChannel,
-        Burst,
-        Decimate,
-        SynchronousChannel,
-        kernel_name,
-    )
+    from .events import BatchingChannel, Burst, Decimate, SynchronousChannel
     from .runtime import RuntimeGuard
     from .service import ProfilingDaemon, RemoteChannel
 
     channels = {
         "sync": lambda: SynchronousChannel(),
-        "async": lambda: AsyncChannel(),
         "batching": lambda: BatchingChannel(),
         "batching_drop": lambda: BatchingChannel(policy="drop"),
     }
@@ -289,11 +223,9 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
         "events": events,
         "repeats": repeats,
         "python": sys.version.split()[0],
-        "record_kernel": kernel_name(),
         "plain_append_ns": plain_s / events * 1e9,
         "channels": {},
         "recording": {},
-        "gates": dict(ABSOLUTE_GATES),
     }
     for name, factory in channels.items():
         total_s = _best(lambda: _time_channel(factory, events), repeats)
@@ -357,13 +289,6 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
             "total_s": total_s,
             "per_event_ns": total_s / events * 1e9,
         }
-    # The fast record hook (the ratcheted successor of "batching"):
-    # collector.record is the pre-bound kernel, encode-at-record.
-    total_s = _best(lambda: _time_tracked_batching(events), repeats)
-    doc["recording"]["tracked_batching"] = {
-        "total_s": total_s,
-        "per_event_ns": total_s / events * 1e9,
-    }
 
     # The firewall hot path: a healthy armed guard on the tracked-append
     # loop, against the identical loop with no guard armed (seed mode).
@@ -371,15 +296,10 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
     guarded_s = _best(
         lambda: _time_tracked_append(events, guard=RuntimeGuard(budget=25)), repeats
     )
-    fast_append_s = _best(lambda: _time_fastpath_append(events), repeats)
     doc["structures"] = {
         "tracked_append": {
             "total_s": unguarded_s,
             "per_event_ns": unguarded_s / events * 1e9,
-        },
-        "tracked_append_fastpath": {
-            "total_s": fast_append_s,
-            "per_event_ns": fast_append_s / events * 1e9,
         },
         "tracked_append_guarded": {
             "total_s": guarded_s,
@@ -389,29 +309,14 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
 
     plain_ns = doc["plain_append_ns"]
     batching_ns = doc["channels"]["batching"]["per_event_ns"]
-    drop_ns = doc["channels"]["batching_drop"]["per_event_ns"]
-    async_ns = doc["channels"]["async"]["per_event_ns"]
     doc["derived"] = {
-        # Speedup of the batched pipeline over the per-event queue
-        # (default lossless policy, and the bare-append drop policy).
-        "batching_vs_async": async_ns / batching_ns,
-        "batching_drop_vs_async": async_ns / drop_ns,
         # Machine-normalized cost multiples — the CI-gated metrics.
         "batching_vs_plain": batching_ns / plain_ns,
-        "tracked_batching_vs_plain": doc["recording"]["tracked_batching"][
-            "per_event_ns"
-        ]
-        / plain_ns,
-        "fastpath_vs_plain": doc["structures"]["tracked_append_fastpath"][
-            "per_event_ns"
-        ]
-        / plain_ns,
         "remote_vs_plain": doc["channels"]["remote"]["per_event_ns"] / plain_ns,
         "shm_vs_plain": doc["channels"]["shm"]["per_event_ns"] / plain_ns,
         "journal_vs_plain": doc["channels"]["remote_journal"]["per_event_ns"]
         / plain_ns,
-        # The legacy tuple-pipeline record hook, kept informational so
-        # the fast path's win stays visible in every document.
+        # The record hook into a batching channel, informational.
         "record_batching_vs_plain": doc["recording"]["batching"]["per_event_ns"]
         / plain_ns,
         # Firewall cost, gated: full guarded tracked-append vs a bare
@@ -453,7 +358,7 @@ def fleet_producer_main(argv: list[str] | None = None) -> int:
         session_id = f"{spec['prefix']}-s{index:04d}"
         address = addresses[shard_for(session_id, len(addresses))]
         channel = RemoteChannel(address, session_id=session_id, give_up_after=30.0)
-        collector = EventCollector(channel=channel, fastpath="off")
+        collector = EventCollector(channel=channel)
         iid = collector.register_instance(StructureKind.LIST)
         record = collector.record
         op = OperationKind.READ
@@ -727,27 +632,6 @@ def check(
     failures: list[str] = []
     cur_derived = current.get("derived", {})
     base_derived = baseline.get("derived", {})
-    # Overhead ratios are calibrated per record kernel: a run on the
-    # pure-python fallback against a C-kernel baseline (the minimal-CI
-    # case — no compiled _fastrecord extension) would "regress" by an
-    # order of magnitude on every metric and drown real signal.  The
-    # bounds are still *reported*, loudly, but not enforced — so a
-    # chaos or fsck CI job on a minimal runner fails on its own
-    # results, never on a meaningless overhead comparison.
-    cur_kernel = str(current.get("record_kernel", "?"))
-    base_kernel = str(baseline.get("record_kernel", "?"))
-    kernel_mismatch = cur_kernel != base_kernel
-    if kernel_mismatch:
-        report.append(
-            f"record kernel mismatch: current={cur_kernel!r} vs "
-            f"baseline={base_kernel!r}"
-            + (
-                " (compiled _fastrecord extension absent here)"
-                if cur_kernel == "python"
-                else ""
-            )
-            + " — overhead bounds NOT ENFORCED"
-        )
     for metric in GATED_METRICS:
         in_current = metric in cur_derived
         in_baseline = metric in base_derived
@@ -767,16 +651,10 @@ def check(
             f"change {regression:+.1%}, allowed +{max_regression:.0%})"
         )
         if cur > base * (1.0 + max_regression):
-            if kernel_mismatch:
-                report.append(
-                    f"{metric}: past the limit but NOT ENFORCED "
-                    "(record kernel mismatch)"
-                )
-            else:
-                failures.append(
-                    f"{metric} is {regression:+.1%} vs baseline "
-                    f"(limit +{max_regression:.0%})"
-                )
+            failures.append(
+                f"{metric} is {regression:+.1%} vs baseline "
+                f"(limit +{max_regression:.0%})"
+            )
     for metric, cap in sorted(baseline.get("gates", {}).items()):
         if metric not in cur_derived:
             raise ValueError(
@@ -786,16 +664,9 @@ def check(
         cur = float(cur_derived[metric])
         report.append(f"{metric} = {cur:.2f} (hard ceiling {float(cap):.2f}x)")
         if cur > float(cap):
-            if kernel_mismatch:
-                report.append(
-                    f"{metric}: above the ceiling but NOT ENFORCED "
-                    "(record kernel mismatch)"
-                )
-            else:
-                failures.append(
-                    f"{metric} = {cur:.2f} exceeds the hard ceiling "
-                    f"{float(cap):.2f}x"
-                )
+            failures.append(
+                f"{metric} = {cur:.2f} exceeds the hard ceiling {float(cap):.2f}x"
+            )
     # Hard floors (fleet scaling).  Self-enforcing from the current
     # document — a doc that measured the fleet benchmark carries its own
     # floors — plus any pinned in the baseline.  A floor on a metric the
@@ -837,7 +708,6 @@ _TRAJECTORY_FIELDS = (
     "schema",
     "events",
     "python",
-    "record_kernel",
     "plain_append_ns",
 ) + GATED_METRICS
 
@@ -845,7 +715,10 @@ _TRAJECTORY_FIELDS = (
 def append_trajectory(doc: dict, path: str | Path, commit: str | None = None) -> str:
     """Append one benchmark run to the committed trajectory CSV.
 
-    Creates the file (with header) when absent.  ``commit`` defaults to
+    Creates the file (with header) when absent, and raises
+    :class:`ValueError` when an existing file's header is not
+    :data:`_TRAJECTORY_FIELDS` — a row under another header would put
+    its values in the wrong columns.  ``commit`` defaults to
     ``$GITHUB_SHA`` so the nightly CI job needs no plumbing.  Returns
     the formatted CSV row (without trailing newline)."""
     path = Path(path)
@@ -858,17 +731,24 @@ def append_trajectory(doc: dict, path: str | Path, commit: str | None = None) ->
         str(doc.get("schema", "")),
         str(doc.get("events", "")),
         str(doc.get("python", "")),
-        str(doc.get("record_kernel", "")),
         f"{float(doc.get('plain_append_ns', 0.0)):.1f}",
     ] + [
         f"{float(derived[m]):.3f}" if m in derived else "" for m in GATED_METRICS
     ]
     line = ",".join(row)
+    header = ",".join(_TRAJECTORY_FIELDS)
     path.parent.mkdir(parents=True, exist_ok=True)
     fresh = not path.exists() or path.stat().st_size == 0
+    if not fresh:
+        with path.open(encoding="utf-8") as fh:
+            existing = fh.readline().rstrip("\r\n")
+        if existing != header:
+            raise ValueError(
+                f"{path}: header {existing!r} is not the trajectory header {header!r}"
+            )
     with path.open("a", encoding="utf-8") as fh:
         if fresh:
-            fh.write(",".join(_TRAJECTORY_FIELDS) + "\n")
+            fh.write(header + "\n")
         fh.write(line + "\n")
     return line
 
@@ -1072,10 +952,8 @@ def run(args: argparse.Namespace) -> int:
     if derived and "plain_append_ns" in doc and not args.json:
         print(
             f"plain append: {doc['plain_append_ns']:.0f} ns; "
-            f"record hook ({doc.get('record_kernel', '?')} kernel): "
-            f"{derived.get('tracked_batching_vs_plain', float('nan')):.1f}x plain "
-            f"(legacy {derived.get('record_batching_vs_plain', float('nan')):.1f}x); "
-            f"tracked append: {derived.get('fastpath_vs_plain', float('nan')):.1f}x; "
+            f"record hook: "
+            f"{derived.get('record_batching_vs_plain', float('nan')):.1f}x plain; "
             f"batching: {derived.get('batching_vs_plain', float('nan')):.1f}x; "
             f"remote: {derived.get('remote_vs_plain', float('nan')):.1f}x "
             f"(shm {derived.get('shm_vs_plain', float('nan')):.1f}x, "
@@ -1083,15 +961,12 @@ def run(args: argparse.Namespace) -> int:
             f"guard: {derived.get('guard_vs_plain', float('nan')):.1f}x",
             file=sys.stderr,
         )
-    if doc.get("record_kernel") == "python" and not args.json:
-        print(
-            "bench: NOT-ENFORCED — compiled _fastrecord extension absent; "
-            "ratios above were measured on the pure-python record kernel "
-            "and are not comparable to C-kernel baselines or ceilings",
-            file=sys.stderr,
-        )
     if args.append_trajectory:
-        line = append_trajectory(doc, args.append_trajectory)
+        try:
+            line = append_trajectory(doc, args.append_trajectory)
+        except ValueError as exc:
+            print(f"bench: {exc}", file=sys.stderr)
+            return 2
         print(f"trajectory += {line}", file=sys.stderr)
     if args.check:
         baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))

@@ -2,10 +2,9 @@
 
 Mixed fleets are diagnosable only if every surface — ``dsspy
 --version``, STATS, checkpoints — reports the *same* blob: package
-version, wire-protocol version range, on-disk format versions, and
-whether the C record kernel is compiled in.  Keep additions here (not
-scattered per-command) so the compat-matrix job and the runbook have
-one schema to read.
+version, wire-protocol version range and on-disk format versions.
+Keep additions here (not scattered per-command) so the compat-matrix
+job and the runbook have one schema to read.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Any
 def build_info() -> dict[str, Any]:
     """Version/format identity of this build, JSON-ready."""
     from . import __version__
-    from .events.fastpath import KERNEL
     from .service.durability import CHECKPOINT_VERSION, JOURNAL_VERSION
     from .service.protocol import PROTOCOL_MIN_SUPPORTED, PROTOCOL_VERSION
 
@@ -26,7 +24,9 @@ def build_info() -> dict[str, Any]:
         "proto_min": PROTOCOL_MIN_SUPPORTED,
         "journal_format": JOURNAL_VERSION,
         "checkpoint_format": CHECKPOINT_VERSION,
-        "kernel": KERNEL,
+        # An older ``dsspy sessions`` indexes build['kernel'] in a newer
+        # daemon's STATS; the one record path is pure python.
+        "kernel": "python",
     }
 
 

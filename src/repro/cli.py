@@ -74,7 +74,13 @@ def _rank_with_predictions(report, cores: int = 8):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .events import make_channel, parse_sampling, read_profiles, save_profiles
+    from .events import (
+        BatchingChannel,
+        SynchronousChannel,
+        parse_sampling,
+        read_profiles,
+        save_profiles,
+    )
     from .instrument import RewriteConfig, run_instrumented_file
     from .usecases import UseCaseEngine, format_summary, format_table_v
     from .viz import render_profile
@@ -87,9 +93,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(format_summary(report, name=str(args.load)))
         return 0
 
-    if args.spill and args.channel != "batch":
-        print("--spill requires --channel batch", file=sys.stderr)
-        return 2
     if args.remote and args.spill:
         print("--remote and --spill are mutually exclusive", file=sys.stderr)
         return 2
@@ -112,16 +115,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
+        elif args.spill:
+            channel = BatchingChannel(batch_size=args.batch_size, spill=args.spill)
         else:
-            # The encode-at-record fast path rides on the packed batch
-            # channel; --record-fastpath off keeps the legacy tuple
-            # pipeline (the differential oracle's reference encoder).
-            channel_name = args.channel
-            if channel_name == "batch" and args.record_fastpath == "auto":
-                channel_name = "packed"
-            channel = make_channel(
-                channel_name, batch_size=args.batch_size, spill=args.spill
-            )
+            channel = SynchronousChannel()
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -1212,12 +1209,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--save", default=None, help="archive profiles to JSONL")
     analyze.add_argument("--load", default=None, help="analyze an archived JSONL instead")
     analyze.add_argument(
-        "--channel",
-        choices=("sync", "async", "batch", "process"),
-        default="sync",
-        help="event transport (batch = per-thread buffered, lowest overhead)",
-    )
-    analyze.add_argument(
         "--sample",
         default="all",
         metavar="SPEC",
@@ -1235,20 +1226,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--spill",
         default=None,
         metavar="PATH",
-        help="spill raw events to a binary file (requires --channel batch)",
+        help="spill raw events to a binary file (records through the "
+        "per-thread batching channel)",
     )
     analyze.add_argument(
         "--batch-size",
         type=int,
         default=1024,
-        help="events buffered per thread before a batched flush",
+        help="events per flushed batch with --spill or --remote",
     )
     analyze.add_argument(
         "--remote",
         default=None,
         metavar="HOST:PORT",
         help="stream events to a dsspy daemon (see 'dsspy serve') instead of "
-        "keeping the capture purely in-process; overrides --channel",
+        "keeping the capture purely in-process",
     )
     analyze.add_argument(
         "--transport",
@@ -1257,14 +1249,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --remote: ship events over the TCP/Unix socket, or "
         "offer a same-host shared-memory ring (falls back to the socket "
         "when the daemon declines)",
-    )
-    analyze.add_argument(
-        "--record-fastpath",
-        choices=("auto", "off"),
-        default="auto",
-        help="with --channel batch: 'auto' engages the encode-at-record "
-        "fast path (compiled kernel when built, packed byte buffers); "
-        "'off' keeps the legacy tuple pipeline",
     )
     analyze.add_argument(
         "--remote-give-up",

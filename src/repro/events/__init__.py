@@ -6,16 +6,17 @@ paper): every interaction with an instrumented data structure becomes an
 :class:`EventCollector`, and post-mortem assembly yields one
 :class:`RuntimeProfile` per data structure instance.
 
-The recording pipeline has three cost tiers: plain channels
-(:class:`SynchronousChannel`, :class:`AsyncChannel`,
-:class:`ProcessChannel`), the batched low-overhead transport
-(:class:`BatchingChannel`, optionally spilling to a binary file via
-:mod:`~repro.events.spill`), and event sampling
-(:class:`SamplingPolicy` and friends) applied before the channel post.
+Recording is one tuple path: :meth:`EventCollector.record` applies the
+firewall and the optional event sampling (:class:`SamplingPolicy` and
+friends), then hands the raw tuple to one of two channels — the
+default :class:`SynchronousChannel`, or the drainer-threaded
+:class:`BatchingChannel` (optionally spilling to a binary file via
+:mod:`~repro.events.spill`, and the base of the service layer's
+``RemoteChannel``).
 """
 
-from .batching import BatchingChannel, make_channel
-from .channel import AsyncChannel, Channel, ProcessChannel, SynchronousChannel
+from .batching import BatchingChannel
+from .channel import Channel, SynchronousChannel
 from .collector import (
     EventCollector,
     collecting,
@@ -25,7 +26,6 @@ from .collector import (
     reset_ambient,
 )
 from .event import AccessEvent, materialize
-from .fastpath import KERNEL, PackedBatchingChannel, PyRecorder, kernel_name, make_recorder
 from .merge import merge_archives, merge_profiles
 from .profile import NO_POSITION, AllocationSite, RuntimeProfile
 from .sampling import (
@@ -61,19 +61,14 @@ __all__ = [
     "AccessEvent",
     "AccessKind",
     "AllocationSite",
-    "AsyncChannel",
     "BatchingChannel",
     "Burst",
     "Channel",
     "Decimate",
     "EventCollector",
     "FRONT",
-    "KERNEL",
     "NO_POSITION",
     "OperationKind",
-    "PackedBatchingChannel",
-    "ProcessChannel",
-    "PyRecorder",
     "RECORD_ALL",
     "RECORD_SIZE",
     "RecordAll",
@@ -88,10 +83,7 @@ __all__ = [
     "get_collector",
     "iter_spill_events",
     "iter_spill_raw",
-    "kernel_name",
     "load_profiles",
-    "make_channel",
-    "make_recorder",
     "materialize",
     "merge_archives",
     "merge_profiles",

@@ -1,23 +1,22 @@
 """Batched event transport: per-thread buffers, periodic harvest, spill.
 
-:class:`~repro.events.channel.AsyncChannel` pays one queue put per
-event *and* one Python-loop iteration on its drainer thread per event —
-on the single-core hosts this reproduction targets, both halves
-serialize and the per-event cost roughly doubles over a plain append.
-PROMPT and TASKPROF attack exactly this with per-thread buffering: the
-hot path becomes a bare ``list.append`` and everything batchable is
-batched.
+A queue-fed drainer would pay one queue put per event *and* one
+Python-loop iteration on its drainer thread per event — on the
+single-core hosts this reproduction targets, both halves serialize and
+the per-event cost roughly doubles over a plain append.  PROMPT and
+TASKPROF attack exactly this with per-thread buffering: the hot path
+becomes a bare ``list.append`` and everything batchable is batched.
 
 :class:`BatchingChannel` takes the idea to its CPython limit.  Each
 producer thread owns a flat list of event tuples that is **never
 replaced**: the drainer thread harvests it every ``flush_interval``
 with a GIL-atomic slice-and-delete (``batch = buf[:n]; del buf[:n]``),
 so producers can cache the buffer's *bound* ``append`` and record an
-event for the cost of a single C call (~25 ns, vs ~200 ns through the
-async queue).  :meth:`producer` hands out that cached fast path; the
-generic :meth:`post` resolves the calling thread's producer through a
-``threading.local`` and stays protocol-compatible with the other
-channels.
+event for the cost of a single C call (~25 ns, vs ~200 ns through a
+queue).  :meth:`producer` hands out that cached fast path; the generic
+:meth:`post` resolves the calling thread's producer through a
+``threading.local`` and stays protocol-compatible with
+:class:`~repro.events.channel.SynchronousChannel`.
 
 Backpressure is explicit: ``max_buffered`` bounds the events held in
 RAM, and ``policy`` picks what happens at the bound — ``"block"``
@@ -425,33 +424,3 @@ class BatchingChannel:
     def policy(self) -> str:
         return self._policy
 
-
-def make_channel(
-    name: str,
-    batch_size: int = 4096,
-    spill: str | Path | None = None,
-):
-    """Channel factory behind the CLI's ``--channel`` flag.
-
-    ``sync`` | ``async`` | ``batch`` | ``packed`` | ``process``;
-    ``spill`` and ``batch_size`` only apply to ``batch``/``packed``.
-    ``packed`` is the encode-at-record fast path
-    (:class:`~repro.events.fastpath.PackedBatchingChannel`).
-    """
-    from .channel import AsyncChannel, ProcessChannel, SynchronousChannel
-    from .fastpath import PackedBatchingChannel
-
-    key = name.strip().lower()
-    if key in ("sync", "synchronous"):
-        return SynchronousChannel()
-    if key in ("async", "asynchronous"):
-        return AsyncChannel()
-    if key in ("batch", "batching"):
-        return BatchingChannel(batch_size=batch_size, spill=spill)
-    if key in ("packed", "fast", "fastpath"):
-        return PackedBatchingChannel(batch_size=batch_size, spill=spill)
-    if key == "process":
-        return ProcessChannel()
-    raise ValueError(
-        f"unknown channel {name!r}; expected sync, async, batch, packed, or process"
-    )

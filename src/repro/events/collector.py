@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from ..runtime.guard import ACTIVE_GUARD
-from .channel import AsyncChannel, Channel, SynchronousChannel
+from .channel import Channel, SynchronousChannel
 from .profile import AllocationSite, RuntimeProfile, route_records
 from .sampling import RecordAll, SamplingPolicy
 from .types import AccessKind, OperationKind, StructureKind
@@ -42,10 +42,9 @@ class EventCollector:
     ----------
     channel:
         Event transport; defaults to a :class:`SynchronousChannel`.
-        Pass an :class:`AsyncChannel` to decouple recording from
-        accumulation the way the paper's analysis process does, or a
-        :class:`~repro.events.batching.BatchingChannel` for the
-        low-overhead batched pipeline.
+        Pass a :class:`~repro.events.batching.BatchingChannel` to
+        decouple recording from accumulation the way the paper's
+        analysis process does.
     capture_wall_time:
         When true, each event also carries ``time.perf_counter()``.
         Off by default: the analyses need only ordering, and logical
@@ -55,16 +54,6 @@ class EventCollector:
         before the channel post.  ``None`` (and :class:`RecordAll`)
         keep the full-capture hot path unchanged — not even a policy
         call is paid.
-    fastpath:
-        ``"auto"`` (default) engages the encode-at-record fast path of
-        :mod:`repro.events.fastpath` when the channel supports it (a
-        :class:`~repro.events.fastpath.PackedBatchingChannel`), no
-        sampling policy is installed, and wall-time capture is off: the
-        :meth:`record` entry point is replaced *on this instance* by a
-        pre-bound record kernel that packs events straight into
-        per-thread byte buffers.  ``"off"`` keeps the legacy
-        tuple-object path regardless of the channel — the testing
-        oracle uses it to diff the two encoders byte for byte.
     """
 
     def __init__(
@@ -72,10 +61,7 @@ class EventCollector:
         channel: Channel | None = None,
         capture_wall_time: bool = False,
         sampling: SamplingPolicy | None = None,
-        fastpath: str = "auto",
     ) -> None:
-        if fastpath not in ("auto", "off"):
-            raise ValueError(f"fastpath must be 'auto' or 'off', got {fastpath!r}")
         self._channel: Channel = channel if channel is not None else SynchronousChannel()
         self._post = self._channel.post
         self._tls = threading.local()
@@ -90,15 +76,6 @@ class EventCollector:
         self._thread_ids: dict[int, int] = {}
         self._finished = False
         self._assembled = 0
-        self._recorder = None
-        self._fastpath_kind: str | None = None
-        if (
-            fastpath == "auto"
-            and self._sampler is None
-            and not capture_wall_time
-            and getattr(self._channel, "packed", False)
-        ):
-            self._enable_fastpath()
 
     # -- registration ---------------------------------------------------
 
@@ -134,63 +111,6 @@ class EventCollector:
                 tid = self._thread_ids.setdefault(native, len(self._thread_ids))
         return tid
 
-    # -- encode-at-record fast path ---------------------------------------
-
-    def _enable_fastpath(self) -> None:
-        """Install the record kernel as this instance's ``record``.
-
-        Pre-bound dispatch: the kernel object *shadows* the class-level
-        :meth:`record` method on this instance, so tracked structures —
-        which cache ``collector.record`` at construction — call the
-        kernel directly with zero Python-level indirection per event.
-        """
-        from .fastpath import kernel_name, make_recorder
-
-        recorder = make_recorder(self._fast_bind, ACTIVE_GUARD, self._record_contained)
-        self._recorder = recorder
-        self._store = recorder.store
-        self._fastpath_kind = kernel_name()
-        add = getattr(self._channel, "add_invalidate_listener", None)
-        if add is not None:
-            add(recorder.invalidate)
-        self.record = recorder  # type: ignore[method-assign]
-
-    def _fast_bind(self) -> tuple[int, bytearray]:
-        """Slow boundary of the fast path (one call per thread per
-        epoch): register the thread, then let the channel enforce its
-        backpressure gate before handing out the packed buffer."""
-        return (self._dense_thread_id(), self._channel.acquire_buffer())
-
-    def _record_contained(
-        self,
-        instance_id: int,
-        op: OperationKind,
-        kind: AccessKind,
-        position: int | None,
-        size: int,
-    ) -> None:
-        """The record kernel's firewall: the kernel diverts every call
-        here while a guard is armed.  Recording is skipped while the
-        breaker is tripped or a profiler internal is running, and a
-        raising kernel or bind (e.g. a backpressure timeout) is
-        contained and counted as a ``record`` fault; nothing is cached
-        on a failed bind, so the next event retries it."""
-        guard = ACTIVE_GUARD[0]
-        if guard is not None and (guard._blocked[0] or guard._tls.inside):
-            return
-        try:
-            self._store(instance_id, op, kind, position, size)
-        except Exception as exc:
-            if guard is None:
-                raise
-            guard.fault("record", exc)
-
-    @property
-    def fastpath(self) -> str | None:
-        """Active record kernel (``"c"`` or ``"python"``), or ``None``
-        when the legacy tuple path is in effect."""
-        return self._fastpath_kind
-
     def _thread_state(self) -> tuple[int, Channel]:
         """Register the calling thread and cache its hot-path pair
         ``(dense thread id, produce callable)`` in a thread-local.
@@ -222,10 +142,6 @@ class EventCollector:
         self-disabling."""
         self._lock = threading.Lock()
         self._tls = threading.local()
-        if self._recorder is not None:
-            # Kernel caches point at the parent's buffer map; drop them
-            # so every thread rebinds into the child's fresh channel.
-            self._recorder.invalidate()
         handler = getattr(self._channel, "_after_fork_child", None)
         if handler is not None:
             handler(policy)
@@ -242,7 +158,7 @@ class EventCollector:
     ) -> None:
         """Record one access event (called by tracked structures).
 
-        The tuple path's firewall lives here, so a guarded event costs
+        This is the recording layer's one firewall site, so a guarded event costs
         this one Python frame between the container method and the
         channel's producer: with a guard armed, recording is skipped
         while the breaker is tripped or a profiler internal is running
@@ -395,22 +311,17 @@ def iter_collectors() -> list[EventCollector]:
 def collecting(
     channel: Channel | None = None,
     capture_wall_time: bool = False,
-    asynchronous: bool = False,
     sampling: SamplingPolicy | None = None,
-    fastpath: str = "auto",
 ) -> Iterator[EventCollector]:
     """Install a fresh collector for the duration of the block.
 
     The collector is finished (channel drained, profiles assembled) on
     exit, so profiles are ready for analysis immediately afterwards.
     """
-    if channel is None and asynchronous:
-        channel = AsyncChannel()
     collector = EventCollector(
         channel=channel,
         capture_wall_time=capture_wall_time,
         sampling=sampling,
-        fastpath=fastpath,
     )
     push_collector(collector)
     try:

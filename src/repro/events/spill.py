@@ -94,8 +94,8 @@ _unpack = unpack_record
 def unpack_records(data: bytes | bytearray | memoryview) -> list[RawEvent]:
     """Decode a block of packed records back into raw event tuples.
 
-    The inverse of the encode-at-record fast path
-    (:mod:`repro.events.fastpath`): ``data`` must be a whole number of
+    The inverse of :func:`pack_record` over a whole block (the shm
+    ring's payload): ``data`` must be a whole number of
     :data:`RECORD_SIZE`-byte records.
     """
     if len(data) % RECORD_SIZE:
@@ -169,19 +169,6 @@ class SpillWriter:
             n += 1
         self._fh.write(bytes(chunk))
         self._count += n
-
-    def write_packed(self, data: bytes | bytearray) -> None:
-        """Write records already packed by the encode-at-record fast
-        path: one ``write``, zero re-encoding."""
-        if self._fh is None:
-            raise RuntimeError("spill writer already closed")
-        if len(data) % RECORD_SIZE:
-            raise ValueError(
-                f"packed block of {len(data)} bytes is not a multiple of "
-                f"the {RECORD_SIZE}-byte record size"
-            )
-        self._fh.write(bytes(data))
-        self._count += len(data) // RECORD_SIZE
 
     def flush(self) -> None:
         if self._fh is not None:

@@ -5,9 +5,7 @@ program must behave identically even when the profiler itself
 misbehaves.  The :class:`RuntimeGuard` enforces that contract at the
 host-process boundary.  When a guard is *armed* (via :func:`arm`, the
 :func:`firewall` context manager, or ``dsspy analyze --guard-budget``),
-every recording hook — the record hook (``EventCollector.record``, or
-on the packed fast path the record kernel, which diverts each call to
-the collector's contained record while a guard is armed),
+every recording hook — the record hook (``EventCollector.record``),
 ``register_instance``, channel ``post``/``flush``, remote sends, the
 exit drain — runs under it:
 
@@ -51,7 +49,7 @@ from .breaker import CircuitBreaker
 
 #: Fault categories the firewall distinguishes (GuardReport keys).
 FAULT_CATEGORIES = (
-    "record",  # EventCollector.record / the record kernel (and its bind)
+    "record",  # EventCollector.record (and its per-thread bind)
     "register",  # instance registration at construction
     "site",  # allocation-site frame walk
     "post",  # channel post/producer

@@ -7,8 +7,8 @@ POSIX shared memory (:mod:`multiprocessing.shared_memory`): the client
 memcpys packed 39-byte records into the ring and publishes a head
 counter; the daemon's consumer thread reads them out at its leisure.
 No syscalls, no serialization, no kernel copies — the packed record
-bytes the encode-at-record fast path produced are the bytes the
-daemon's ingest pipeline consumes.
+bytes the client wrote are the bytes the daemon's ingest pipeline
+consumes.
 
 Layout (64-byte header, then ``capacity_bytes`` of payload)::
 

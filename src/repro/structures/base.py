@@ -14,10 +14,8 @@ Fail-open containment: when a :class:`~repro.runtime.guard.RuntimeGuard`
 is armed, the constructor runs under the exception firewall (a raising
 registration untracks the instance).  Recording needs no guard branch
 here: every event is one call of the cached ``collector.record``, and
-the record hook itself checks the guard per event — the tuple path's
-:meth:`~repro.events.collector.EventCollector.record`, or the record
-kernel, which diverts to the collector's contained record while a
-guard is armed.  Either way recording faults are contained and
+that hook (:meth:`~repro.events.collector.EventCollector.record`)
+checks the guard per event.  Recording faults are contained and
 counted, re-entrant recording from profiler internals is suppressed,
 and recording stops once the circuit breaker trips, also for instances
 built before the guard was armed.  With no guard armed (the default),

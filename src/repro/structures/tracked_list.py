@@ -196,8 +196,7 @@ class TrackedList(TrackedBase):
             self._record(_OP.INSERT, _WRITE, len(data) - 1, self._reported_size())
         else:
             # Inlined hot path: one direct call into the pre-bound
-            # record hook (the collector's record, or the packed kernel
-            # when the fast path is engaged) — no helper frames.
+            # record hook (the collector's record) — no helper frames.
             n = len(data)
             self._record_fn(self._instance_id, _OP_INSERT, _K_WRITE, n - 1, n)
 

@@ -65,8 +65,7 @@ class HostileCollector(EventCollector):
     firewall a real broken transport would: contained and counted under
     an armed guard, skipped entirely once the breaker trips, propagated
     with no guard armed.  ``record_calls`` counts the events that
-    reached the producer.  Injection needs the tuple path; with a
-    packed channel the record kernel bypasses the producer.
+    reached the producer.
 
     Parameters
     ----------

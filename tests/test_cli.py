@@ -243,8 +243,6 @@ class TestAnalyzeRemoteErrorPaths:
             [
                 "analyze",
                 str(legacy_file),
-                "--channel",
-                "batch",
                 "--remote",
                 "127.0.0.1:1",
                 "--spill",

@@ -9,11 +9,10 @@ import pytest
 from repro.events import (
     AccessKind,
     AllocationSite,
-    AsyncChannel,
+    BatchingChannel,
     EventCollector,
     NO_POSITION,
     OperationKind,
-    ProcessChannel,
     RuntimeProfile,
     StructureKind,
     SynchronousChannel,
@@ -197,33 +196,6 @@ class TestChannels:
         with pytest.raises(RuntimeError):
             ch.post((0,))
 
-    def test_async_preserves_order(self):
-        ch = AsyncChannel()
-        for i in range(1000):
-            ch.post((i,))
-        drained = ch.drain()
-        assert drained == [(i,) for i in range(1000)]
-
-    def test_async_drain_idempotent(self):
-        ch = AsyncChannel()
-        ch.post((1,))
-        assert ch.drain() == [(1,)]
-        assert ch.drain() == [(1,)]
-
-    def test_async_post_after_drain_raises(self):
-        ch = AsyncChannel()
-        ch.drain()
-        with pytest.raises(RuntimeError):
-            ch.post((1,))
-
-    def test_process_channel_roundtrip(self):
-        ch = ProcessChannel()
-        for i in range(50):
-            ch.post((i, 0, 0, None, 0, 0, None))
-        drained = ch.drain()
-        assert len(drained) == 50
-        assert drained[0][0] == 0 and drained[-1][0] == 49
-
 
 class TestEventCollector:
     def test_register_and_record(self, collector):
@@ -303,8 +275,8 @@ class TestEventCollector:
         assert len(collector.nonempty_profiles()) == 1
         assert len(collector.profiles()) == 2
 
-    def test_async_channel_collector(self):
-        collector = EventCollector(channel=AsyncChannel())
+    def test_batching_channel_collector(self):
+        collector = EventCollector(channel=BatchingChannel())
         iid = collector.register_instance(StructureKind.LIST)
         for i in range(500):
             collector.record(iid, OperationKind.INSERT, AccessKind.WRITE, i, i + 1)

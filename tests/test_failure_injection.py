@@ -14,7 +14,7 @@ import pytest
 
 from repro.events import (
     AccessKind,
-    AsyncChannel,
+    BatchingChannel,
     EventCollector,
     OperationKind,
     StructureKind,
@@ -68,7 +68,7 @@ class TestLifecycleMisuse:
 
 
 class TestThreadStress:
-    @pytest.mark.parametrize("channel_factory", [None, AsyncChannel])
+    @pytest.mark.parametrize("channel_factory", [None, BatchingChannel])
     def test_concurrent_producers_exact_counts(self, channel_factory):
         collector = EventCollector(
             channel=channel_factory() if channel_factory else None

@@ -16,8 +16,7 @@ import bisect
 
 import pytest
 
-from repro.events import EventCollector, PackedBatchingChannel, collecting
-from repro.events.fastpath import KERNEL
+from repro.events import BatchingChannel, EventCollector, collecting
 from repro.runtime import firewall
 from repro.service import StreamingUseCaseEngine
 from repro.structures import (
@@ -274,13 +273,13 @@ STRUCTURES = {
     ),
 }
 
-class BindRaisingPackedChannel(PackedBatchingChannel):
-    """A packed channel whose bind path dies: the collector's record
-    kernel engages normally, then every record faults inside the
-    kernel's buffer acquisition.  The hardest hostile case for the
-    fast path — the fault fires *after* dispatch was pre-bound."""
+class ProducerRaisingChannel(BatchingChannel):
+    """A batching channel whose per-thread producer lookup dies: every
+    record faults inside ``EventCollector._thread_state``, after the
+    structure has cached ``collector.record``, so nothing is ever bound
+    and each event retries (and faults) again."""
 
-    def acquire_buffer(self) -> bytearray:
+    def producer(self):
         raise RuntimeError("hostile bind")
 
 
@@ -290,7 +289,7 @@ FAULTS = {
     "record-every-3rd": lambda: HostileCollector(every=3),
     "register-raises": lambda: HostileCollector(fail_record=False, fail_register=True),
     "channel-post-raises": lambda: EventCollector(channel=RaisingChannel()),
-    "fastpath-bind-raises": lambda: EventCollector(channel=BindRaisingPackedChannel()),
+    "producer-raises": lambda: EventCollector(channel=ProducerRaisingChannel()),
 }
 
 
@@ -367,45 +366,20 @@ class TestHostileSweep:
         assert tracked_state == plain
 
 
-class TestFastpathUnderFirewall:
-    """The record kernel is the one hook that bypasses per-event Python
-    plumbing — the firewall must contain its faults all the same."""
-
+class TestHealthyBatchingUnderFirewall:
     @pytest.mark.parametrize("kind", sorted(STRUCTURES), ids=str)
-    def test_hostile_bind_contained_with_kernel_engaged(self, kind):
-        make_tracked, make_plain, ops, state_of = STRUCTURES[kind]
-
-        plain = make_plain()
-        plain_results = run_script(plain, ops, "plain")
-
-        collector = EventCollector(channel=BindRaisingPackedChannel())
-        assert collector.fastpath == KERNEL  # the kernel really engaged
-
-        with firewall(budget=10**6) as guard:
-            tracked = make_tracked(collector)
-            tracked_results = run_script(tracked, ops, "tracked")
-            tracked_state = state_of(tracked)
-
-        assert tracked_results == plain_results
-        assert tracked_state == plain
-        report = guard.report()
-        assert report.state == "closed"
-        assert report.faults > 0
-
-    @pytest.mark.parametrize("kind", sorted(STRUCTURES), ids=str)
-    def test_healthy_fastpath_under_guard_is_faultless(self, kind):
+    def test_healthy_batching_under_guard_is_faultless(self, kind):
         make_tracked, _make_plain, ops, _state_of = STRUCTURES[kind]
 
-        channel = PackedBatchingChannel()
+        channel = BatchingChannel()
         collector = EventCollector(channel=channel)
-        assert collector.fastpath == KERNEL
         with firewall(budget=25) as guard:
             run_script(make_tracked(collector), ops, "tracked")
 
         report = guard.report()
         assert report.faults == 0
         assert not report.tripped
-        # The kernel kept packing while guarded: events are all there.
+        # The drainer kept harvesting while guarded: events are all there.
         assert len(channel.drain()) > 0
 
 

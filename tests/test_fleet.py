@@ -41,7 +41,7 @@ REPO = Path(__file__).resolve().parent.parent
 def _ingest(address: str, session_id: str, events: int = 40) -> None:
     """One complete remote session: register, record, drain (FIN)."""
     channel = RemoteChannel(address, session_id=session_id, give_up_after=15.0)
-    collector = EventCollector(channel=channel, fastpath="off")
+    collector = EventCollector(channel=channel)
     iid = collector.register_instance(StructureKind.LIST)
     for i in range(events):
         collector.record(iid, OperationKind.READ, AccessKind.READ, i % 10, 10)

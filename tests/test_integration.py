@@ -2,7 +2,7 @@
 
 These exercise the seams unit tests don't: multithreaded capture →
 per-thread detection, selective profiling, capture → persist → mine,
-detect → auto-transform, and the async channel under the full pipeline.
+detect → auto-transform, and the batching channel under the full pipeline.
 """
 
 from __future__ import annotations
@@ -158,14 +158,14 @@ class TestDetectThenTransform:
         assert namespace["build"]() == run.result
 
 
-class TestAsyncPipeline:
-    def test_async_channel_end_to_end(self):
-        from repro.events import AsyncChannel, EventCollector, push_collector, pop_collector
+class TestBatchingPipeline:
+    def test_batching_channel_end_to_end(self):
+        from repro.events import BatchingChannel, EventCollector, pop_collector, push_collector
 
-        collector = EventCollector(channel=AsyncChannel())
+        collector = EventCollector(channel=BatchingChannel())
         push_collector(collector)
         try:
-            xs = TrackedList(label="async")
+            xs = TrackedList(label="batched")
             for i in range(2000):
                 xs.append(i)
         finally:
@@ -173,7 +173,7 @@ class TestAsyncPipeline:
         collector.finish()
         report = UseCaseEngine().analyze_collector(collector)
         assert {u.kind for u in report.use_cases} == {UseCaseKind.LONG_INSERT}
-        profile = collector.profiles_by_label()["async"]
+        profile = collector.profiles_by_label()["batched"]
         assert list(profile.seqs) == list(range(len(profile)))
 
 

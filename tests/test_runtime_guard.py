@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.events import collecting
+from repro.events import EventCollector, collecting
 from repro.events.batching import BatchingChannel
 from repro.runtime import (
     CircuitBreaker,
@@ -224,6 +224,179 @@ class TestFirewall:
         assert "open" in text
         assert "post" in text
         assert "boom" in text
+
+
+class FlakyBindChannel(BatchingChannel):
+    """A batching channel whose per-thread producer lookup — the record
+    hook's bind, reached from ``EventCollector._thread_state`` — raises
+    like a backpressure timeout for the next ``failures`` calls, then
+    recovers."""
+
+    def __init__(self, **kwargs) -> None:
+        self.failures = 0
+        self.binds = 0
+        super().__init__(**kwargs)
+
+    def producer(self):
+        self.binds += 1
+        if self.failures:
+            self.failures -= 1
+            raise RuntimeError("backpressure: nothing drained them within 0.05s")
+        return super().producer()
+
+
+def _in_new_thread(work) -> None:
+    """Run ``work`` on a thread the collector has not bound yet, so its
+    first record goes through the bind; re-raise what it raised."""
+    errors: list[BaseException] = []
+
+    def run():
+        try:
+            work()
+        except BaseException as exc:  # noqa: BLE001 - handed to the caller
+            errors.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    if errors:
+        raise errors[0]
+
+
+def _built_unguarded() -> tuple[FlakyBindChannel, EventCollector, TrackedList]:
+    """A list built and used with no guard armed, which binds the
+    calling thread's producer."""
+    channel = FlakyBindChannel()
+    collector = EventCollector(channel=channel)
+    xs = TrackedList(collector=collector)
+    xs.append(0)
+    return channel, collector, xs
+
+
+def _recorded(collector: EventCollector, xs: TrackedList) -> int:
+    """Events recorded for ``xs`` after its constructor's ``Init``."""
+    collector.finish()
+    return len(collector.profile_of(xs.instance_id)) - 1
+
+
+class TestBuiltBeforeTheGuard:
+    """Structures cache ``collector.record`` at construction, so one
+    built before a guard is armed (a module-level container, an outer
+    firewall) keeps calling the same hook.  The firewall is checked per
+    event inside that hook, so such a structure is guarded all the
+    same."""
+
+    def test_tripped_breaker_passes_through(self):
+        channel, collector, xs = _built_unguarded()
+        with firewall(budget=10) as guard:
+            xs.append(1)  # guarded and healthy: recorded
+            guard.trip("test")
+            for i in range(2, 10):
+                xs.append(i)
+            assert xs[5] == 5
+        assert guard.report().faults == 0
+        xs.append(10)  # disarmed: recorded again
+        assert xs.raw() == list(range(11))
+        assert _recorded(collector, xs) == 3
+
+    def test_profiler_internal_recording_is_suppressed(self):
+        channel, collector, xs = _built_unguarded()
+        with firewall(budget=10) as guard:
+            guard._tls.inside = True
+            try:
+                xs.append(1)
+                xs.append(2)
+            finally:
+                guard._tls.inside = False
+            xs.append(3)
+        assert _recorded(collector, xs) == 2
+
+    def test_raising_bind_is_contained_and_retried_per_event(self):
+        channel, collector, xs = _built_unguarded()
+        channel.failures = 5
+
+        def work():
+            for i in range(1, 21):
+                xs.append(i)
+
+        with firewall(budget=10**6) as guard:
+            _in_new_thread(work)
+        assert xs.raw() == list(range(21))
+        report = guard.report()
+        assert report.state == "closed"
+        # Nothing is cached on a failed bind: each of the first five
+        # events retried it and was counted, the sixth bound for good.
+        assert report.by_category["record"] == 5
+        assert channel.binds == 1 + 5 + 1
+        # ...and every later event reached the profile.
+        assert _recorded(collector, xs) == 1 + 15
+
+    def test_half_open_breaker_records_again(self):
+        channel, collector, xs = _built_unguarded()
+        clock = SimClock()
+        guard = arm(RuntimeGuard(budget=1, cooldown=5.0, probation=1.0, clock=clock))
+        channel.failures = 1
+
+        def work():
+            xs.append(1)  # the one bind fault: trips the breaker
+            assert guard.tripped
+            xs.append(2)  # pass-through: no bind attempted
+            clock.advance(5.0)
+            guard.poll()
+            assert not guard.tripped
+            xs.append(3)
+            xs.append(4)
+
+        try:
+            _in_new_thread(work)
+        finally:
+            disarm(guard)
+        assert guard.report().faults == 1
+        assert channel.binds == 1 + 2
+        assert _recorded(collector, xs) == 3
+
+
+class TestBindTimesOutOnceThenRecovers:
+    @pytest.mark.parametrize("built", ["before-arming", "under-guard"])
+    def test_later_events_reach_the_profile(self, built):
+        channel = FlakyBindChannel()
+        collector = EventCollector(channel=channel)
+        made: list[TrackedList] = []
+        if built == "before-arming":
+            made.append(TrackedList(collector=collector))
+        channel.failures = 1
+
+        def work():
+            if built == "under-guard":
+                made.append(TrackedList(collector=collector))
+            for i in range(150):
+                made[0].append(i)
+
+        with firewall(budget=10**6) as guard:
+            _in_new_thread(work)
+        xs = made[0]
+        assert xs.raw() == list(range(150))
+        # One event (the first append, or the constructor's Init) lost
+        # to the timed-out bind; the next event bound and every later
+        # one was recorded.
+        assert guard.report().faults == 1
+        assert _recorded(collector, xs) == 149
+
+
+class TestWithoutAGuard:
+    def test_raising_bind_fails_loud(self):
+        channel, collector, xs = _built_unguarded()
+        channel.failures = 1
+
+        def work():
+            with pytest.raises(RuntimeError, match="backpressure"):
+                xs.append(1)
+            xs.append(2)  # the failed bind cached nothing: this one binds
+
+        _in_new_thread(work)
+        assert xs.raw() == [0, 1, 2]
+        assert _recorded(collector, xs) == 2
 
 
 class TestCaptureSite:

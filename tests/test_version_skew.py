@@ -191,7 +191,7 @@ class TestBuildInfo:
         assert info["proto"] == PROTOCOL_VERSION
         assert info["proto_min"] == PROTOCOL_MIN_SUPPORTED
         assert info["journal_format"] == JOURNAL_VERSION
-        assert info["kernel"] in ("c", "python")
+        assert info["kernel"] == "python"
 
     def test_format_build_info_is_one_line(self):
         line = format_build_info()
