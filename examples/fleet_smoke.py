@@ -44,8 +44,7 @@ def _batch_use_cases(session_id, trace):
 def main() -> int:
     from repro.service import FleetSupervisor, fetch_stats, shard_for
     from repro.service.client import ServiceClient
-    from repro.testing import generate_trace
-    from repro.testing.oracle import run_daemon_path
+    from repro.testing import generate_trace, ship_trace
 
     traces = {f"fleet-smoke-s{i}": generate_trace(20 + i) for i in range(N_SESSIONS)}
     expected = set()
@@ -75,7 +74,7 @@ def main() -> int:
             for session_id, trace in traces.items():
                 if session_id == victim_session:
                     continue
-                run_daemon_path(
+                ship_trace(
                     trace, fleet.address, window=64,
                     retry_delay=0.1, session_id=session_id,
                 )
@@ -127,7 +126,7 @@ def main() -> int:
             # Phase 3: resume the interrupted session through the router
             # (the stable hash lands it back on the restarted worker)
             # and finish it.
-            run_daemon_path(
+            ship_trace(
                 trace, fleet.address, window=64,
                 retry_delay=0.1, session_id=victim_session,
             )

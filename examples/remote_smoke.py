@@ -171,8 +171,13 @@ def run_crash_recovery(seed: int = 11) -> int:
     must equal the no-crash batch report of the same trace."""
     from repro.service import fetch_stats
     from repro.service.client import ServiceClient
-    from repro.testing import generate_trace, run_batch_path, summarize_report
-    from repro.testing.oracle import diff_summaries, run_daemon_path
+    from repro.testing import (
+        diff_summaries,
+        generate_trace,
+        run_batch_path,
+        ship_trace,
+        summarize_report,
+    )
 
     trace = generate_trace(seed)
     expected = summarize_report(run_batch_path(trace))
@@ -214,7 +219,7 @@ def run_crash_recovery(seed: int = 11) -> int:
         )
 
         try:
-            report = run_daemon_path(
+            report, _, _ = ship_trace(
                 trace, address, window=64, retry_delay=0.1, session_id=session_id
             )
         finally:

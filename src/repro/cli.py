@@ -42,11 +42,12 @@ Subcommands:
     roll its workers onto the current code one at a time: drain,
     checkpoint, migrate the shard state, respawn, resume.
 
-``dsspy selftest``
-    Differential self-verification: N seeded trials, each pushing a
-    randomized trace through batch analysis, the streaming engine, and
-    a live daemon behind a fault-injecting proxy, asserting all three
-    agree exactly.  Failing seeds are shrunk to a minimal trace.
+``dsspy chaos``
+    Seeded soak: each trial pushes a randomized trace through batch
+    analysis, the streaming engine, and a live daemon behind network,
+    disk, storm and upgrade faults, asserting all three agree exactly
+    and that the no-silent-loss ledger balances.  The first violating
+    trial is shrunk to a minimal trace.
 
 ``dsspy bench``
     The recording-overhead benchmark (:mod:`repro.bench`): measure
@@ -1062,69 +1063,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     return 1 if summary["failures"] or not merged["complete"] else 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    from .testing import FAULT_KINDS, DifferentialOracle
-
-    if args.faults == "none":
-        kinds: tuple[str, ...] = ()
-        intensity = 0.0
-    else:
-        kinds = tuple(k.strip() for k in args.faults.split(",") if k.strip())
-        unknown = [k for k in kinds if k not in FAULT_KINDS]
-        if unknown:
-            print(
-                f"unknown fault kind(s) {unknown}; choose from {FAULT_KINDS} or 'none'",
-                file=sys.stderr,
-            )
-            return 2
-        intensity = args.fault_intensity
-    failures = 0
-    trials_run = 0
-    faults_injected = 0
-    events_checked = 0
-    first_failure = None
-    with DifferentialOracle(
-        window=args.window,
-        fault_intensity=intensity,
-        fault_kinds=kinds or ("reset",),
-        max_faults=args.max_faults,
-    ) as oracle:
-        for i in range(args.trials):
-            result = oracle.run_trial(args.seed + i)
-            trials_run += 1
-            faults_injected += result.faults_injected
-            events_checked += result.events
-            if not result.ok:
-                failures += 1
-                print(result.describe())
-                if first_failure is None:
-                    first_failure = result
-                if args.stop_on_failure:
-                    break
-            elif args.progress and trials_run % args.progress == 0:
-                print(
-                    f"  {trials_run}/{args.trials} trials ok "
-                    f"({events_checked} events, {faults_injected} faults)"
-                )
-        print(
-            f"selftest: {trials_run} trials, {failures} failures, "
-            f"{events_checked} events checked, {faults_injected} faults injected"
-        )
-        if first_failure is not None and args.shrink:
-            print("shrinking first failing trace ...")
-            minimal = oracle.shrink_failure(first_failure)
-            print(f"minimal reproduction: {minimal.describe()}")
-            for raw in minimal.events:
-                print(f"  {raw}")
-            print(
-                "reproduce locally with: dsspy selftest "
-                f"--trials 1 --seed {first_failure.seed} "
-                f"--faults {args.faults} --fault-intensity {intensity} "
-                f"--window {args.window}"
-            )
-    return 1 if failures else 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -1144,9 +1082,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         monitor=InvariantMonitor(recovery_bound=args.recovery_bound),
     )
 
+    first_violation = []
+
     def progress(result) -> None:
         if not result.ok:
             print(result.describe(), file=sys.stderr)
+            if result.trace is not None and not first_violation:
+                first_violation.append(result)
         elif args.progress and (result.seed - args.seed + 1) % args.progress == 0:
             print(
                 f"  {result.seed - args.seed + 1} trials ok "
@@ -1164,6 +1106,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             progress=progress,
             stop_on_violation=args.stop_on_violation,
         )
+        if first_violation:
+            _print_shrunk_reproduction(soak, first_violation[0], args)
     finally:
         soak.close()
     # stdout is the machine-readable soak summary; per-trial detail is
@@ -1177,6 +1121,27 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0 if summary["ok"] else 1
+
+
+def _print_shrunk_reproduction(soak, result, args: argparse.Namespace) -> None:
+    """Shrink a violating inproc trial's trace and print it, with the
+    command that replays the trial, to stderr."""
+    print(f"shrinking the trace of seed {result.seed} ...", file=sys.stderr)
+    try:
+        minimal = soak.shrink_failure(result)
+    except ValueError:
+        print("the violation did not reproduce on replay", file=sys.stderr)
+    else:
+        print(f"minimal reproduction: {minimal.describe()}", file=sys.stderr)
+        for raw in minimal.events:
+            print(f"  {raw}", file=sys.stderr)
+    print(
+        f"replay with: dsspy chaos --trials 1 --seed {result.seed} "
+        f"--fault-intensity {args.fault_intensity} --max-faults {args.max_faults} "
+        f"--window {args.window} --disk-fault-rate {args.disk_fault_rate} "
+        f"--storm-rate {args.storm_rate} --upgrade-rate {args.upgrade_rate}",
+        file=sys.stderr,
+    )
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -1664,47 +1629,6 @@ def build_parser() -> argparse.ArgumentParser:
         "number of shard-NN directories present)",
     )
     fsck.set_defaults(fn=_cmd_fsck)
-
-    selftest = sub.add_parser(
-        "selftest",
-        help="seeded differential trials: batch vs streaming vs faulted daemon",
-    )
-    selftest.add_argument(
-        "--trials", type=int, default=100, help="number of seeded trials"
-    )
-    selftest.add_argument(
-        "--seed", type=int, default=0, help="base seed (trial i uses seed+i)"
-    )
-    selftest.add_argument(
-        "--faults",
-        default="reset,duplicate,reorder,corrupt,chunk,stall,kill",
-        help="comma-separated fault kinds to inject, or 'none'",
-    )
-    selftest.add_argument(
-        "--fault-intensity",
-        type=float,
-        default=0.2,
-        help="per-EVENTS-frame fault probability",
-    )
-    selftest.add_argument(
-        "--max-faults", type=int, default=8, help="fault budget per trial"
-    )
-    selftest.add_argument(
-        "--window", type=int, default=64, help="events per shipped window"
-    )
-    selftest.add_argument(
-        "--progress", type=int, default=50, metavar="N",
-        help="print a progress line every N trials (0 = quiet)",
-    )
-    selftest.add_argument(
-        "--no-shrink", dest="shrink", action="store_false",
-        help="skip minimizing the first failing trace",
-    )
-    selftest.add_argument(
-        "--keep-going", dest="stop_on_failure", action="store_false",
-        help="run all trials even after a failure",
-    )
-    selftest.set_defaults(fn=_cmd_selftest)
 
     chaos = sub.add_parser(
         "chaos",

@@ -633,6 +633,10 @@ class ProfilingDaemon:
             )
             return None
         with self._sessions_lock:
+            # crash() and park() set _closed before they take this lock,
+            # so a HELLO that passes here is in the table they tear down.
+            if self._closed:
+                raise ProtocolError("daemon is shutting down")
             session = self.sessions.get(session_id)
             if session is None:
                 session = Session(
@@ -912,10 +916,10 @@ class ProfilingDaemon:
     def purge_sessions(self) -> None:
         """Finalize and evict every session, removing its journal.
 
-        The differential oracle calls this between trials: each trial's
-        session (plus any stranded by a reset during HELLO) owns a live
-        pipeline thread and a journal directory, which would otherwise
-        accumulate across hundreds of trials.
+        The chaos soak calls this after each inproc trial: the trial's
+        sessions (plus any stranded by a reset during HELLO) each own a
+        live pipeline thread and a journal directory, which would
+        otherwise accumulate across hundreds of trials.
         """
         with self._sessions_lock:
             sessions = list(self.sessions.values())

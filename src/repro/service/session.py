@@ -339,6 +339,10 @@ class Session:
         #: attached to this session (None until a HELLO negotiates).
         self.proto_version: int | None = None
         self.journal = journal
+        #: Set once the owning daemon generation crashed or parked: the
+        #: journal and the pipeline are closed, so a connection thread
+        #: still holding a frame it read before must not touch them.
+        self._closed = False
         self._checkpoint_every = checkpoint_every
         self._last_checkpoint = 0
         self._admission_stride = max(1, decimate_stride)
@@ -368,6 +372,15 @@ class Session:
     def touch(self) -> None:
         self.last_seen = self._clock.monotonic()
 
+    def _check_open_locked(self) -> None:
+        """Refuse work on a session whose daemon generation is gone.
+        The ProtocolError ends the connection with an ERROR frame; the
+        client's reconnect-and-resume lands on the next generation."""
+        if self._closed:
+            raise ProtocolError(
+                f"session {self.session_id} is closed: its daemon stopped"
+            )
+
     def ingest(self, start: int, raws: list[RawEvent], stage: int = 0) -> int:
         """Accept one EVENTS window; returns how many events were new.
 
@@ -391,6 +404,7 @@ class Session:
         from .governor import ResourcePressure, is_resource_error
 
         with self._lock:
+            self._check_open_locked()
             if self.state == SessionState.FINISHED:
                 raise ProtocolError(f"session {self.session_id} already finished")
             if start > self.received:
@@ -559,6 +573,7 @@ class Session:
 
     def register(self, instance_id: int, kind, site, label) -> None:
         with self._lock:
+            self._check_open_locked()
             if self.journal is not None:
                 self.journal.append_register(
                     [
@@ -601,6 +616,7 @@ class Session:
 
         with self._lock:
             if self._report_dict is None:
+                self._check_open_locked()
                 self._drain_deferred_locked()
                 self.pipeline.close()
                 self._report_dict = report_to_dict(self.engine.report())
@@ -626,6 +642,7 @@ class Session:
         the pipeline had not folded stays only in the journal, which
         is exactly what recovery replays."""
         with self._lock:
+            self._closed = True
             self.pipeline.abort()
             if self.journal is not None:
                 self.journal.close()
@@ -656,6 +673,7 @@ class Session:
             except (OSError, TimeoutError):
                 self.pipeline.abort()
             finally:
+                self._closed = True
                 if self.journal is not None:
                     self.journal.close()
                 self.state = SessionState.DETACHED

@@ -12,11 +12,13 @@ ingest → analysis path reproducible on demand:
 - :mod:`~repro.testing.faults` — a scripted man-in-the-middle
   :class:`~repro.testing.faults.FaultProxy` injecting resets,
   duplicates, reorders, corrupt records, stalls, and partial frames.
-- :mod:`~repro.testing.oracle` — the differential oracle asserting
-  batch, streaming, and full daemon-round-trip analysis agree exactly.
-- :mod:`~repro.testing.chaos` — the time-boxed chaos soak: randomized
-  kill/disk/storm schedules against the no-silent-loss ledger
-  (``dsspy chaos``).
+- :mod:`~repro.testing.oracle` — the batch and streaming analysis
+  paths and the report comparison the differential check is built on.
+- :mod:`~repro.testing.chaos` — the one seeded trial runner (``dsspy
+  chaos``): each trial ships a trace through faults with
+  :func:`~repro.testing.chaos.ship_trace`, asserts batch ≡ streaming ≡
+  daemon, and checks the no-silent-loss ledger under network, disk,
+  storm and upgrade faults.
 - :mod:`~repro.testing.shrink` — delta-debugging minimization of
   failing traces.
 - :mod:`~repro.testing.hostile` — client-side injected faults (raising
@@ -24,14 +26,15 @@ ingest → analysis path reproducible on demand:
   :mod:`repro.runtime`.
 
 Despite the name this package is shipped, not test-only: the ``dsspy
-selftest`` command runs the oracle against the installed code, and the
+chaos`` command runs the soak against the installed code, and the
 clock module is imported by the service itself.
 
 Only :mod:`~repro.testing.clock` is imported eagerly — it is what the
 service layer needs and it has no dependencies back into ``repro``.
-Everything else resolves lazily (PEP 562) because :mod:`faults` and
-:mod:`oracle` import the service package, which itself imports this
-package for the clock; eager imports here would make that a cycle.
+Everything else resolves lazily (PEP 562) because :mod:`faults`,
+:mod:`oracle` and :mod:`chaos` import the service package, which
+itself imports this package for the clock; eager imports here would
+make that a cycle.
 """
 
 from .clock import SYSTEM_CLOCK, Clock, SimClock, SystemClock
@@ -40,6 +43,7 @@ _LAZY = {
     "ChaosSoak": "chaos",
     "ChaosTrialResult": "chaos",
     "InvariantMonitor": "chaos",
+    "ship_trace": "chaos",
     "FAULT_KINDS": "faults",
     "Fault": "faults",
     "FaultFS": "faults",
@@ -51,11 +55,8 @@ _LAZY = {
     "ProfilerBug": "hostile",
     "RaisingChannel": "hostile",
     "make_hostile_collector": "hostile",
-    "DifferentialOracle": "oracle",
-    "TrialResult": "oracle",
     "diff_summaries": "oracle",
     "run_batch_path": "oracle",
-    "run_daemon_path": "oracle",
     "run_streaming_path": "oracle",
     "summarize_report": "oracle",
     "shrink_trace": "shrink",

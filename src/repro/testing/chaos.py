@@ -1,28 +1,33 @@
-"""Chaos soak harness: randomized fault schedules vs. a no-silent-loss ledger.
+"""Chaos soak: the one seeded trial runner for the profiling service.
 
-The differential oracle (:mod:`~repro.testing.oracle`) answers "does one
-trial converge to batch semantics under *network* faults".  This module
-answers the operational question PR 9 cares about: does the service stay
-*accountable* when everything misbehaves at once — workers SIGKILLed
-mid-window, the disk returning ENOSPC/EIO, fsync stalling, and extra
-producers storming the ingest port — for hours, across hundreds of
-seeded trials?
-
-Every trial runs a seeded fault schedule against a fresh daemon (or a
-whole :class:`~repro.service.fleet.FleetSupervisor`) and then asserts
-the **no-silent-loss ledger** via :class:`InvariantMonitor`:
+Every trial turns one seed into a generated trace and a fault schedule,
+ships the trace through a fault-injecting proxy into a fresh daemon
+(or a whole :class:`~repro.service.fleet.FleetSupervisor`), and then
+asserts the **no-silent-loss ledger** via :class:`InvariantMonitor`:
 
 1. every event the producer generated was acknowledged (FIN
    ``received`` equals the trace length);
-2. the recovered report is *exactly* the batch engine's report —
-   crash-recovery may cost duplicates, never data or phantom flags;
+2. the recovered report is *exactly* the batch engine's report, and
+   (inproc) so is the streaming engine's — batch ≡ streaming ≡ daemon,
+   where crash-recovery may cost duplicates, never data or phantom
+   flags;
 3. every refusal the client observed (RETRY-AFTER frames) appears in
    some server-side counter (``refused_windows`` on the governor,
    shed windows on the admission ladder, ``refused_hellos``) — load
    may be shed, but only *with accounting*;
 4. recovery after a kill is time-bounded;
 5. the state directory the trial leaves behind passes
-   :func:`~repro.service.fsck.fsck_state_dir` with zero problems.
+   :func:`~repro.service.fsck.fsck_state_dir` with zero problems;
+6. no event was dropped for an instance the daemon never saw
+   registered (``dropped_unknown_instance``).
+
+Network faults come from :class:`~repro.testing.faults.FaultPlan`
+(resets, duplicates, reorders, corrupt records, chunked frames,
+stalls, daemon kills).  On top of them a trial may draw disk faults, a
+producer storm and a version-skewed upgrade; with those three rates at
+zero the soak is the plain network-fault differential check.  A
+violating inproc trial can be replayed with an explicit trace and
+shrunk to a minimal one (:meth:`ChaosSoak.shrink_failure`).
 
 A deliberately broken rung — e.g. patching
 :class:`~repro.service.governor.ResourceGovernor.note_refused` into a
@@ -30,10 +35,10 @@ no-op — violates invariant 3 within a few dozen seeded trials; that
 detection test is the harness's own smoke alarm.
 
 Disk faults use :class:`~repro.testing.faults.FaultFS`.  An exhausted
-ENOSPC budget would starve a trial forever, so the ship loop plays the
-operator: after :attr:`ChaosSoak.relieve_after` consecutive refusals it
-calls ``fs.relieve()`` ("disk freed") and lets the governor's pressure
-decay bring the daemon back — which exercises exactly the
+ENOSPC budget would starve a trial forever, so :func:`ship_trace` plays
+the operator: after ``relieve_after`` consecutive refusals it calls
+``fs.relieve()`` ("disk freed") and lets the governor's pressure decay
+bring the daemon back — which exercises exactly the
 degrade-then-recover path the ladder exists for.
 
 The ``upgrade`` fault (:attr:`ChaosSoak.upgrade_rate`) replays a
@@ -70,8 +75,10 @@ from .oracle import (
     FAULT_SEED_SALT,
     diff_summaries,
     run_batch_path,
+    run_streaming_path,
     summarize_report,
 )
+from .shrink import shrink_trace
 from .traces import Trace, generate_trace
 
 #: Mixed into the trial seed to derive the disk-fault seed, so the
@@ -80,6 +87,16 @@ DISK_SEED_SALT = 0xD15C_0BAD
 
 #: Mixed into the trial seed for storm-producer traces.
 STORM_SEED_SALT = 0x57012_AB
+
+#: Per-trial counters the soak summary adds up.
+_SUMMED_RESULT_FIELDS = (
+    "events",
+    "faults_injected",
+    "kills",
+    "upgrades",
+    "refusals_observed",
+    "refusals_accounted",
+)
 
 #: Mixed into the trial seed for the upgrade fault's own randomness
 #: (mid-migration fault profile), independent of the other schedules.
@@ -176,9 +193,105 @@ def _offline_replay_notes(state_dir: Path, batch: dict[str, Any]) -> list[str]:
     return notes
 
 
+def ship_trace(
+    trace: Trace,
+    address: str,
+    *,
+    window: int = 64,
+    session_id: str | None = None,
+    fs: FaultFS | None = None,
+    relieve_after: int = 3,
+    max_attempts: int = 600,
+    retry_delay: float = 0.0,
+    recovery_log: list[float] | None = None,
+) -> tuple[dict[str, Any], int, int]:
+    """Ship ``trace`` to a daemon, surviving whatever lies in between;
+    returns ``(report, refusals_observed, final_received)``.
+
+    ``address`` may point at a daemon, a fleet router, or a
+    :class:`~repro.testing.faults.FaultProxy` in front of either.  The
+    loop speaks :class:`~repro.service.client.RemoteChannel`'s recovery
+    protocol synchronously, so a seeded trial replays identically: on
+    any socket or protocol error it reconnects with the same session
+    id, rewinds its cursor to the server's ``received`` count, and
+    resends the tail, until the FIN ACK confirms every event arrived.
+
+    ``session_id`` adopts an existing session (e.g. one begun before a
+    daemon crash) instead of opening a fresh one; the cursor rewind
+    makes the retransmitted prefix a duplicate the daemon skips.
+    RETRY-AFTER frames are counted (the count is later compared with
+    the server's own refusal counters) and, after ``relieve_after``
+    consecutive refusals, the injected ``fs`` is relieved — the seeded
+    stand-in for an operator freeing disk space.  ``retry_delay``
+    spaces reconnects out for daemons that restart in real time (a
+    killed subprocess or fleet worker).  ``recovery_log`` records the
+    span from the first transport error to the next successful send,
+    i.e. client-observed recovery time.
+    """
+    total = len(trace.events)
+    registrations = [inst.registration() for inst in trace.instances]
+    events = trace.events
+    client: ServiceClient | None = None
+    sent = 0
+    observed = 0
+    consecutive = 0
+    outage_start: float | None = None
+    for _attempt in range(max_attempts):
+        try:
+            if client is None:
+                client = ServiceClient(address, session_id=session_id)
+                session_id = client.session_id
+                # The server cursor is authoritative (same rule as
+                # RemoteChannel._connect): a resumed session rewinds,
+                # a fresh one restarts from zero.
+                sent = min(sent, client.server_received) if client.resumed else 0
+                client.register_instances(registrations)
+            while sent < total:
+                n = min(window, total - sent)
+                client.send_events(sent, events[sent : sent + n])
+                sent += n
+                if outage_start is not None:
+                    if recovery_log is not None:
+                        recovery_log.append(time.monotonic() - outage_start)
+                    outage_start = None
+            ack = client.fin()
+            client.close()
+            if ack.get("received") != total:
+                raise AssertionError(
+                    f"daemon acknowledged {ack.get('received')} of {total} events"
+                )
+            return ack["report"], observed, int(ack.get("received", 0))
+        except RetryAfterError as exc:
+            # An accounted refusal, not an outage: count it, give the
+            # server the breather it asked for, and eventually play the
+            # operator and free disk.
+            observed += 1
+            consecutive += 1
+            if client is not None:
+                client.close()
+                client = None
+            if fs is not None and consecutive >= relieve_after:
+                fs.relieve()
+            time.sleep(min(max(exc.retry_after, 0.01), 0.25))
+        except (OSError, ProtocolError):
+            if outage_start is None:
+                outage_start = time.monotonic()
+            consecutive = 0
+            if client is not None:
+                client.close()
+                client = None
+            if retry_delay:
+                time.sleep(retry_delay)
+    raise RuntimeError(
+        f"ship did not converge after {max_attempts} attempts "
+        f"(session {session_id}, {sent}/{total} shipped, "
+        f"{observed} refusals observed)"
+    )
+
+
 @dataclass
 class InvariantMonitor:
-    """The no-silent-loss ledger, as five independent checks.
+    """The no-silent-loss ledger, as independent checks.
 
     Each ``check_*`` returns a list of violation strings (empty when
     the invariant holds); :meth:`check` runs them all.  Kept as small
@@ -197,8 +310,10 @@ class InvariantMonitor:
             ]
         return []
 
-    def check_reports(self, batch: dict[str, Any], daemon: dict[str, Any]) -> list[str]:
-        return diff_summaries("batch", batch, "chaos-daemon", daemon)
+    def check_reports(
+        self, batch: dict[str, Any], other: dict[str, Any], name: str = "chaos-daemon"
+    ) -> list[str]:
+        return diff_summaries("batch", batch, name, other)
 
     def check_ledger(self, observed: int, accounted: int) -> list[str]:
         if observed > accounted:
@@ -215,6 +330,17 @@ class InvariantMonitor:
             return [
                 f"recovery bound exceeded: {len(slow)} recoveries above "
                 f"{self.recovery_bound:.1f}s (worst {max(slow):.2f}s)"
+            ]
+        return []
+
+    def check_drops(self, dropped: int) -> list[str]:
+        """Events the daemon's engine discarded because their instance
+        was never registered.  Well-behaved clients register before
+        they ship, so any drop is loss that no cursor accounts for."""
+        if dropped > 0:
+            return [
+                f"silent drop: the daemon discarded {dropped} events for "
+                f"unregistered instances"
             ]
         return []
 
@@ -240,12 +366,14 @@ class InvariantMonitor:
         accounted_refusals: int,
         recovery_times: list[float],
         fsck_report: dict[str, Any] | None,
+        dropped_unknown: int,
     ) -> list[str]:
         out = self.check_counts(total_events, final_received)
         out += self.check_reports(batch, daemon)
         out += self.check_ledger(observed_refusals, accounted_refusals)
         out += self.check_recovery(recovery_times)
         out += self.check_fsck(fsck_report)
+        out += self.check_drops(dropped_unknown)
         return out
 
 
@@ -270,6 +398,10 @@ class ChaosTrialResult:
     #: Path to the trial's state dir when it was preserved for autopsy
     #: (violating trial under ``preserve_evidence=True``).
     state_dir: str | None = None
+    #: Inproc only: the trace and fault plan the trial ran, so a
+    #: violation can be replayed and shrunk.  Not part of the ledger.
+    trace: Trace | None = None
+    plan: FaultPlan | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -309,8 +441,11 @@ class ChaosSoak:
     :class:`ProfilingDaemon` on its own state dir, optionally with a
     seeded :class:`FaultFS` underneath, fronted by a
     :class:`FaultProxy` whose ``kill`` fault crashes the daemon
-    in-process and times the recovery.  Cheap enough for
-    hundreds-of-trials soaks.
+    in-process and times the recovery.  The trial also feeds the trace
+    to the streaming engine directly, so it checks batch ≡ streaming ≡
+    daemon.  Cheap enough for hundreds-of-trials soaks.  With
+    ``disk_fault_rate``, ``storm_rate`` and ``upgrade_rate`` at zero it
+    is the plain network-fault differential check.
 
     ``backend="fleet"``: each trial starts a real
     :class:`FleetSupervisor` (router + worker subprocesses), ships
@@ -376,7 +511,6 @@ class ChaosSoak:
         self.preserve_evidence = preserve_evidence
         #: State dirs preserved so far (violating trials only).
         self.preserved: list[str] = []
-        self.kills = 0
         self._root = Path(tempfile.mkdtemp(prefix="dsspy-chaos-"))
 
     # -- seeded ingredients ----------------------------------------------
@@ -413,101 +547,41 @@ class ChaosSoak:
             kinds=self.fault_kinds,
         )
 
-    # -- the counting ship loop ------------------------------------------
-
-    def _ship(
-        self,
-        trace: Trace,
-        address: str,
-        *,
-        fs: FaultFS | None = None,
-        window: int | None = None,
-        max_attempts: int = 600,
-        retry_delay: float = 0.0,
-        recovery_log: list[float] | None = None,
-    ) -> tuple[dict[str, Any], int, int]:
-        """:func:`~repro.testing.oracle.run_daemon_path` with a ledger:
-        returns ``(report, refusals_observed, final_received)``.
-
-        RETRY-AFTER frames are counted (that count is later compared
-        against the server's own refusal counters) and, after
-        :attr:`relieve_after` consecutive refusals, the injected
-        ``fs`` is relieved — the seeded stand-in for an operator
-        freeing disk space.  ``recovery_log`` (fleet backend) records
-        the span from the first transport error to the next successful
-        send, i.e. client-observed recovery time.
-        """
-        window = window or self.window
-        total = len(trace.events)
-        registrations = [inst.registration() for inst in trace.instances]
-        events = trace.events
-        client: ServiceClient | None = None
-        session_id: str | None = None
-        sent = 0
-        observed = 0
-        consecutive = 0
-        outage_start: float | None = None
-        for _attempt in range(max_attempts):
-            try:
-                if client is None:
-                    client = ServiceClient(address, session_id=session_id)
-                    session_id = client.session_id
-                    sent = min(sent, client.server_received) if client.resumed else 0
-                    client.register_instances(registrations)
-                while sent < total:
-                    n = min(window, total - sent)
-                    client.send_events(sent, events[sent : sent + n])
-                    sent += n
-                    if outage_start is not None:
-                        if recovery_log is not None:
-                            recovery_log.append(time.monotonic() - outage_start)
-                        outage_start = None
-                ack = client.fin()
-                client.close()
-                if ack.get("received") != total:
-                    raise AssertionError(
-                        f"daemon acknowledged {ack.get('received')} of {total} events"
-                    )
-                return ack["report"], observed, int(ack.get("received", 0))
-            except RetryAfterError as exc:
-                # An accounted refusal, not an outage: count it, give
-                # the server the breather it asked for, and eventually
-                # play the operator and free disk.
-                observed += 1
-                consecutive += 1
-                if client is not None:
-                    client.close()
-                    client = None
-                if fs is not None and consecutive >= self.relieve_after:
-                    fs.relieve()
-                time.sleep(min(max(exc.retry_after, 0.01), 0.25))
-            except (OSError, ProtocolError):
-                if outage_start is None:
-                    outage_start = time.monotonic()
-                consecutive = 0
-                if client is not None:
-                    client.close()
-                    client = None
-                if retry_delay:
-                    time.sleep(retry_delay)
-        raise RuntimeError(
-            f"chaos ship did not converge after {max_attempts} attempts "
-            f"(session {session_id}, {sent}/{total} shipped, "
-            f"{observed} refusals observed)"
-        )
-
     # -- trials -----------------------------------------------------------
 
-    def run_trial(self, seed: int) -> ChaosTrialResult:
+    def run_trial(self, seed: int, trace: Trace | None = None) -> ChaosTrialResult:
+        """One seeded trial.  ``trace`` (inproc only) replaces the
+        seed's generated trace while every fault schedule still comes
+        from ``seed`` — how a violation is replayed and shrunk."""
         if self.backend == "fleet":
+            if trace is not None:
+                raise ValueError("explicit traces need the inproc backend")
             return self._run_trial_fleet(seed)
-        return self._run_trial_inproc(seed)
+        return self._run_trial_inproc(seed, trace)
 
-    def _run_trial_inproc(self, seed: int) -> ChaosTrialResult:
+    def shrink_failure(
+        self, result: ChaosTrialResult, *, max_rounds: int = 200
+    ) -> Trace:
+        """Minimize a violating inproc trial's trace, replaying it with
+        the same seed (and therefore the same fault schedules) each
+        time; see :func:`~repro.testing.shrink.shrink_trace`."""
+        if result.ok or result.trace is None:
+            raise ValueError("can only shrink a violating inproc trial")
+        return shrink_trace(
+            result.trace,
+            lambda candidate: not self.run_trial(result.seed, candidate).ok,
+            max_rounds=max_rounds,
+        )
+
+    def _run_trial_inproc(
+        self, seed: int, trace: Trace | None = None
+    ) -> ChaosTrialResult:
         t_start = time.monotonic()
         rng = random.Random(seed)
-        trace = generate_trace(seed, **self.trace_kwargs)
+        if trace is None:
+            trace = generate_trace(seed, **self.trace_kwargs)
         batch = summarize_report(run_batch_path(trace))
+        streaming = summarize_report(run_streaming_path(trace, window=self.window))
         fs = self.fault_fs_factory(seed)
         state_dir = self._root / f"trial-{seed:08d}"
         plan = self.build_plan(seed)
@@ -566,7 +640,6 @@ class ChaosSoak:
                     raise
                 recovery_times.append(time.monotonic() - t0)
                 kills += 1
-                self.kills += 1
                 return daemon_box["d"].address
 
         daemon_box["d"] = make_daemon()
@@ -655,8 +728,12 @@ class ChaosSoak:
 
                         def storm(i=i, st=storm_trace, sb=storm_batch) -> None:
                             try:
-                                rep, obs, _ = self._ship(
-                                    st, proxy.address, fs=fs, window=16
+                                rep, obs, _ = ship_trace(
+                                    st,
+                                    proxy.address,
+                                    window=16,
+                                    fs=fs,
+                                    relieve_after=self.relieve_after,
                                 )
                                 storm_observed[0] += obs
                                 storm_violations.extend(
@@ -673,7 +750,13 @@ class ChaosSoak:
                         th.start()
                         storm_threads.append(th)
 
-                report, observed, received = self._ship(trace, proxy.address, fs=fs)
+                report, observed, received = ship_trace(
+                    trace,
+                    proxy.address,
+                    window=self.window,
+                    fs=fs,
+                    relieve_after=self.relieve_after,
+                )
                 for th in storm_threads:
                     th.join(timeout=60.0)
                     if th.is_alive():
@@ -689,11 +772,16 @@ class ChaosSoak:
             # Ship threads have joined, so every observed refusal's
             # counter increment (which strictly precedes the RETRY-AFTER
             # send) is already visible in its generation's ledger.
-            accounted = sum(
-                _accounted_refusals(d.stats()) for d in generations
+            all_stats = [d.stats() for d in generations]
+            accounted = sum(_accounted_refusals(st) for st in all_stats)
+            dropped = sum(
+                s["dropped_unknown_instance"]
+                for st in all_stats
+                for s in st["sessions"]
             )
             fsck_report = fsck_state_dir(state_dir)
-            violations = self.monitor.check(
+            violations = self.monitor.check_reports(batch, streaming, "streaming")
+            violations += self.monitor.check(
                 total_events=len(trace.events),
                 final_received=received,
                 batch=batch,
@@ -702,6 +790,7 @@ class ChaosSoak:
                 accounted_refusals=accounted,
                 recovery_times=recovery_times,
                 fsck_report=fsck_report,
+                dropped_unknown=dropped,
             )
             violations += storm_violations
             violations += upgrade_violations
@@ -758,6 +847,8 @@ class ChaosSoak:
             disk_faults=fs.stats() if fs is not None else None,
             elapsed=time.monotonic() - t_start,
             state_dir=preserved,
+            trace=trace,
+            plan=plan,
         )
 
     def _run_trial_fleet(self, seed: int) -> ChaosTrialResult:
@@ -809,7 +900,6 @@ class ChaosSoak:
                     pass
                 sup.kill_worker(idx)
                 kills[0] += 1
-                self.kills += 1
                 return None
 
         violations: list[str] = []
@@ -831,9 +921,11 @@ class ChaosSoak:
 
                 def ship_one(i: int) -> None:
                     try:
-                        rep, obs, recv = self._ship(
+                        rep, obs, recv = ship_trace(
                             traces[i],
                             proxy.address,
+                            window=self.window,
+                            relieve_after=self.relieve_after,
                             max_attempts=400,
                             retry_delay=0.05,
                             recovery_log=recovery_log,
@@ -933,6 +1025,10 @@ class ChaosSoak:
             # no upgrade ran.
             if upgrades[0] == 0:
                 violations += self._check_merged(batches, merged)
+            if merged is not None:
+                violations += self.monitor.check_drops(
+                    int(merged.get("unknown_instance_events", 0))
+                )
             # Refusal ledger is advisory once workers were SIGKILLed or
             # upgraded: refusals landing between the pre-kill/pre-drain
             # snapshot and the process exit are legitimately lost with
@@ -1061,23 +1157,34 @@ class ChaosSoak:
         ledger = None
         if ledger_path is not None:
             ledger = open(ledger_path, "a", encoding="utf-8")
-        results: list[ChaosTrialResult] = []
-        bad_seeds: list[int] = []
+        # Running totals, not a result list: a trial result carries its
+        # trace, and an hours-long soak must not keep every one alive.
+        summary: dict[str, Any] = {
+            "backend": self.backend,
+            "trials": 0,
+            "violations": 0,
+            "seeds_with_violations": [],
+            **dict.fromkeys(_SUMMED_RESULT_FIELDS, 0),
+            "max_recovery": 0.0,
+        }
         try:
-            i = 0
-            while True:
-                if trials is not None and i >= trials:
-                    break
+            while trials is None or summary["trials"] < trials:
                 if (
                     duration is not None
-                    and i > 0
+                    and summary["trials"] > 0
                     and time.monotonic() - t0 >= duration
                 ):
                     break
-                result = self.run_trial(base_seed + i)
-                results.append(result)
+                result = self.run_trial(base_seed + summary["trials"])
+                summary["trials"] += 1
+                summary["violations"] += len(result.violations)
+                for key in _SUMMED_RESULT_FIELDS:
+                    summary[key] += getattr(result, key)
+                summary["max_recovery"] = max(
+                    [summary["max_recovery"], *result.recovery_times]
+                )
                 if not result.ok:
-                    bad_seeds.append(result.seed)
+                    summary["seeds_with_violations"].append(result.seed)
                 if ledger is not None:
                     ledger.write(json.dumps(result.to_dict()) + "\n")
                     ledger.flush()
@@ -1085,28 +1192,13 @@ class ChaosSoak:
                     progress(result)
                 if not result.ok and stop_on_violation:
                     break
-                i += 1
         finally:
             if ledger is not None:
                 ledger.close()
-        elapsed = time.monotonic() - t0
-        return {
-            "backend": self.backend,
-            "trials": len(results),
-            "violations": sum(len(r.violations) for r in results),
-            "seeds_with_violations": bad_seeds,
-            "events": sum(r.events for r in results),
-            "faults_injected": sum(r.faults_injected for r in results),
-            "kills": sum(r.kills for r in results),
-            "upgrades": sum(r.upgrades for r in results),
-            "refusals_observed": sum(r.refusals_observed for r in results),
-            "refusals_accounted": sum(r.refusals_accounted for r in results),
-            "max_recovery": round(
-                max((t for r in results for t in r.recovery_times), default=0.0), 4
-            ),
-            "elapsed": round(elapsed, 3),
-            "ok": not bad_seeds,
-        }
+        summary["max_recovery"] = round(summary["max_recovery"], 4)
+        summary["elapsed"] = round(time.monotonic() - t0, 3)
+        summary["ok"] = not summary["seeds_with_violations"]
+        return summary
 
     def close(self) -> None:
         shutil.rmtree(self._root, ignore_errors=True)
@@ -1126,4 +1218,5 @@ __all__ = [
     "ChaosTrialResult",
     "InvariantMonitor",
     "regress_state_dir_to_v1",
+    "ship_trace",
 ]

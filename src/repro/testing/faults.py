@@ -32,7 +32,7 @@ Faults are drawn from the failure modes a real deployment meets:
     tolerance without slowing the suite meaningfully.
 ``kill``
     The *daemon itself* dies mid-ingest.  The proxy invokes its
-    ``on_kill`` callback — the oracle crashes the daemon (SIGKILL
+    ``on_kill`` callback — the chaos soak crashes the daemon (SIGKILL
     semantics: no flush, no reports) and starts a replacement on the
     same state directory, returning the new address — then tears the
     connection down like a reset.  Without a callback the fault
@@ -151,9 +151,9 @@ class FaultProxy:
     """Man-in-the-middle proxy applying a :class:`FaultPlan`.
 
     Counts EVENTS frames across *all* connections it ever carries, so
-    a plan keeps progressing through client reconnects.  Thread-safe
-    for one logical client (the oracle's usage); multiple concurrent
-    clients would share one fault schedule.
+    a plan keeps progressing through client reconnects.  Concurrent
+    clients (the chaos soak's storm producers) share one fault
+    schedule.
     """
 
     def __init__(

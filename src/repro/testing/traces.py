@@ -1,6 +1,6 @@
 """Seed-reproducible synthetic event traces.
 
-The differential oracle needs inputs that exercise the whole analysis
+The differential check needs inputs that exercise the whole analysis
 vocabulary — all eight primitive access patterns, the compound access
 types, multiple instances, multiple threads, interleaving — while
 staying perfectly reproducible from a single integer seed.  Recording

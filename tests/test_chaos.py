@@ -13,9 +13,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.service.daemon import ProfilingDaemon
 from repro.service.governor import ResourceGovernor
 from repro.testing.chaos import ChaosSoak, InvariantMonitor
 from repro.testing.faults import FaultFS
+
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -57,6 +62,11 @@ class TestInvariantMonitor:
         assert monitor.check_recovery([0.2, 0.9]) == []
         out = monitor.check_recovery([0.2, 1.5])
         assert len(out) == 1 and "recovery bound exceeded" in out[0]
+
+    def test_silent_drops_flagged(self):
+        assert InvariantMonitor().check_drops(0) == []
+        out = InvariantMonitor().check_drops(3)
+        assert len(out) == 1 and "silent drop" in out[0]
 
     def test_fsck_report_optional_and_checked(self):
         monitor = InvariantMonitor()
@@ -137,6 +147,33 @@ class TestInprocSoak:
         assert summary["trials"] <= 50
         first_bad = summary["seeds_with_violations"][0]
         assert first_bad < 50
+
+    def test_ignored_register_is_caught_within_50_trials(self, monkeypatch):
+        # Sensitivity of the drop invariant: the daemon silently ignores
+        # one REGISTER frame, so the events of those instances are
+        # discarded as unknown — the soak must say so.
+        original = ProfilingDaemon._register
+        ignored: list[str] = []
+
+        def register_ignoring_one(self, session, payload):
+            if not ignored:
+                ignored.append(session.session_id)
+                return
+            original(self, session, payload)
+
+        monkeypatch.setattr(ProfilingDaemon, "_register", register_ignoring_one)
+        violations: list[str] = []
+
+        def progress(result):
+            violations.extend(result.violations)
+
+        with ChaosSoak(trace_kwargs=SMALL) as soak:
+            summary = soak.run(
+                trials=50, base_seed=0, progress=progress, stop_on_violation=True
+            )
+        assert ignored
+        assert not summary["ok"]
+        assert any(v.startswith("silent drop") for v in violations), violations
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import textwrap
 
 import pytest
@@ -273,20 +274,49 @@ class TestMalformedHello:
                 sock.close()
 
 
-class TestSelftestCommand:
-    def test_selftest_passes_and_reports(self, capsys):
-        rc = main(["selftest", "--trials", "3", "--faults", "duplicate,reset"])
+class TestNetworkOnlyChaos:
+    """``dsspy chaos`` with disk, storm and upgrade faults off: the
+    batch ≡ streaming ≡ daemon check under network faults alone."""
+
+    NETWORK_ONLY = [
+        "--disk-fault-rate", "0", "--storm-rate", "0", "--upgrade-rate", "0",
+        "--max-faults", "8", "--window", "64", "--progress", "0",
+    ]
+
+    def _chaos(self, capsys, *argv):
+        rc = main(["chaos", *self.NETWORK_ONLY, *argv])
+        captured = capsys.readouterr()
+        return rc, json.loads(captured.out), captured.err
+
+    def test_network_only_chaos_passes_and_reports(self, capsys):
+        rc, summary, err = self._chaos(
+            capsys, "--trials", "3", "--fault-intensity", "0.25"
+        )
+        assert rc == 0, err
+        assert summary["ok"] and summary["trials"] == 3
+        assert summary["upgrades"] == 0 and summary["refusals_observed"] == 0
+        assert "chaos soak (inproc): 3 trials" in err
+
+    def test_network_only_chaos_without_faults(self, capsys):
+        rc, summary, _ = self._chaos(
+            capsys, "--trials", "2", "--fault-intensity", "0"
+        )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "selftest: 3 trials, 0 failures" in out
+        assert summary["faults_injected"] == 0
 
-    def test_selftest_without_faults(self, capsys):
-        assert main(["selftest", "--trials", "2", "--faults", "none"]) == 0
-        assert "0 faults injected" in capsys.readouterr().out
+    def test_violation_prints_shrunk_reproduction(self, capsys, monkeypatch):
+        from repro.service.session import Session
 
-    def test_selftest_rejects_unknown_fault_kind(self, capsys):
-        assert main(["selftest", "--trials", "1", "--faults", "gremlin"]) == 2
-        assert "unknown fault kind" in capsys.readouterr().err
+        # Every REGISTER is lost: each trial violates, and so does any
+        # non-empty trace, so the shrink must end at one event.
+        monkeypatch.setattr(Session, "register", lambda self, *args: None)
+        rc, summary, err = self._chaos(
+            capsys, "--trials", "3", "--fault-intensity", "0", "--stop-on-violation"
+        )
+        assert rc == 1
+        assert summary["seeds_with_violations"] == [0]
+        assert "minimal reproduction: trace(seed=0, 1 instances, 1 events" in err
+        assert "replay with: dsspy chaos --trials 1 --seed 0 " in err
 
 
 class TestWhatIfCommand:

@@ -1,15 +1,18 @@
 """Differential-correctness trials: batch vs streaming vs daemon.
 
-The fast tests here run a few dozen seeded trials with the full fault
-vocabulary on every PR; the 500-trial acceptance sweep is marked
-``slow`` (CI runs it in a dedicated job, locally:
+Every trial here is a :class:`~repro.testing.chaos.ChaosSoak` trial with
+disk, storm and upgrade faults switched off: one seeded trace, one
+seeded network-fault plan, and the assertion that the batch engine,
+the streaming engine and a faulted daemon round trip agree exactly.
+The fast tests run a few dozen of them with the full fault vocabulary;
+the 500-trial acceptance sweep is marked ``slow`` (locally:
 ``pytest -m slow tests/test_differential_oracle.py``).
 
 The harness must not just pass on correct code — it must *fail* on
 broken code.  ``TestOracleCatchesRealBugs`` deliberately breaks the
-daemon's overlap dedup and asserts the oracle notices within a bounded
-number of trials, which is the evidence that the passing runs mean
-something.
+daemon's overlap dedup, or the streaming path, and asserts the soak
+notices within a bounded number of trials, which is the evidence that
+the passing runs mean something.
 """
 
 from __future__ import annotations
@@ -19,12 +22,28 @@ import pytest
 from repro.service.protocol import ProtocolError
 from repro.service.session import Session
 from repro.testing import (
-    DifferentialOracle,
+    ChaosSoak,
     generate_trace,
     run_batch_path,
     run_streaming_path,
     summarize_report,
 )
+
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+
+#: Network faults only: each trial is the plain differential check.
+NETWORK_ONLY = dict(disk_fault_rate=0.0, storm_rate=0.0, upgrade_rate=0.0)
+
+
+def _run_until_violation(soak, trials, base_seed=0):
+    results = []
+    for seed in range(base_seed, base_seed + trials):
+        results.append(soak.run_trial(seed))
+        if not results[-1].ok:
+            break
+    return results
 
 
 class TestPathAgreementNoFaults:
@@ -44,16 +63,16 @@ class TestPathAgreementNoFaults:
             ), f"window {window}"
 
     def test_faultless_oracle_trials(self):
-        with DifferentialOracle(fault_intensity=0.0) as oracle:
-            results = oracle.run_trials(10, base_seed=0)
-        assert all(r.ok for r in results)
+        with ChaosSoak(fault_intensity=0.0, **NETWORK_ONLY) as soak:
+            results = [soak.run_trial(seed) for seed in range(10)]
+        assert all(r.ok for r in results), [r.describe() for r in results]
         assert all(r.faults_injected == 0 for r in results)
 
 
 class TestPathAgreementUnderFaults:
     def test_oracle_trials_with_full_fault_vocabulary(self):
-        with DifferentialOracle(fault_intensity=0.35) as oracle:
-            results = oracle.run_trials(25, base_seed=0)
+        with ChaosSoak(fault_intensity=0.35, **NETWORK_ONLY) as soak:
+            results = [soak.run_trial(seed) for seed in range(25)]
         failures = [r for r in results if not r.ok]
         assert not failures, "\n".join(r.describe() for r in failures)
         # The run must actually have exercised the fault machinery.
@@ -62,22 +81,24 @@ class TestPathAgreementUnderFaults:
         assert len(kinds) >= 4
 
     def test_trials_are_reproducible(self):
-        with DifferentialOracle(fault_intensity=0.35) as oracle:
-            first = oracle.run_trial(3)
-            second = oracle.run_trial(3)
+        with ChaosSoak(fault_intensity=0.35, **NETWORK_ONLY) as soak:
+            first = soak.run_trial(3)
+            second = soak.run_trial(3)
         assert first.ok and second.ok
         assert first.trace.events == second.trace.events
         assert first.plan.faults == second.plan.faults
 
     @pytest.mark.slow
     def test_acceptance_sweep_500_trials(self):
-        """The PR's acceptance criterion: 500 seeded trials through the
-        fault proxy, zero divergence between the three paths."""
-        with DifferentialOracle(fault_intensity=0.25) as oracle:
-            results = oracle.run_trials(500, base_seed=0, stop_on_failure=False)
-        failures = [r for r in results if not r.ok]
-        assert not failures, "\n".join(r.describe() for r in failures)
-        assert sum(r.faults_injected for r in results) >= 100
+        """500 seeded trials through the fault proxy, zero divergence
+        between the three paths, with the network-only ``dsspy chaos``
+        settings CI runs."""
+        with ChaosSoak(
+            fault_intensity=0.25, max_faults=8, window=64, **NETWORK_ONLY
+        ) as soak:
+            summary = soak.run(trials=500, base_seed=0)
+        assert summary["ok"], summary["seeds_with_violations"]
+        assert summary["faults_injected"] >= 100
 
 
 def _ingest_without_overlap_skip(self, start, raws, stage=0):
@@ -101,29 +122,41 @@ def _ingest_without_overlap_skip(self, start, raws, stage=0):
 class TestOracleCatchesRealBugs:
     def test_broken_dedup_is_caught_within_50_trials(self, monkeypatch):
         monkeypatch.setattr(Session, "ingest", _ingest_without_overlap_skip)
-        with DifferentialOracle(
-            fault_intensity=0.4, fault_kinds=("duplicate", "reset")
-        ) as oracle:
-            results = oracle.run_trials(50, base_seed=0, stop_on_failure=True)
-            failures = [r for r in results if not r.ok]
-            assert failures, (
+        with ChaosSoak(
+            fault_intensity=0.4, fault_kinds=("duplicate", "reset"), **NETWORK_ONLY
+        ) as soak:
+            results = _run_until_violation(soak, 50)
+            first = results[-1]
+            assert not first.ok, (
                 "broken overlap dedup survived 50 duplicate/reset trials — "
-                "the oracle has lost its teeth"
+                "the soak has lost its teeth"
             )
-            first = failures[0]
-            assert first.mismatches
+            assert any("chaos-daemon" in v for v in first.violations)
             # Failing trials shrink to something small to stare at.
-            minimal = oracle.shrink_failure(first, max_rounds=60)
+            minimal = soak.shrink_failure(first, max_rounds=60)
             assert len(minimal.events) <= len(first.trace.events)
-            assert not oracle.run_trial(first.seed, trace=minimal).ok
+            assert not soak.run_trial(first.seed, minimal).ok
+
+    def test_streaming_divergence_is_caught(self, monkeypatch):
+        import repro.testing.chaos as chaos
+
+        def one_instance_too_many(trace, window):
+            report = run_streaming_path(trace, window=window)
+            return {**report, "instances_analyzed": report["instances_analyzed"] + 1}
+
+        monkeypatch.setattr(chaos, "run_streaming_path", one_instance_too_many)
+        with ChaosSoak(fault_intensity=0.0, **NETWORK_ONLY) as soak:
+            result = soak.run_trial(0)
+        assert not result.ok
+        assert any("streaming=" in v for v in result.violations)
+        assert all("chaos-daemon" not in v for v in result.violations)
 
     def test_shrunk_failure_replays_with_same_seed(self, monkeypatch):
         monkeypatch.setattr(Session, "ingest", _ingest_without_overlap_skip)
-        with DifferentialOracle(
-            fault_intensity=0.5, fault_kinds=("duplicate",)
-        ) as oracle:
-            results = oracle.run_trials(50, base_seed=100, stop_on_failure=True)
-            failing = next((r for r in results if not r.ok), None)
-            assert failing is not None
+        with ChaosSoak(
+            fault_intensity=0.5, fault_kinds=("duplicate",), **NETWORK_ONLY
+        ) as soak:
+            failing = _run_until_violation(soak, 50, base_seed=100)[-1]
+            assert not failing.ok
             # Replay is deterministic: same seed, same verdict.
-            assert not oracle.run_trial(failing.seed, trace=failing.trace).ok
+            assert not soak.run_trial(failing.seed, failing.trace).ok

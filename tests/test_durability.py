@@ -15,6 +15,7 @@ import json
 import random
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -36,22 +37,28 @@ from repro.service import (
 )
 from repro.service.client import ServiceClient
 from repro.service.daemon import _remove_stale_unix_socket
-from repro.service.protocol import MessageType, ProtocolError
+from repro.service.protocol import MessageType, ProtocolError, encode_json
 from repro.service.session import RateMeter, Session
 from repro.testing import (
     FAULT_KINDS,
-    DifferentialOracle,
+    ChaosSoak,
     SimClock,
     generate_trace,
+    ship_trace,
 )
 from repro.testing.oracle import (
     diff_summaries,
     run_batch_path,
-    run_daemon_path,
     run_streaming_path,
     summarize_report,
 )
 from repro.usecases.json_export import report_to_dict
+
+# A connection thread that dies with an exception is a daemon bug, not
+# noise: make it fail the test that provoked it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
 
 _REC_HEADER = struct.Struct("<BII")
 
@@ -343,7 +350,7 @@ class TestDaemonCrashRecovery:
         daemon = ProfilingDaemon(port=0, state_dir=state, checkpoint_every=128)
         try:
             assert daemon.recovered_sessions == [session_id]
-            report = run_daemon_path(trace, daemon.address, session_id=session_id)
+            report, _, _ = ship_trace(trace, daemon.address, session_id=session_id)
         finally:
             daemon.close()
         assert not diff_summaries(
@@ -363,6 +370,94 @@ class TestDaemonCrashRecovery:
             client.send_events(0, trace.events)
             client.fin()
             client.close()
+        assert scan_state_dir(state) == []
+
+
+def _fin_quietly(client):
+    try:
+        client.fin()
+    except (OSError, ProtocolError):
+        pass
+
+
+class TestCrashedGenerationConnections:
+    """A connection thread may still hold a frame it read just before
+    its daemon crashed.  Handling that frame must end the connection,
+    not raise on the session's closed journal, and the client's resume
+    on the next generation must still converge to batch."""
+
+    @pytest.mark.parametrize("method", ["register", "ingest", "finish"])
+    def test_frame_read_before_crash_is_refused(self, tmp_path, monkeypatch, method):
+        trace = generate_trace(12)
+        state = tmp_path / "state"
+        held = threading.Event()
+        crashed = threading.Event()
+        handlers: list[threading.Thread] = []
+        original = getattr(Session, method)
+
+        def hold_until_crashed(self, *args, **kwargs):
+            # Park the connection thread between its socket read and
+            # the session call until the generation is gone.
+            handlers.append(threading.current_thread())
+            held.set()
+            crashed.wait(10.0)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, method, hold_until_crashed)
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+
+        daemon = ProfilingDaemon(port=0, state_dir=state, checkpoint_every=128)
+        client = ServiceClient(daemon.address)
+        session_id = client.session_id
+        client.register_instances([i.registration() for i in trace.instances])
+        if method != "register":
+            client.send_events(0, trace.events[:64])
+        if method == "finish":
+            # fin() waits for a reply the crash will never send.
+            threading.Thread(target=_fin_quietly, args=(client,), daemon=True).start()
+        assert held.wait(10.0)
+        daemon.crash()
+        crashed.set()
+        handlers[0].join(10.0)
+        client.close()
+        assert not handlers[0].is_alive()
+        assert not thread_errors, [e.exc_value for e in thread_errors]
+
+        daemon = ProfilingDaemon(port=0, state_dir=state, checkpoint_every=128)
+        try:
+            report, _, _ = ship_trace(trace, daemon.address, session_id=session_id)
+        finally:
+            daemon.close()
+        assert summarize_report(report) == summarize_report(run_batch_path(trace))
+        assert not thread_errors, [e.exc_value for e in thread_errors]
+
+    def test_hello_read_before_crash_starts_no_journal(self, tmp_path, monkeypatch):
+        state = tmp_path / "state"
+        held = threading.Event()
+        crashed = threading.Event()
+        handlers: list[threading.Thread] = []
+        original = ProfilingDaemon._hello
+
+        def hold_until_crashed(self, conn, payload):
+            handlers.append(threading.current_thread())
+            held.set()
+            crashed.wait(10.0)
+            return original(self, conn, payload)
+
+        monkeypatch.setattr(ProfilingDaemon, "_hello", hold_until_crashed)
+        daemon = ProfilingDaemon(port=0, state_dir=state)
+        sock = socket.create_connection((daemon.host, daemon.port), timeout=5)
+        try:
+            sock.sendall(encode_json(MessageType.HELLO, {"session": "late-hello"}))
+            assert held.wait(10.0)
+            daemon.crash()
+            crashed.set()
+            handlers[0].join(10.0)
+        finally:
+            sock.close()
+        assert not handlers[0].is_alive()
+        # A dead generation writing a journal would race the next one.
         assert scan_state_dir(state) == []
 
 
@@ -685,24 +780,25 @@ class TestProtocolAdditions:
         assert "2.5" in str(err)
 
 
+#: The chaos soak with disk, storm and upgrade faults off: network
+#: faults only, so each trial is the batch ≡ streaming ≡ daemon check.
+NETWORK_ONLY = dict(disk_fault_rate=0.0, storm_rate=0.0, upgrade_rate=0.0)
+
+
 class TestOracleKillFault:
     def test_kill_only_trials_converge(self):
-        with DifferentialOracle(
-            fault_intensity=0.5, fault_kinds=("kill",), max_faults=4
-        ) as oracle:
-            results = oracle.run_trials(8, base_seed=0)
-            assert all(r.ok for r in results), "\n".join(
-                r.describe() for r in results if not r.ok
-            )
-            assert oracle.daemon_kills > 0, "the kill fault must actually fire"
+        with ChaosSoak(
+            fault_intensity=0.5, fault_kinds=("kill",), max_faults=4, **NETWORK_ONLY
+        ) as soak:
+            summary = soak.run(trials=8, base_seed=0)
+        assert summary["ok"], summary["seeds_with_violations"]
+        assert summary["kills"] > 0, "the kill fault must actually fire"
 
     def test_kill_is_part_of_the_default_vocabulary(self):
         assert "kill" in FAULT_KINDS
-        with DifferentialOracle(fault_intensity=0.4, max_faults=6) as oracle:
-            results = oracle.run_trials(10, base_seed=50)
-        assert all(r.ok for r in results), "\n".join(
-            r.describe() for r in results if not r.ok
-        )
+        with ChaosSoak(fault_intensity=0.4, **NETWORK_ONLY) as soak:
+            summary = soak.run(trials=10, base_seed=50)
+        assert summary["ok"], summary["seeds_with_violations"]
 
 
 class TestRecoverCLI:

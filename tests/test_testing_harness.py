@@ -179,9 +179,8 @@ class TestFaultProxy:
         events = _raws(n_events)
         with ProfilingDaemon(port=0) as daemon:
             with FaultProxy(daemon.address, plan) as proxy:
-                # Same reconnect-and-retransmit protocol the oracle's
-                # daemon driver speaks, inlined so this file stands on
-                # its own.
+                # Same reconnect-and-retransmit protocol ship_trace
+                # speaks, inlined so this file stands on its own.
                 client = None
                 sent = 0
                 session_id = None
