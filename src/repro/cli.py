@@ -504,7 +504,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retry_after=args.retry_after,
         state_budget=args.state_budget,
         fs=fault_fs,
-        reuseport=args.reuseport,
     )
     print(f"dsspy daemon listening on {daemon.address}")
     if daemon.bound_port is not None:
@@ -543,11 +542,9 @@ def _serve_fleet(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    mode = "reuseport" if args.reuseport else "router"
     supervisor = FleetSupervisor(
         args.workers,
         args.state_dir,
-        mode=mode,
         host=args.host,
         port=args.port,
         report_dir=args.report_dir,
@@ -559,8 +556,7 @@ def _serve_fleet(args: argparse.Namespace) -> int:
     supervisor.start()
     port = int(supervisor.address.rsplit(":", 1)[1])
     print(
-        f"dsspy fleet listening on {supervisor.address} "
-        f"({args.workers} workers, {mode} mode)"
+        f"dsspy fleet listening on {supervisor.address} ({args.workers} workers)"
     )
     print(f"PORT={port}", flush=True)
     _write_port_file(args.port_file, port)
@@ -1450,13 +1446,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="shard ingestion across N worker processes behind a "
         "session-affine router (requires --state-dir; 1 = single daemon)",
-    )
-    serve.add_argument(
-        "--reuseport",
-        action="store_true",
-        help="bind with SO_REUSEPORT; with --workers the workers share "
-        "the listen port (kernel load balancing, no session affinity) "
-        "instead of the router",
     )
     serve.add_argument(
         "--port-file",

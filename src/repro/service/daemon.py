@@ -239,7 +239,6 @@ class ProfilingDaemon:
         detector_config: DetectorConfig | None = None,
         rules: tuple[Rule, ...] = ALL_RULES,
         clock: Clock = SYSTEM_CLOCK,
-        reuseport: bool = False,
     ) -> None:
         self.clock = clock
         self.heartbeat_timeout = heartbeat_timeout
@@ -314,12 +313,6 @@ class ProfilingDaemon:
         else:
             self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if reuseport:
-                # Fleet workers in "reuseport" mode share one listen
-                # address; the kernel spreads accepts across them.
-                if not hasattr(socket, "SO_REUSEPORT"):
-                    raise OSError("SO_REUSEPORT is not supported on this platform")
-                self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             self._listener.bind((host, port))
             self.host, self.port = self._listener.getsockname()[:2]
         self._listener.listen(64)

@@ -8,9 +8,9 @@ while keeping the single-daemon analysis guarantees:
 **FleetSupervisor** spawns N worker processes (each a full ``dsspy
 serve`` — daemon + per-session :class:`~repro.service.IngestPipeline` +
 :class:`~repro.service.StreamingUseCaseEngine` — with its own
-``shard-NN`` state subdirectory) and fronts them with either a
-session-affine :class:`~repro.service.router.SessionRouter` (default)
-or SO_REUSEPORT.  Worker lifecycle is supervised: a crashed worker is
+``shard-NN`` state subdirectory) and fronts them with a session-affine
+:class:`~repro.service.router.SessionRouter`, the fleet's one public
+address.  Worker lifecycle is supervised: a crashed worker is
 respawned on its old port and shard directory, so journal recovery
 rebuilds its sessions and resuming clients land back on it; SIGTERM
 drains every worker cleanly; on startup, on-disk session directories
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .router import SessionRouter, shard_for
+from .router import SessionRouter, gather_snapshots, shard_for
 
 #: Shard state subdirectories are ``<state_dir>/shard-NN``.
 SHARD_DIR_PREFIX = "shard-"
@@ -141,14 +141,6 @@ def _repro_env() -> dict[str, str]:
     return env
 
 
-def _free_port(host: str = "127.0.0.1") -> int:
-    import socket as _socket
-
-    with _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM) as sock:
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
-
-
 @dataclass
 class _Worker:
     """Supervisor-side record of one spawned ``dsspy serve`` process."""
@@ -167,6 +159,10 @@ class _Worker:
 class FleetSupervisor:
     """Spawn, front, monitor, and drain N profiling-daemon workers.
 
+    A :class:`SessionRouter` on ``host:port`` fronts the workers:
+    reconnects keep session affinity, and aggregated STATS/SNAPSHOT
+    work against the one public address.
+
     Parameters
     ----------
     n_workers:
@@ -176,16 +172,6 @@ class FleetSupervisor:
     state_dir:
         Fleet state root.  Required: supervised restart is only
         meaningful with journals to recover from.
-    mode:
-        ``"router"`` (default) — a :class:`SessionRouter` fronts the
-        workers; reconnects keep session affinity, and aggregated
-        STATS/SNAPSHOT work against the one public address.
-        ``"reuseport"`` — workers share one SO_REUSEPORT listen port;
-        the kernel spreads *connections*, so there is no session
-        affinity (a resuming client may land on a worker that does not
-        hold its session and start over) and fleet-wide observability
-        is best-effort (see :meth:`worker_addresses`).  Use it for
-        raw ingest fan-out of fresh, short-lived sessions.
     """
 
     def __init__(
@@ -193,7 +179,6 @@ class FleetSupervisor:
         n_workers: int,
         state_dir: str | Path,
         *,
-        mode: str = "router",
         host: str = "127.0.0.1",
         port: int = 0,
         report_dir: str | Path | None = None,
@@ -209,10 +194,7 @@ class FleetSupervisor:
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if mode not in ("router", "reuseport"):
-            raise ValueError(f"mode must be 'router' or 'reuseport', got {mode!r}")
         self.n_workers = n_workers
-        self.mode = mode
         self.state_dir = Path(state_dir)
         self._host = host
         self._port = port
@@ -242,26 +224,20 @@ class FleetSupervisor:
             return self
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.rebalanced = rebalance_state_dir(self.state_dir, self.n_workers)
-        shared_port = 0
-        if self.mode == "reuseport":
-            # Every worker binds the same concrete port; pick it now.
-            shared_port = self._port or _free_port(self._host)
-            self._port = shared_port
         self.workers = [
             _Worker(index=i, shard_dir=self.state_dir / shard_dir_name(i))
             for i in range(self.n_workers)
         ]
         try:
             for worker in self.workers:
-                self._spawn(worker, port=shared_port)
+                self._spawn(worker)
             for worker in self.workers:
                 self._await_ready(worker)
-            if self.mode == "router":
-                self.router = SessionRouter(
-                    [w.address for w in self.workers],
-                    host=self._host,
-                    port=self._port,
-                )
+            self.router = SessionRouter(
+                [w.address for w in self.workers],
+                host=self._host,
+                port=self._port,
+            )
         except Exception:
             self.stop(graceful=False)
             raise
@@ -274,44 +250,23 @@ class FleetSupervisor:
 
     @property
     def address(self) -> str:
-        """The fleet's one public dial address."""
-        if self.mode == "router":
-            if self.router is None:
-                raise RuntimeError("fleet not started")
-            return self.router.address
-        return f"{self._host}:{self._port}"
+        """The fleet's one public dial address (the router's)."""
+        if self.router is None:
+            raise RuntimeError("fleet not started")
+        return self.router.address
 
     def worker_addresses(self) -> list[str]:
-        """Per-worker dial addresses.
-
-        In router mode these are the real per-worker listeners — the
-        coordinator merges from them deterministically.  In reuseport
-        mode every worker shares one address, so per-worker dialing is
-        *not* addressable and callers (the coordinator) fall back to
-        coupon-collector sampling of the shared address.
-        """
+        """Per-worker dial addresses: the real per-worker listeners
+        behind the router, which the coordinator merges from."""
         return [w.address for w in self.workers]
 
     def coordinator(self, **kwargs: Any) -> "FleetCoordinator":
-        if self.mode == "reuseport":
-            # Dials of the shared port land on arbitrary workers; the
-            # coordinator samples it repeatedly and keys replies by
-            # shard state-dir, which converges with high probability
-            # but is not a guarantee.  Router mode is exact.
-            return FleetCoordinator(
-                [self.address],
-                expect_shards=self.n_workers,
-                sample_shared=True,
-                **kwargs,
-            )
         return FleetCoordinator(self.worker_addresses, **kwargs)
 
     def stats(self) -> dict[str, Any]:
-        if self.mode == "router" and self.router is not None:
-            out = self.router.stats()
-        else:
-            out = {"address": self.address, "fleet": True, "workers": []}
-        out["mode"] = self.mode
+        if self.router is None:
+            raise RuntimeError("fleet not started")
+        out = self.router.stats()
         out["restarts"] = {
             str(w.index): w.restarts for w in self.workers if w.restarts
         }
@@ -462,11 +417,10 @@ class FleetSupervisor:
             for index in range(len(self.workers))
         ]
 
-    def _spawn(self, worker: _Worker, port: int = 0) -> None:
+    def _spawn(self, worker: _Worker) -> None:
         worker.shard_dir.mkdir(parents=True, exist_ok=True)
         port_file = worker.shard_dir / "port"
         port_file.unlink(missing_ok=True)
-        listen_port = worker.port or port
         cmd = [
             self._python,
             "-m",
@@ -475,7 +429,7 @@ class FleetSupervisor:
             "--host",
             self._host,
             "--port",
-            str(listen_port),
+            str(worker.port),
             "--state-dir",
             str(worker.shard_dir),
             "--port-file",
@@ -489,8 +443,6 @@ class FleetSupervisor:
             "--linger",
             str(self._linger),
         ]
-        if self.mode == "reuseport":
-            cmd.append("--reuseport")
         if self._report_dir is not None:
             cmd += ["--report-dir", str(self._report_dir)]
         cmd += self._serve_args
@@ -567,8 +519,8 @@ class FleetCoordinator:
 
     ``workers`` is a list of addresses or a zero-arg callable returning
     one (the supervisor passes its live list, so restarts are picked
-    up).  :meth:`collect` is one merge pass; :meth:`start_polling`
-    runs passes on a cadence and keeps :attr:`latest`.
+    up), or the router's one address, whose SNAPSHOT reply already
+    covers every worker.  :meth:`collect` is one merge pass.
     """
 
     def __init__(
@@ -576,89 +528,21 @@ class FleetCoordinator:
         workers: Sequence[str] | Callable[[], list[str]],
         *,
         timeout: float = 10.0,
-        expect_shards: int | None = None,
-        sample_shared: bool = False,
         thresholds=None,
         detector_config=None,
         rules=None,
     ) -> None:
         self._workers = workers
         self._timeout = timeout
-        self._expect_shards = expect_shards
-        self._sample_shared = sample_shared
         self._thresholds = thresholds
         self._detector_config = detector_config
         self._rules = rules
-        self.latest: dict[str, Any] | None = None
-        self.merges = 0
-        self._poll_stop = threading.Event()
-        self._poll_thread: threading.Thread | None = None
 
     def _addresses(self) -> list[str]:
         return list(self._workers()) if callable(self._workers) else list(self._workers)
 
-    # -- snapshot gathering ----------------------------------------------
-
     def _gather(self) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-        from .client import fetch_snapshot
-        from .protocol import ProtocolError
-
-        snapshots: list[dict[str, Any]] = []
-        errors: list[dict[str, Any]] = []
-        if self._sample_shared:
-            return self._gather_shared()
-        for index, address in enumerate(self._addresses()):
-            try:
-                reply = fetch_snapshot(address, timeout=self._timeout)
-            except (OSError, ProtocolError) as exc:
-                errors.append(
-                    {"worker": index, "address": address, "error": str(exc)}
-                )
-                continue
-            for snap in reply["snapshots"]:
-                snap.setdefault("worker", index)
-                snapshots.append(snap)
-            errors.extend(reply.get("errors", []))
-        return snapshots, errors
-
-    def _gather_shared(self) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-        """Reuseport mode: repeatedly dial the shared address; each
-        connection lands on an arbitrary worker, so sample until every
-        expected shard replied or the attempt budget runs out (coupon
-        collector — probabilistic, unlike router mode)."""
-        from .client import fetch_snapshot, fetch_stats
-        from .protocol import ProtocolError
-
-        address = self._addresses()[0]
-        expected = self._expect_shards or 1
-        by_shard: dict[str, dict[str, Any]] = {}
-        errors: list[dict[str, Any]] = []
-        attempts = max(8, 8 * expected)
-        for _ in range(attempts):
-            try:
-                stats = fetch_stats(address, timeout=self._timeout)
-                shard = str(stats.get("state_dir"))
-                if shard in by_shard:
-                    continue
-                by_shard[shard] = fetch_snapshot(address, timeout=self._timeout)
-            except (OSError, ProtocolError) as exc:
-                errors.append({"address": address, "error": str(exc)})
-                continue
-            if len(by_shard) >= expected:
-                break
-        if len(by_shard) < expected:
-            errors.append(
-                {
-                    "address": address,
-                    "error": f"sampled {len(by_shard)}/{expected} shards "
-                    f"in {attempts} dials (reuseport mode is best-effort)",
-                }
-            )
-        snapshots: list[dict[str, Any]] = []
-        for reply in by_shard.values():
-            snapshots.extend(reply["snapshots"])
-            errors.extend(reply.get("errors", []))
-        return snapshots, errors
+        return gather_snapshots(self._addresses(), timeout=self._timeout)
 
     # -- merging ----------------------------------------------------------
 
@@ -738,47 +622,9 @@ class FleetCoordinator:
         }
 
     def collect(self) -> dict[str, Any]:
-        """One full merge pass: gather every shard's snapshots, merge,
-        remember the result."""
+        """One full merge pass: gather every shard's snapshots, merge."""
         snapshots, errors = self._gather()
-        result = self.merge(snapshots, errors=errors)
-        self.latest = result
-        self.merges += 1
-        return result
-
-    # -- polling ----------------------------------------------------------
-
-    def start_polling(self, interval: float = 2.0) -> None:
-        """Run :meth:`collect` on a cadence until :meth:`stop_polling`.
-        Fetch/merge failures are recorded in :attr:`latest` (as errors),
-        never raised out of the thread."""
-        if self._poll_thread is not None:
-            return
-        self._poll_stop.clear()
-
-        def loop() -> None:
-            while not self._poll_stop.wait(interval):
-                try:
-                    self.collect()
-                except Exception as exc:  # a torn snapshot must not kill polling
-                    self.latest = {
-                        "sessions": [],
-                        "report": None,
-                        "errors": [{"error": str(exc)}],
-                        "complete": False,
-                    }
-
-        self._poll_thread = threading.Thread(
-            target=loop, name="dsspy-fleet-coordinator", daemon=True
-        )
-        self._poll_thread.start()
-
-    def stop_polling(self) -> None:
-        if self._poll_thread is None:
-            return
-        self._poll_stop.set()
-        self._poll_thread.join(timeout=5.0)
-        self._poll_thread = None
+        return self.merge(snapshots, errors=errors)
 
 
 # -- batch orchestration ------------------------------------------------------

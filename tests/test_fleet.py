@@ -224,6 +224,34 @@ class TestRouter:
         # Provenance: every flagged use case names its origin session.
         for use_case in merged["report"]["use_cases"]:
             assert use_case["origin"]["session"] in sids
+        # Through the router's one address the merge is the same, and
+        # the router's worker tags survive (not re-tagged as worker 0).
+        via_router = FleetCoordinator([router.address]).collect()
+        assert via_router["complete"] is True
+        assert via_router["report"] == merged["report"]
+        assert via_router["events_folded"] == merged["events_folded"]
+        assert [u["origin"] for u in via_router["report"]["use_cases"]] == [
+            u["origin"] for u in merged["report"]["use_cases"]
+        ]
+        assert {s["session"]: s["worker"] for s in via_router["sessions"]} == {
+            sid: shard_for(sid, 2) for sid in sids
+        }
+
+    def test_router_reports_partial_snapshot(self, fleet):
+        router, daemons = fleet
+        sid_for_0 = next(f"ps-{i}" for i in range(100) if shard_for(f"ps-{i}", 2) == 0)
+        sid_for_1 = next(f"ps-{i}" for i in range(100) if shard_for(f"ps-{i}", 2) == 1)
+        for sid in (sid_for_0, sid_for_1):
+            _ingest(router.address, sid, events=8)
+        dead_address = daemons[1].address
+        daemons[1].close()
+        reply = fetch_snapshot(router.address)
+        assert [(s["session"], s["worker"]) for s in reply["snapshots"]] == [
+            (sid_for_0, 0)
+        ]
+        (error,) = reply["errors"]
+        assert error["worker"] == 1
+        assert error["address"] == dead_address
 
     def test_coordinator_reports_partial_merge(self, fleet):
         router, daemons = fleet

@@ -28,10 +28,6 @@ from repro.usecases import UseCaseEngine
 from repro.usecases.json_export import report_to_dict
 from repro.workloads import gen_frequent_long_read, gen_long_insert
 
-pytestmark = pytest.mark.filterwarnings(
-    "error::pytest.PytestUnhandledThreadExceptionWarning"
-)
-
 
 def _wait_for(cond, timeout: float = 5.0) -> bool:
     deadline = time.monotonic() + timeout
