@@ -20,7 +20,6 @@ Run directly::
 
 from __future__ import annotations
 
-import sys
 import tempfile
 import time
 from pathlib import Path

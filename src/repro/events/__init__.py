@@ -49,7 +49,7 @@ from .spill import (
     iter_spill_events,
     iter_spill_raw,
     pack_record,
-    read_spill_events,
+    pack_records,
     read_spill_raw,
     record_is_plausible,
     unpack_record,
@@ -88,11 +88,11 @@ __all__ = [
     "merge_archives",
     "merge_profiles",
     "pack_record",
+    "pack_records",
     "parse_sampling",
     "pop_collector",
     "push_collector",
     "read_profiles",
-    "read_spill_events",
     "read_spill_raw",
     "record_is_plausible",
     "reset_ambient",

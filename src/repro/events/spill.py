@@ -4,8 +4,8 @@ A million raw event tuples cost ~100 MB of Python object memory; the
 same events spill to ~37 MB of flat records on disk.  The format is
 deliberately dumb — a magic header followed by fixed-width
 ``struct``-packed records, append-only, no index — so the writer is one
-``pack`` and one buffered ``write`` per batch and a truncated file loses
-at most its tail.
+:func:`pack_records` pass and one buffered ``write`` per batch and a
+truncated file loses at most its tail.
 
 Layout::
 
@@ -51,71 +51,94 @@ _KNOWN_FLAGS = _HAS_POSITION | _HAS_WALL
 _MAX_OP = max(OperationKind)
 _MAX_KIND = max(AccessKind)
 
+#: :func:`record_is_plausible` as ``(byte offset in the layout above,
+#: allowed byte values)``; a signed field is checked by its sign byte.
+_SCREEN = (
+    (28, bytes(range(_MAX_OP + 1))),
+    (29, bytes(range(_MAX_KIND + 1))),
+    (30, bytes(range(_KNOWN_FLAGS + 1))),
+    (15, bytes(range(0x80))),
+    (23, bytes(range(0x80))),
+    (27, bytes(range(0x80))),
+)
+
+
+def pack_records(raws: Iterable[RawEvent]) -> bytes:
+    """Pack raw event tuples into one block of fixed-width records.
+
+    The one encoder of the record format, one ``struct`` pass per
+    block: spill files, the shm ring, the service wire protocol's
+    EVENTS frames (:mod:`repro.service.protocol`) and the session
+    journal all carry these bytes, so every side agrees byte for byte.
+    """
+    pack = _RECORD.pack
+    return b"".join([
+        pack(iid, 0 if pos is None else pos, size, tid, op, kind,
+             (pos is not None) | (wall is not None) << 1,  # flags: _HAS_POSITION | _HAS_WALL
+             0.0 if wall is None else wall)
+        for iid, op, kind, pos, size, tid, wall in raws
+    ])
+
 
 def pack_record(raw: RawEvent) -> bytes:
-    """Pack one raw event tuple into a fixed-width spill record.
-
-    Also the payload encoding of the service wire protocol's EVENTS
-    frames (:mod:`repro.service.protocol`), so client and daemon agree
-    with the spill files byte for byte.
-    """
-    instance_id, op, kind, position, size, thread_id, wall = raw
-    flags = 0
-    if position is not None:
-        flags |= _HAS_POSITION
-    else:
-        position = 0
-    if wall is not None:
-        flags |= _HAS_WALL
-    else:
-        wall = 0.0
-    return _RECORD.pack(instance_id, position, size, thread_id, op, kind, flags, wall)
+    """Pack one raw event tuple into a fixed-width record."""
+    return pack_records((raw,))
 
 
-def unpack_record(chunk: bytes) -> RawEvent:
-    """Inverse of :func:`pack_record` (exactly ``RECORD_SIZE`` bytes)."""
-    instance_id, position, size, thread_id, op, kind, flags, wall = _RECORD.unpack(chunk)
-    return (
-        instance_id,
-        op,
-        kind,
-        position if flags & _HAS_POSITION else None,
-        size,
-        thread_id,
-        wall if flags & _HAS_WALL else None,
-    )
+class ImplausibleRecords(ValueError):
+    """A validated block holds records that fail :func:`record_is_plausible`."""
+
+    def __init__(self, bad: int, count: int) -> None:
+        super().__init__(f"{bad} implausible record(s) of {count}")
+        self.bad = bad
 
 
-# Backwards-compatible private aliases (pre-service internal names).
-_pack = pack_record
-_unpack = unpack_record
+def _count_implausible(data: bytes | bytearray | memoryview) -> int:
+    """How many records of a block fail the screen of :func:`record_is_plausible`.
+
+    Each check reads one byte column of the block (a strided slice), so
+    a clean block costs six slices and no per-record Python work."""
+    data = bytes(data)
+    bad: set[int] = set()
+    for offset, allowed in _SCREEN:
+        column = data[offset::RECORD_SIZE]
+        if column.translate(None, allowed):  # some byte is not allowed
+            bad.update(i for i, byte in enumerate(column) if byte not in allowed)
+    return len(bad)
 
 
-def unpack_records(data: bytes | bytearray | memoryview) -> list[RawEvent]:
+def unpack_records(
+    data: bytes | bytearray | memoryview, validate: bool = False
+) -> list[RawEvent]:
     """Decode a block of packed records back into raw event tuples.
 
-    The inverse of :func:`pack_record` over a whole block (the shm
-    ring's payload): ``data`` must be a whole number of
-    :data:`RECORD_SIZE`-byte records.
+    The inverse of :func:`pack_records`, one ``struct`` pass per block:
+    ``data`` must be a whole number of :data:`RECORD_SIZE`-byte
+    records.  With ``validate=True`` the block is first screened as by
+    :func:`record_is_plausible`, before any event tuple is built, and a
+    block holding any implausible record raises
+    :class:`ImplausibleRecords` carrying the count.
     """
     if len(data) % RECORD_SIZE:
         raise ValueError(
             f"packed block of {len(data)} bytes is not a multiple of "
             f"the {RECORD_SIZE}-byte record size"
         )
+    if validate:
+        bad = _count_implausible(data)
+        if bad:
+            raise ImplausibleRecords(bad, len(data) // RECORD_SIZE)
     return [
-        (
-            instance_id,
-            op,
-            kind,
-            position if flags & _HAS_POSITION else None,
-            size,
-            thread_id,
-            wall if flags & _HAS_WALL else None,
-        )
-        for instance_id, position, size, thread_id, op, kind, flags, wall
-        in _RECORD.iter_unpack(bytes(data))
+        (iid, op, kind, pos if flags & _HAS_POSITION else None, size, tid,
+         wall if flags & _HAS_WALL else None)
+        for iid, pos, size, tid, op, kind, flags, wall in _RECORD.iter_unpack(data)
     ]
+
+
+def unpack_record(chunk: bytes) -> RawEvent:
+    """Inverse of :func:`pack_record` (exactly ``RECORD_SIZE`` bytes)."""
+    (raw,) = unpack_records(chunk)
+    return raw
 
 
 def record_is_plausible(chunk: bytes) -> bool:
@@ -125,17 +148,10 @@ def record_is_plausible(chunk: bytes) -> bool:
     daemon crash mid-batch) the reader can land mid-record and decode
     garbage.  Field-range checks catch essentially all such
     misalignments: op and kind must be valid enum values, flags must
-    only use defined bits, and size must be non-negative.
+    only use defined bits, and size, position and thread id must be
+    non-negative.
     """
-    _, position, size, thread_id, op, kind, flags, _ = _RECORD.unpack(chunk)
-    return (
-        op <= _MAX_OP
-        and kind <= _MAX_KIND
-        and flags & ~_KNOWN_FLAGS == 0
-        and size >= 0
-        and position >= 0
-        and thread_id >= 0
-    )
+    return len(chunk) == RECORD_SIZE and not _count_implausible(chunk)
 
 
 class SpillWriter:
@@ -156,19 +172,12 @@ class SpillWriter:
     def closed(self) -> bool:
         return self._fh is None
 
-    def write(self, raw: RawEvent) -> None:
-        self.write_batch((raw,))
-
     def write_batch(self, batch: Iterable[RawEvent]) -> None:
         if self._fh is None:
             raise RuntimeError("spill writer already closed")
-        chunk = bytearray()
-        n = 0
-        for raw in batch:
-            chunk += _pack(raw)
-            n += 1
-        self._fh.write(bytes(chunk))
-        self._count += n
+        chunk = pack_records(batch)
+        self._fh.write(chunk)
+        self._count += len(chunk) // RECORD_SIZE
 
     def flush(self) -> None:
         if self._fh is not None:
@@ -215,12 +224,16 @@ def iter_spill_raw(
             if not chunk:
                 break
             complete = len(chunk) - len(chunk) % RECORD_SIZE
-            for offset in range(0, complete, RECORD_SIZE):
-                record = chunk[offset:offset + RECORD_SIZE]
-                if record_is_plausible(record):
-                    yield unpack_record(record)
-                else:
-                    skipped += 1
+            try:
+                yield from unpack_records(chunk[:complete], validate=True)
+            except ImplausibleRecords:
+                # Keep the plausible records around the corrupt ones.
+                for offset in range(0, complete, RECORD_SIZE):
+                    record = chunk[offset:offset + RECORD_SIZE]
+                    if record_is_plausible(record):
+                        yield unpack_record(record)
+                    else:
+                        skipped += 1
             if complete != len(chunk):
                 # Append-only file truncated mid-record (e.g. a killed
                 # capture); everything before the tear is still valid.
@@ -245,7 +258,3 @@ def iter_spill_events(path: str | Path, start_seq: int = 0) -> Iterator[AccessEv
     them for an in-memory capture of the same stream."""
     for seq, raw in enumerate(iter_spill_raw(path), start=start_seq):
         yield materialize(seq, raw)
-
-
-def read_spill_events(path: str | Path) -> list[AccessEvent]:
-    return list(iter_spill_events(path))

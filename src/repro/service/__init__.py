@@ -6,7 +6,7 @@ package is that separation for the reproduction.  A long-running
 :class:`ProfilingDaemon` accepts length-prefixed binary event streams
 from many concurrent clients, keeps one :class:`Session` per client,
 and analyzes incrementally with :class:`StreamingUseCaseEngine` — a
-bounded-memory fold that converges to the exact batch
+windowed fold that converges to the exact batch
 :class:`~repro.usecases.UseCaseEngine` report.
 
 Producer side, :class:`RemoteChannel` drops into the existing
@@ -78,7 +78,6 @@ from .protocol import (
     negotiate_version,
     parse_version_offer,
     recv_frame,
-    send_frame,
     version_offer,
 )
 from .router import SessionRouter, shard_for
@@ -146,7 +145,6 @@ __all__ = [
     "scan_fleet_state_dir",
     "scan_state_dir",
     "segment_version",
-    "send_frame",
     "session_versions",
     "shard_for",
     "version_offer",

@@ -30,7 +30,7 @@ from typing import Any
 from ..events.batching import BatchingChannel
 from ..events.event import RawEvent
 from ..events.profile import AllocationSite, site_to_dict
-from ..events.spill import RECORD_SIZE, SpillWriter, pack_record
+from ..events.spill import RECORD_SIZE, SpillWriter, pack_records
 from ..events.types import StructureKind
 from ..testing.clock import SYSTEM_CLOCK, Clock
 from .protocol import (
@@ -492,7 +492,7 @@ class RemoteChannel(BatchingChannel):
                 self.ring_full += 1
                 return
             chunk = pending[:room]
-            written = ring.write(b"".join(map(pack_record, chunk)))
+            written = ring.write(pack_records(chunk))
             self._shipped += written // RECORD_SIZE
             if written // RECORD_SIZE < len(pending):
                 self.ring_full += 1

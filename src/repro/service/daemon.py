@@ -23,7 +23,6 @@ Unix socket file.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import signal
 import socket
@@ -50,6 +49,7 @@ from .durability import (
 from ..events.spill import RECORD_SIZE, unpack_records
 from .governor import RealFS, ResourceGovernor, ResourcePressure, is_resource_error
 from .protocol import (
+    _EVENTS_HEADER,
     PROTOCOL_FEATURES,
     PROTOCOL_MIN_SUPPORTED,
     PROTOCOL_VERSION,
@@ -125,7 +125,7 @@ class _ShmConsumer:
         raws = unpack_records(data)
         session = self._session
         try:
-            session.ingest(session.received, raws, stage=stage)
+            session.ingest(session.received, raws, stage=stage, data=data)
         except ResourcePressure:
             # Journal refused the batch: the session accounted it as a
             # refused window.  Keep the consumer alive and back off —
@@ -428,8 +428,6 @@ class ProfilingDaemon:
                     session = self._hello(conn, payload)
                     if session is None:
                         break  # shedding load: RETRY_AFTER already sent
-                    with self._conns_lock:
-                        self._conn_sessions[key] = session.session_id
                 elif mtype == MessageType.STATS:
                     conn.sendall(encode_json(MessageType.ACK, self.stats()))
                 elif mtype == MessageType.SNAPSHOT:
@@ -448,11 +446,11 @@ class ProfilingDaemon:
                 elif mtype == MessageType.REGISTER:
                     self._register(session, payload)
                 elif mtype == MessageType.EVENTS:
-                    # validate=True: a corrupted record (torn frame, bad
-                    # proxy, bit rot) is rejected with a ProtocolError —
-                    # tearing down the connection so the client
-                    # retransmits the window — rather than folded into
-                    # the analysis as garbage.
+                    # validate=True: a corrupted record (torn frame, bad proxy,
+                    # bit rot) is rejected with a ProtocolError — tearing down the
+                    # connection so the client retransmits the window — rather than
+                    # folded into the analysis as garbage.  The journal then stores
+                    # the validated record bytes as received (``data`` below).
                     start, raws = decode_events(payload, validate=True)
                     stage = AdmissionStage.NORMAL
                     if self._admission is not None:
@@ -474,7 +472,8 @@ class ProfilingDaemon:
                             )
                             break
                     try:
-                        session.ingest(start, raws, stage=stage)
+                        data = memoryview(payload)[_EVENTS_HEADER.size :]
+                        session.ingest(start, raws, stage=stage, data=data)
                     except ResourcePressure as exc:
                         # Disk is refusing the durability barrier; the
                         # window was NOT accepted.  Same contract as
@@ -659,6 +658,8 @@ class ProfilingDaemon:
         # always stopped and drained before the cursor is ACKed.
         offer = parse_shm_offer(obj) if "shm" in features else None
         shm_ok = self._attach_shm(session, offer)
+        with self._conns_lock:  # before the ACK, so a reap right after it finds this conn
+            self._conn_sessions[id(conn)] = session_id
         conn.sendall(
             encode_json(
                 MessageType.ACK,

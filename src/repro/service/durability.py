@@ -62,7 +62,7 @@ from typing import Any, Iterator
 
 from ..events.event import RawEvent
 from ..events.profile import AllocationSite, site_from_dict
-from ..events.spill import RECORD_SIZE, pack_record, unpack_record
+from ..events.spill import pack_records, unpack_records
 from ..events.types import StructureKind
 from ..patterns.detector import DetectorConfig
 from ..testing.clock import SYSTEM_CLOCK, Clock
@@ -406,12 +406,15 @@ class SessionJournal:
 
     # -- appends (called with the session quiescent or locked) -----------
 
-    def append_events(self, start: int, raws: list[RawEvent]) -> None:
-        body = bytearray(_EVENTS_HEADER.pack(start, len(raws)))
-        for raw in raws:
-            body += pack_record(raw)
+    def append_events(
+        self, start: int, raws: list[RawEvent], data: bytes | memoryview | None = None
+    ) -> None:
+        """Journal ``raws`` from stream index ``start``.  ``data``, if given, is
+        ``raws`` already packed (the bytes the daemon received), written as is."""
+        body = pack_records(raws) if data is None else data
+        payload = _EVENTS_HEADER.pack(start, len(raws)) + body
         with self._lock:
-            self._append(REC_EVENTS, bytes(body))
+            self._append(REC_EVENTS, payload)
             self.appended_events += len(raws)
 
     def append_register(self, entries: list[dict[str, Any]]) -> None:
@@ -535,11 +538,10 @@ class SessionJournal:
 
 def _decode_events_payload(payload: bytes) -> tuple[int, list[RawEvent]]:
     start, count = _EVENTS_HEADER.unpack_from(payload)
-    body = payload[_EVENTS_HEADER.size :]
-    return start, [
-        unpack_record(body[offset : offset + RECORD_SIZE])
-        for offset in range(0, count * RECORD_SIZE, RECORD_SIZE)
-    ]
+    raws = unpack_records(memoryview(payload)[_EVENTS_HEADER.size :])
+    if len(raws) != count:
+        raise ValueError(f"journal EVENTS record declares {count} records, carries {len(raws)}")
+    return start, raws
 
 
 def scan_segment(

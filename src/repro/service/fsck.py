@@ -72,7 +72,6 @@ from .durability import (
     parse_journal_magic,
     recover_session_dir,
     scan_segment,
-    scan_state_dir,
 )
 from .fleet import SHARD_DIR_PREFIX, scan_fleet_state_dir, shard_dir_name
 from .router import shard_for

@@ -28,7 +28,6 @@ from .durability import (
     _MAGIC_LEN,
     _SEGMENT_GLOB,
     CHECKPOINT_VERSION,
-    JOURNAL_VERSION,
     FutureFormatError,
     journal_magic,
     parse_journal_magic,

@@ -9,7 +9,7 @@ A conversation is a sequence of *frames*, each::
 Control frames (HELLO, ACK, REGISTER, HEARTBEAT, FIN, STATS, ERROR)
 carry UTF-8 JSON payloads — they are rare, so readability beats
 compactness.  EVENTS frames carry the hot data and reuse the spill
-file's fixed-width record packing (:func:`~repro.events.spill.pack_record`)
+file's fixed-width record block codec (:func:`~repro.events.spill.pack_records`)
 verbatim::
 
     8 bytes   big-endian uint64: stream index of the first event
@@ -36,7 +36,7 @@ import struct
 from typing import Any, Iterable
 
 from ..events.event import RawEvent
-from ..events.spill import RECORD_SIZE, pack_record, record_is_plausible, unpack_record
+from ..events.spill import RECORD_SIZE, ImplausibleRecords, pack_records, unpack_records
 
 
 class ProtocolError(Exception):
@@ -295,70 +295,51 @@ def parse_shm_offer(obj: dict[str, Any]) -> tuple[str, int] | None:
 
 def encode_events(start: int, raws: Iterable[RawEvent]) -> bytes:
     """EVENTS frame for ``raws`` starting at stream index ``start``."""
-    body = bytearray()
-    count = 0
-    for raw in raws:
-        body += pack_record(raw)
-        count += 1
+    body = pack_records(raws)
+    count = len(body) // RECORD_SIZE
     if count > MAX_EVENTS_PER_FRAME:
         raise ProtocolError(
             f"{count} events exceed MAX_EVENTS_PER_FRAME ({MAX_EVENTS_PER_FRAME})"
         )
-    return encode_frame(
-        MessageType.EVENTS, _EVENTS_HEADER.pack(start, count) + bytes(body)
-    )
+    return encode_frame(MessageType.EVENTS, _EVENTS_HEADER.pack(start, count) + body)
 
 
 def decode_events(payload: bytes, validate: bool = False) -> tuple[int, list[RawEvent]]:
     """Inverse of :func:`encode_events`: ``(start, raw event tuples)``.
 
-    With ``validate=True`` every record is screened with
-    :func:`~repro.events.spill.record_is_plausible` and a frame
-    carrying any implausible record is rejected whole with a
-    :class:`ProtocolError`.  The daemon decodes with validation on:
+    With ``validate=True`` every record is screened as by
+    :func:`~repro.events.spill.record_is_plausible`, in the same
+    :func:`~repro.events.spill.unpack_records` pass that decodes it,
+    and a frame carrying any implausible record is rejected whole with
+    a :class:`ProtocolError`.  The daemon decodes with validation on:
     rejecting the frame tears down the connection, the client
     reconnects and retransmits from the server's ``received`` cursor,
     and the corrupted window is replaced by a clean copy — whereas
     silently folding garbage records would corrupt the analysis, and
     silently *skipping* them would desynchronize the stream-index
-    cursor both sides use for exact resume.
+    cursor both sides use for exact resume.  The daemon journals the
+    validated record bytes (``payload[_EVENTS_HEADER.size:]``) as is.
     """
     if len(payload) < _EVENTS_HEADER.size:
         raise ProtocolError("EVENTS payload shorter than its header")
     start, count = _EVENTS_HEADER.unpack_from(payload)
-    body = payload[_EVENTS_HEADER.size :]
+    body = memoryview(payload)[_EVENTS_HEADER.size :]
     if len(body) != count * RECORD_SIZE:
         raise ProtocolError(
             f"EVENTS payload declares {count} records but carries "
             f"{len(body)} body bytes (expected {count * RECORD_SIZE})"
         )
-    if validate:
-        bad = sum(
-            1
-            for offset in range(0, len(body), RECORD_SIZE)
-            if not record_is_plausible(body[offset : offset + RECORD_SIZE])
-        )
-        if bad:
-            raise ProtocolError(
-                f"EVENTS frame at stream index {start} carries {bad} "
-                f"implausible record(s) of {count}; rejecting the frame "
-                "for retransmission"
-            )
-    return start, [
-        unpack_record(body[offset : offset + RECORD_SIZE])
-        for offset in range(0, len(body), RECORD_SIZE)
-    ]
+    try:
+        return start, unpack_records(body, validate=validate)
+    except ImplausibleRecords as exc:
+        raise ProtocolError(
+            f"EVENTS frame at stream index {start} carries {exc.bad} "
+            f"implausible record(s) of {count}; rejecting the frame "
+            "for retransmission"
+        ) from None
 
 
 # -- blocking socket transport ----------------------------------------------
-
-
-def send_frame(sock: socket.socket, mtype: int, payload: bytes = b"") -> None:
-    sock.sendall(encode_frame(mtype, payload))
-
-
-def send_raw_frame(sock: socket.socket, frame: bytes) -> None:
-    sock.sendall(frame)
 
 
 def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool) -> bytes | None:

@@ -41,7 +41,7 @@ from typing import Any, Callable
 
 from ..events.event import RawEvent
 from ..events.profile import site_to_dict
-from ..events.spill import SpillWriter, iter_spill_raw
+from ..events.spill import RECORD_SIZE, SpillWriter, iter_spill_raw
 from ..testing.clock import SYSTEM_CLOCK, Clock
 from .protocol import ProtocolError
 from .streaming import StreamingUseCaseEngine
@@ -381,7 +381,10 @@ class Session:
                 f"session {self.session_id} is closed: its daemon stopped"
             )
 
-    def ingest(self, start: int, raws: list[RawEvent], stage: int = 0) -> int:
+    def ingest(
+        self, start: int, raws: list[RawEvent], stage: int = 0,
+        data: bytes | memoryview | None = None,
+    ) -> int:
         """Accept one EVENTS window; returns how many events were new.
 
         ``start`` is the stream index of the window's first event.  A
@@ -399,6 +402,9 @@ class Session:
         cursor untouched: the window is *refused*, never half-accepted,
         and the client's backoff retransmits it — after a best-effort
         compaction attempt to free journal segments.
+
+        ``data`` is ``raws`` as received (packed records); the journal
+        stores its fresh part as is instead of packing the window again.
         """
         from .durability import AdmissionStage
         from .governor import ResourcePressure, is_resource_error
@@ -423,7 +429,8 @@ class Session:
             # covers events that survive a daemon death.
             if self.journal is not None:
                 try:
-                    self.journal.append_events(self.received, fresh)
+                    body = None if data is None else data[skip * RECORD_SIZE :]
+                    self.journal.append_events(self.received, fresh, body)
                 except OSError as exc:
                     if not is_resource_error(exc):
                         raise

@@ -66,7 +66,7 @@ HEADER_SIZE = 64
 _HEAD_OFF = 24
 _TAIL_OFF = 32
 
-_HEADER = struct.Struct("<8sIIQQQQ")  # magic, version, record_size, capacity, head, tail, generation
+_HEADER = struct.Struct("<8sIIQQQQ")  # magic, version, record size, capacity, head, tail, gen
 _U64 = struct.Struct("<Q")
 
 #: Default ring capacity, in records (~2.3 MB payload).

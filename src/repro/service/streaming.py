@@ -1,4 +1,4 @@
-"""Bounded-memory streaming use-case analysis.
+"""Streaming use-case analysis: each window is folded, then discarded.
 
 A long-running daemon cannot keep every event until the program ends —
 a day of profiling is billions of events — so
@@ -6,7 +6,8 @@ a day of profiling is billions of events — so
 :class:`~repro.usecases.features.InstanceFold` per registered instance,
 splits each arriving window by instance (keeping every instance's
 order), folds each instance's share in one batched call, and discards
-the window.  Memory is O(instances + completed runs), never O(events).
+the window.  Memory is O(instances + runs) plus each run's distinct
+positions (``Run.positions``): a long run holds O(its events).
 
 Convergence with batch analysis is by construction, not by
 approximation: the batch :class:`~repro.usecases.engine.UseCaseEngine`
@@ -44,7 +45,7 @@ class StreamingUseCaseEngine:
     (identity, patterns, evidence) is present.
 
     ``peak_resident_events`` records the largest window ever held at
-    once — the bounded-memory claim, asserted in tests.
+    once — windows are folded and discarded, asserted in tests.
     """
 
     def __init__(

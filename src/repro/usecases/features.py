@@ -6,8 +6,8 @@ them in a single O(1)-per-event pass — the scalar counters of
 :class:`ProfileFeatures`, phase segmentation into the runs of a
 :class:`~repro.patterns.phases.RunSegmenter`, and the happens-before
 :class:`~repro.whatif.dag.LaneSummary` the what-if profiler reads
-(TASKPROF-style work/span, PAPERS.md) — with memory bounded by
-O(threads + runs), never O(events).
+(TASKPROF-style work/span, PAPERS.md).  Memory is O(threads + runs) plus
+each run's distinct positions (``Run.positions``): a long run holds O(its events).
 
 The fold has one entry, :meth:`InstanceFold.fold_raws`: a batch of raw
 event tuples folded in one loop with the whole state in locals.  It is

@@ -28,7 +28,7 @@ time and O(threads) memory per event.  It is part of every
 :class:`~repro.usecases.features.InstanceFold`, whose one batched loop
 (:meth:`~repro.usecases.features.InstanceFold.fold_raws`) advances the
 lanes alongside the use-case features.  That is what lets the streaming
-engine keep work/span without retaining history (the bounded-memory
+engine keep work/span without retaining history (the no-event-history
 contract) and the batch what-if ranking read the lanes of the analysis
 pass instead of folding each profile a second time, while
 :func:`longest_path_span` keeps the O(n²)-edge textbook computation

@@ -97,7 +97,7 @@ class TestPathAgreementUnderFaults:
         assert summary["faults_injected"] >= 100
 
 
-def _ingest_without_overlap_skip(self, start, raws, stage=0):
+def _ingest_without_overlap_skip(self, start, raws, stage=0, data=None):
     """Session.ingest with the dedup rewind removed: retransmitted
     overlap is folded again instead of skipped."""
     with self._lock:
