@@ -71,10 +71,10 @@ def site_from_dict(obj: dict[str, Any] | None) -> AllocationSite | None:
     if obj is None:
         return None
     return AllocationSite(
-        filename=obj.get("filename", "?"),
-        lineno=int(obj.get("lineno", 0)),
-        function=obj.get("function", "<module>"),
-        variable=obj.get("variable", ""),
+        obj.get("filename", "?"),
+        int(obj.get("lineno", 0)),
+        obj.get("function", "<module>"),
+        obj.get("variable", ""),
     )
 
 

@@ -110,15 +110,21 @@ class StructureKind(enum.Enum):
         """Linear (positionally indexed) structures carry the paper's
         pattern analysis; associative ones only participate in the
         occurrence study."""
-        return self in (
-            StructureKind.LIST,
-            StructureKind.ARRAY,
-            StructureKind.ARRAY_LIST,
-            StructureKind.STACK,
-            StructureKind.QUEUE,
-            StructureKind.SORTED_LIST,
-            StructureKind.LINKED_LIST,
-        )
+        return self in LINEAR_KINDS
+
+
+#: The linear species (:attr:`StructureKind.is_linear`).  A tuple, not a
+#: set: membership then compares by identity and never calls the enum's
+#: Python-level ``__hash__``.
+LINEAR_KINDS = (
+    StructureKind.LIST,
+    StructureKind.ARRAY,
+    StructureKind.ARRAY_LIST,
+    StructureKind.STACK,
+    StructureKind.QUEUE,
+    StructureKind.SORTED_LIST,
+    StructureKind.LINKED_LIST,
+)
 
 
 #: Operations that target a position at the *front* of a structure.

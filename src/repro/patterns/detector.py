@@ -40,6 +40,19 @@ class DetectorConfig:
     keep_unclassified: bool = True
 
 
+# Enum members as module constants: a class-attribute lookup on an enum
+# costs more than the comparison it feeds, and these run once per run.
+_READ_FORWARD = PatternType.READ_FORWARD
+_WRITE_FORWARD = PatternType.WRITE_FORWARD
+_READ_BACKWARD = PatternType.READ_BACKWARD
+_WRITE_BACKWARD = PatternType.WRITE_BACKWARD
+_INSERT_FRONT = PatternType.INSERT_FRONT
+_INSERT_BACK = PatternType.INSERT_BACK
+_DELETE_FRONT = PatternType.DELETE_FRONT
+_DELETE_BACK = PatternType.DELETE_BACK
+_UNCLASSIFIED = PatternType.UNCLASSIFIED
+
+
 def classify_run(run: Run) -> PatternType:
     """Map a consistent run onto one of the eight pattern types.
 
@@ -48,31 +61,33 @@ def classify_run(run: Run) -> PatternType:
     read/write runs classify purely by direction.  Stationary read or
     write runs (re-touching one index) match none of the paper's types.
     """
-    if run.category == "insert":
+    category = run.category
+    direction = run.direction
+    if category == "insert":
         if run.all_front:
-            return PatternType.INSERT_FRONT
-        if run.direction >= 0 and (run.all_back or run.direction > 0):
-            return PatternType.INSERT_BACK
-        return PatternType.UNCLASSIFIED
-    if run.category == "delete":
+            return _INSERT_FRONT
+        if direction >= 0 and (run.all_back or direction > 0):
+            return _INSERT_BACK
+        return _UNCLASSIFIED
+    if category == "delete":
         if run.all_front:
-            return PatternType.DELETE_FRONT
-        if run.direction <= 0 and (run.all_back or run.direction < 0):
-            return PatternType.DELETE_BACK
-        return PatternType.UNCLASSIFIED
-    if run.category == "read":
-        if run.direction > 0:
-            return PatternType.READ_FORWARD
-        if run.direction < 0:
-            return PatternType.READ_BACKWARD
-        return PatternType.UNCLASSIFIED
-    if run.category == "write":
-        if run.direction > 0:
-            return PatternType.WRITE_FORWARD
-        if run.direction < 0:
-            return PatternType.WRITE_BACKWARD
-        return PatternType.UNCLASSIFIED
-    return PatternType.UNCLASSIFIED
+            return _DELETE_FRONT
+        if direction <= 0 and (run.all_back or direction < 0):
+            return _DELETE_BACK
+        return _UNCLASSIFIED
+    if category == "read":
+        if direction > 0:
+            return _READ_FORWARD
+        if direction < 0:
+            return _READ_BACKWARD
+        return _UNCLASSIFIED
+    if category == "write":
+        if direction > 0:
+            return _WRITE_FORWARD
+        if direction < 0:
+            return _WRITE_BACKWARD
+        return _UNCLASSIFIED
+    return _UNCLASSIFIED
 
 
 def patterns_from_runs(
@@ -80,24 +95,29 @@ def patterns_from_runs(
 ) -> tuple[AccessPattern, ...]:
     """Classify ``runs`` (in ``start`` order) into access patterns,
     dropping short runs and, unless kept, unclassified ones."""
+    min_length = config.min_run_length
+    keep_unclassified = config.keep_unclassified
     patterns: list[AccessPattern] = []
     for run in runs:
-        if run.length < config.min_run_length:
+        length = run.length
+        if length < min_length:
             continue
         pattern_type = classify_run(run)
-        if pattern_type is PatternType.UNCLASSIFIED and not config.keep_unclassified:
+        if pattern_type is _UNCLASSIFIED and not keep_unclassified:
             continue
+        # Positional, in field order: keyword arguments cost a third
+        # more per pattern on a frozen dataclass.
         patterns.append(
             AccessPattern(
-                pattern_type=pattern_type,
-                start=run.start,
-                stop=run.stop,
-                length=run.length,
-                first_position=run.first_position,
-                last_position=run.last_position,
-                distinct_positions=run.distinct_positions,
-                size_at_end=run.size_at_end,
-                thread_id=run.thread_id,
+                pattern_type,
+                run.start,
+                run.stop,
+                length,
+                run.first_position,
+                run.last_position,
+                len(run.positions),
+                run.size_at_end,
+                run.thread_id,
             )
         )
     return tuple(patterns)

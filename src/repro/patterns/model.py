@@ -43,27 +43,28 @@ class PatternType(enum.Enum):
 
     @property
     def is_read(self) -> bool:
-        return self in (PatternType.READ_FORWARD, PatternType.READ_BACKWARD)
+        return self in READ_TYPES
 
     @property
     def is_write(self) -> bool:
-        return self in (PatternType.WRITE_FORWARD, PatternType.WRITE_BACKWARD)
+        return self in WRITE_TYPES
 
     @property
     def is_insert(self) -> bool:
-        return self in (PatternType.INSERT_FRONT, PatternType.INSERT_BACK)
+        return self in INSERT_TYPES
 
     @property
     def is_delete(self) -> bool:
-        return self in (PatternType.DELETE_FRONT, PatternType.DELETE_BACK)
+        return self in DELETE_TYPES
 
-    @property
-    def touches_front(self) -> bool:
-        return self in (PatternType.INSERT_FRONT, PatternType.DELETE_FRONT)
 
-    @property
-    def touches_back(self) -> bool:
-        return self in (PatternType.INSERT_BACK, PatternType.DELETE_BACK)
+# Type families as module constants, so per-pattern checks on the rule
+# path are one tuple membership test (by identity) instead of a property
+# call that rebuilds the tuple.
+READ_TYPES = (PatternType.READ_FORWARD, PatternType.READ_BACKWARD)
+WRITE_TYPES = (PatternType.WRITE_FORWARD, PatternType.WRITE_BACKWARD)
+INSERT_TYPES = (PatternType.INSERT_FRONT, PatternType.INSERT_BACK)
+DELETE_TYPES = (PatternType.DELETE_FRONT, PatternType.DELETE_BACK)
 
 
 @dataclass(frozen=True, slots=True)

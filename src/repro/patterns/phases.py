@@ -17,6 +17,7 @@ opaque single operations counted separately by the use-case rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from ..events.profile import RuntimeProfile
@@ -107,6 +108,9 @@ class Run:
         )
 
 
+_run_start = attrgetter("start")
+
+
 class RunSegmenter:
     """Segmentation state: each thread's open run plus every run
     already closed.
@@ -136,7 +140,7 @@ class RunSegmenter:
         snapshot.
         """
         out = self.completed + [run for run in self.open.values() if run is not None]
-        out.sort(key=lambda r: r.start)
+        out.sort(key=_run_start)
         return out
 
 

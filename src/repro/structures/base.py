@@ -69,26 +69,24 @@ def capture_site(variable: str = "") -> AllocationSite:
     an armed guard counts the fault.
     """
     if not _SITE_CAPTURE[0]:
-        return AllocationSite(
-            filename="<unknown>", lineno=0, variable=variable
-        )
+        return AllocationSite("<unknown>", 0, "<module>", variable)
     try:
         frame = sys._getframe(1)
         while frame is not None:
             module = frame.f_globals.get("__name__", "")
             if not module.startswith(_PACKAGE_PREFIX):
+                code = frame.f_code
+                # Positional (filename, lineno, function, variable): one
+                # site per constructed structure, and keywords cost more.
                 return AllocationSite(
-                    filename=frame.f_code.co_filename,
-                    lineno=frame.f_lineno,
-                    function=frame.f_code.co_name,
-                    variable=variable,
+                    code.co_filename, frame.f_lineno, code.co_name, variable
                 )
             frame = frame.f_back
     except Exception as exc:
         guard = ACTIVE_GUARD[0]
         if guard is not None:
             guard.fault("site", exc)
-    return AllocationSite(filename="<unknown>", lineno=0, variable=variable)
+    return AllocationSite("<unknown>", 0, "<module>", variable)
 
 
 def _discard_event(

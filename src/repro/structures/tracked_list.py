@@ -29,6 +29,7 @@ _OP = OperationKind
 _OP_READ = int(_OP.READ)
 _OP_WRITE = int(_OP.WRITE)
 _OP_INSERT = int(_OP.INSERT)
+_OP_FORALL = int(_OP.FORALL)
 _K_READ = int(_READ)
 _K_WRITE = int(_WRITE)
 
@@ -149,13 +150,25 @@ class TrackedList(TrackedBase):
     def __iter__(self) -> Iterator[Any]:
         """Iteration records a ``ForAll`` marker plus one read per
         element in ascending order -- exactly the Read-Forward series a
-        foreach loop produces in the paper's profiles."""
-        self._record(_OP.FORALL, _READ, None, self._reported_size())
-        for j in range(len(self._data)):
-            if j >= len(self._data):  # mutated during iteration
+        foreach loop produces in the paper's profiles.
+
+        The element count is fixed when iteration starts; it stops
+        early if the list shrinks, and each read reports the size the
+        list has at that moment.  Inlined like :meth:`append`: one call
+        of the record hook per element (``_data`` is never rebound)."""
+        data = self._data
+        record = self._record_fn
+        instance_id = self._instance_id
+        n = len(data)
+        cap = self._capacity
+        record(instance_id, _OP_FORALL, _K_READ, None, n if n >= cap else cap)
+        for j in range(n):
+            n = len(data)
+            if j >= n:  # mutated during iteration
                 return
-            self._record(_OP.READ, _READ, j, self._reported_size())
-            yield self._data[j]
+            cap = self._capacity
+            record(instance_id, _OP_READ, _K_READ, j, n if n >= cap else cap)
+            yield data[j]
 
     def __len__(self) -> int:
         return len(self._data)

@@ -146,17 +146,20 @@ class UseCaseEngine:
     def _analyze(self, profile: RuntimeProfile) -> tuple[list[UseCase], WorkSpan]:
         """Use cases of one profile plus its work/span, from one fold."""
         features = features_of(profile, self.detector.config)
-        analysis = PatternAnalysis(profile=profile, patterns=features.patterns)
+        fired = evaluate_rules(features, self.thresholds, self.rules)
+        if not fired:  # most instances: nothing to build
+            return [], features.workspan
+        analysis = PatternAnalysis(profile, features.patterns)
         use_cases = [
             UseCase(
-                kind=rule.kind,
-                profile=profile,
-                analysis=analysis,
-                recommendation=rule.recommend(evidence),
-                evidence=evidence,
+                rule.kind,
+                profile,
+                analysis,
+                rule.recommend(evidence),
+                evidence,
                 features=features,
             )
-            for rule, evidence in evaluate_rules(features, self.thresholds, self.rules)
+            for rule, evidence in fired
         ]
         return use_cases, features.workspan
 

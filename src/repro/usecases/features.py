@@ -47,6 +47,10 @@ _OP_READ = int(OperationKind.READ)
 _SORT = int(OperationKind.SORT)
 _INIT = int(OperationKind.INIT)
 
+#: ``_OPS[code]`` is the :class:`OperationKind` member of an op code — an
+#: index instead of the enum's call-by-value lookup.
+_OPS = tuple(OperationKind)
+
 
 @dataclass(frozen=True, slots=True)
 class ProfileFeatures:
@@ -379,8 +383,10 @@ class InstanceFold:
                         run.direction = 1 if delta > 0 else -1
                     run.length += 1
                     run.stop = i + 1
+                    if delta != 0:
+                        # The previous position is always in the set.
+                        run.positions.add(position)
                     run.last_position = position
-                    run.positions.add(position)
                     run.size_at_end = size
                     if run.all_front and not at_front:
                         run.all_front = False
@@ -388,19 +394,22 @@ class InstanceFold:
                         run.all_back = False
                     continue
                 completed.append(run)
+            # Positional, in field order (category, thread_id, start,
+            # stop, length, direction, first/last position, positions,
+            # size_at_end, all_front, all_back).
             open_runs[thread_id] = Run(
-                category=category,
-                thread_id=thread_id,
-                start=i,
-                stop=i + 1,
-                length=1,
-                direction=0,
-                first_position=position,
-                last_position=position,
-                positions={position},
-                size_at_end=size,
-                all_front=at_front,
-                all_back=size != 0 and at_back,
+                category,
+                thread_id,
+                i,
+                i + 1,
+                1,
+                0,
+                position,
+                position,
+                {position},
+                size,
+                at_front,
+                size != 0 and at_back,
             )
 
         self.index = i + 1
@@ -429,27 +438,29 @@ class InstanceFold:
         return patterns_from_runs(self.segmenter.runs(), config)
 
     def features(self, config: DetectorConfig) -> ProfileFeatures:
+        # Positional, in field order: this runs once per instance, and
+        # keyword arguments cost half as much again on a frozen dataclass.
         return ProfileFeatures(
-            kind=self.kind,
-            total_events=self.index,
-            read_kind_events=self.read_kind,
-            op_counts=dict(self.op_counts),
-            insert_front=self.insert_front,
-            insert_back=self.insert_back,
-            delete_front=self.delete_front,
-            delete_back=self.delete_back,
-            read_front=self.read_front,
-            read_back=self.read_back,
-            end_events=self.end_events,
-            sort_count=self.sort_count,
-            last_sort_index=self.last_sort_index,
-            trailing_writes=self.trailing,
-            trailing_ops=frozenset(OperationKind(op) for op in self.trailing_ops),
-            trailing_distinct_positions=len(self.trailing_positions),
-            trailing_max_size=self.trailing_max_size,
-            patterns=self.patterns(config),
-            workspan=self.lanes.workspan(),
-            max_size=self.max_size,
+            self.kind,
+            self.index,
+            self.read_kind,
+            dict(self.op_counts),
+            self.insert_front,
+            self.insert_back,
+            self.delete_front,
+            self.delete_back,
+            self.read_front,
+            self.read_back,
+            self.end_events,
+            self.sort_count,
+            self.last_sort_index,
+            self.trailing,
+            frozenset([_OPS[op] for op in self.trailing_ops]),
+            len(self.trailing_positions),
+            self.trailing_max_size,
+            self.patterns(config),
+            self.lanes.workspan(),
+            self.max_size,
         )
 
     # -- serialization (checkpoint / SNAPSHOT payloads) ------------------

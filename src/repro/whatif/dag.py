@@ -77,7 +77,7 @@ class LaneSummary:
 
     def workspan(self) -> "WorkSpan":
         """Work and span of every event fed so far."""
-        return WorkSpan(work=float(self.work), span=self.span)
+        return WorkSpan(float(self.work), self.span)
 
     # -- serialization (checkpoint / SNAPSHOT payloads) ------------------
 
