@@ -14,9 +14,11 @@ Read.
 *subprocess* (``python -m repro.cli serve --state-dir ...``), a client
 streams half a synthetic trace and syncs, the daemon is SIGKILLed —
 no flush, no goodbye — and restarted on the same port and state
-directory.  The client resumes its session against the recovered
-daemon and the final report must equal the batch report of the same
-trace, i.e. the crash must be invisible in the analysis.
+directory.  Between the kill and the restart, a read-only ``fsck`` of
+the state dir must find nothing worse than a last-segment torn tail.
+The client resumes its session against the recovered daemon and the
+final report must equal the batch report of the same trace, i.e. the
+crash must be invisible in the analysis.
 
 Run directly::
 
@@ -171,6 +173,7 @@ def run_crash_recovery(seed: int = 11) -> int:
     must equal the no-crash batch report of the same trace."""
     from repro.service import fetch_stats
     from repro.service.client import ServiceClient
+    from repro.service.fsck import fsck_state_dir
     from repro.testing import (
         diff_summaries,
         generate_trace,
@@ -204,6 +207,29 @@ def run_crash_recovery(seed: int = 11) -> int:
 
         daemon.send_signal(signal.SIGKILL)
         daemon.wait(timeout=30)
+
+        # A real SIGKILL may tear the record being appended, nothing
+        # else: read-only fsck must find at most a last-segment torn tail.
+        report = fsck_state_dir(state_dir)
+        unexpected = list(report["problems"])
+        for entry in report["sessions"]:
+            last = max(entry["versions"]["segments"], default="")
+            unexpected += entry["needs_migration"] + [
+                p for p in entry["problems"] if not p.startswith(f"{last}: torn tail")
+            ]
+        if report["checked"] == 0 or unexpected:
+            print(
+                f"SMOKE: FAILED — fsck after SIGKILL checked {report['checked']} "
+                "session(s) and found damage beyond a last-segment torn tail:"
+            )
+            for line in unexpected:
+                print(f"  {line}")
+            return 1
+        damage = sorted({d for entry in report["sessions"] for d in entry["damage"]})
+        print(
+            f"fsck after SIGKILL: {report['checked']} session(s), "
+            f"damage: {', '.join(damage) or 'none'}"
+        )
 
         daemon = _start_serve(port, state_dir)
         stats = fetch_stats(address)

@@ -758,16 +758,17 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     import json as _json
     import shutil
 
-    from .service import recover_session_dir, scan_fleet_state_dir
+    from .service import FutureFormatError, recover_session_dir, walk_state_dir
+    from .service.durability import shard_index
     from .usecases.json_export import report_to_dict, summarize_json
 
-    # Fleet-aware: covers session dirs at the top level (single-daemon
-    # layout) and under every shard-NN subdirectory in one invocation.
-    session_dirs = scan_fleet_state_dir(args.state_dir)
+    # Every layout: one bare session dir, a daemon's state dir, or a
+    # fleet's with its shard-NN subdirectories, in one invocation.
+    session_dirs = walk_state_dir(args.state_dir)
     if not session_dirs:
         print(f"no recoverable sessions under {args.state_dir}")
         return 0
-    shards = {d.parent.name for d in session_dirs if d.parent.name.startswith("shard-")}
+    shards = {d.parent for d in session_dirs if shard_index(d.parent) is not None}
     if shards:
         print(
             f"fleet state dir: recovering {len(session_dirs)} session(s) "
@@ -776,7 +777,11 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     report_dir = Path(args.report_dir) if args.report_dir else None
     results = []
     for directory in session_dirs:
-        recovered = recover_session_dir(directory)
+        try:
+            recovered = recover_session_dir(directory)
+        except FutureFormatError as exc:
+            print(f"state written by a newer dsspy build: {exc}", file=sys.stderr)
+            return 2
         report = report_to_dict(recovered.engine.report())
         results.append(
             {

@@ -30,13 +30,15 @@ from .durability import (
     FutureFormatError,
     RecoveredSession,
     SessionJournal,
+    SessionScan,
     engine_from_dict,
     engine_to_dict,
     merge_engine_dicts,
     merge_engines,
+    recover_session,
     recover_session_dir,
-    scan_state_dir,
-    segment_version,
+    scan_session_dir,
+    walk_state_dir,
 )
 from .governor import (
     RESOURCE_ERRNOS,
@@ -51,14 +53,12 @@ from .fleet import (
     ResultCache,
     fleet_run,
     rebalance_state_dir,
-    scan_fleet_state_dir,
 )
 from .migrate import (
     DowngradeError,
     STATE_VERSION,
     migrate_session_dir,
     migrate_state_dir,
-    session_versions,
 )
 from .protocol import (
     MAX_EVENTS_PER_FRAME,
@@ -118,6 +118,7 @@ __all__ = [
     "Session",
     "SessionJournal",
     "SessionRouter",
+    "SessionScan",
     "SessionState",
     "ShmRing",
     "StreamingUseCaseEngine",
@@ -140,12 +141,11 @@ __all__ = [
     "merge_engine_dicts",
     "merge_engines",
     "rebalance_state_dir",
+    "recover_session",
     "recover_session_dir",
     "recv_frame",
-    "scan_fleet_state_dir",
-    "scan_state_dir",
-    "segment_version",
-    "session_versions",
+    "scan_session_dir",
     "shard_for",
     "version_offer",
+    "walk_state_dir",
 ]

@@ -43,7 +43,7 @@ from .durability import (
     SessionJournal,
     parse_register_entries,
     recover_session_dir,
-    scan_state_dir,
+    walk_state_dir,
     warn_notes,
 )
 from ..events.spill import RECORD_SIZE, unpack_records
@@ -353,9 +353,10 @@ class ProfilingDaemon:
         was already delivered or written — and are deleted, not
         resurrected.
         """
-        for directory in scan_state_dir(self.state_dir):
+        for directory in walk_state_dir(self.state_dir, nested=False):
             recovered = recover_session_dir(
                 directory,
+                fs=self._fs,
                 thresholds=self._thresholds,
                 detector_config=self._detector_config,
                 rules=self._rules,

@@ -20,10 +20,20 @@ cursors into ``checkpoint.json`` (atomic ``os.replace``), rolls the
 journal to a fresh segment, and prunes the segments the checkpoint
 subsumes.  Recovery loads the checkpoint and replays only the tail.
 
-**Recovery.**  :func:`recover_session_dir` rebuilds one session's
-engine and cursors from disk, truncating a torn tail record (a crash
-mid-append) back to the last whole record.  The daemon runs it for
-every session directory at startup; ``dsspy recover`` runs it offline.
+**Recovery.**  This module is the only one that knows the state-dir
+layout.  :func:`walk_state_dir` finds session directories in every
+layout, :func:`scan_session_dir` reads and classifies one once, and
+:func:`recover_session` replays it and applies the one repair policy.
+A torn tail — a crash mid-append or inside the segment's magic, or an
+append the journal could not truncate away before rolling on: a bad
+record ending the *last* segment, or one running past the end of any
+segment — is truncated.  Any other damage moves the damaged segment
+and every later one to ``quarantine/``: records after it may be
+intact, but their cursor continuity died with it.  An unreadable
+checkpoint is quarantined too, the checkpoint is rebuilt whenever
+events were lost, and every lost cursor range is named.  State a newer
+build wrote is never touched.  Daemon start-up, ``dsspy recover``,
+``dsspy fsck`` and ``dsspy migrate`` all consume the same scan.
 
 **Admission.**  Durability makes overload *survivable*; the
 :class:`AdmissionController` makes it *graceful*.  Global and
@@ -51,6 +61,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import struct
 import threading
@@ -58,7 +69,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..events.event import RawEvent
 from ..events.profile import AllocationSite, site_from_dict
@@ -103,6 +114,17 @@ def journal_magic(version: int) -> bytes:
     return JOURNAL_MAGIC_PREFIX + b"%02d" % version
 
 
+def _magic_version(header: bytes) -> int | None:
+    """Format generation a segment header names, or ``None`` for bytes
+    that are not a journal header at all."""
+    tail = header[len(JOURNAL_MAGIC_PREFIX) : _MAGIC_LEN]
+    if not header.startswith(JOURNAL_MAGIC_PREFIX) or len(tail) != 2:
+        return None
+    if not tail.isdigit() or int(tail) < 1:
+        return None
+    return int(tail)
+
+
 def parse_journal_magic(header: bytes) -> int:
     """Format generation from a segment's first 8 bytes.
 
@@ -110,13 +132,8 @@ def parse_journal_magic(header: bytes) -> int:
     :class:`FutureFormatError` for a generation newer than this build
     understands.
     """
-    if len(header) < _MAGIC_LEN or not header.startswith(JOURNAL_MAGIC_PREFIX):
-        raise ValueError("not a DSspy journal segment")
-    tail = header[len(JOURNAL_MAGIC_PREFIX) : _MAGIC_LEN]
-    if not tail.isdigit():
-        raise ValueError("not a DSspy journal segment")
-    version = int(tail)
-    if version < 1:
+    version = _magic_version(header)
+    if version is None:
         raise ValueError("not a DSspy journal segment")
     if version > JOURNAL_VERSION:
         raise FutureFormatError(
@@ -125,12 +142,6 @@ def parse_journal_magic(header: bytes) -> int:
             "newer build or upgrade this one"
         )
     return version
-
-
-def segment_version(path: str | Path, *, fs: RealFS | None = None) -> int:
-    """Format generation of one segment file on disk."""
-    data = (fs if fs is not None else REAL_FS).read_bytes(Path(path))
-    return parse_journal_magic(data[:_MAGIC_LEN])
 
 
 #: Journal record types.
@@ -274,6 +285,26 @@ def merge_engines(
         detector_config=detector_config,
         rules=rules,
     )
+
+
+def checkpoint_state(session: Any) -> dict[str, Any]:
+    """The one ``checkpoint.json`` schema, built from a live
+    :class:`~repro.service.session.Session` for its periodic checkpoint
+    or from a :class:`RecoveredSession` for a repair's rebuilt one."""
+    from ..buildinfo import build_info  # deferred: buildinfo imports this module
+
+    return {
+        "version": CHECKPOINT_VERSION,
+        "session": session.session_id,
+        "received": session.received,
+        "applied": session.applied,
+        "duplicates": session.duplicates,
+        # v2: which build (and which format generations) wrote this
+        # checkpoint — the first thing to look at when a mixed-version
+        # fleet misbehaves.
+        "format": build_info(),
+        "engine": engine_to_dict(session.engine),
+    }
 
 
 # -- the write-ahead journal -------------------------------------------------
@@ -485,37 +516,18 @@ class SessionJournal:
 
     def iter_event_windows(self, from_index: int) -> Iterator[tuple[int, list[RawEvent]]]:
         """Yield journaled ``(start, raws)`` windows covering stream
-        indices ``>= from_index``, trimmed to start exactly there.
-
+        indices ``>= from_index``, trimmed to start exactly there, each
+        index once (:func:`_fresh_records`, the dedup recovery applies).
         Safe while the journal is open for appending: appends flush per
-        record, so every complete record is visible to the reader.
-
-        The cursor advances monotonically across records, so a journal
-        holding retransmit overlap (a legal state — e.g. a window that
-        landed twice around a crash) yields each stream index exactly
-        once, the same dedup :func:`recover_session_dir` applies.
-        Feeding an overlapping record twice would double-fold events
-        into the engine.
-        """
+        record, so every complete record is visible to the reader."""
         with self._lock:
             if self._fh is not None:
                 self._fh.flush()
             segments = sorted(self.directory.glob(_SEGMENT_GLOB))
-        cursor = from_index
-        for segment in segments:
-            records, _ = scan_segment(segment)
-            for rtype, payload in records:
-                if rtype != REC_EVENTS:
-                    continue
-                start, raws = _decode_events_payload(payload)
-                end = start + len(raws)
-                if end <= cursor:
-                    continue
-                if start < cursor:
-                    yield cursor, raws[cursor - start :]
-                else:
-                    yield start, raws
-                cursor = end
+        records = (record for seg in segments for record in scan_segment(seg)[0])
+        for rtype, window in _fresh_records(records, from_index):
+            if rtype == REC_EVENTS:
+                yield window
 
     def close(self) -> None:
         with self._lock:
@@ -544,16 +556,42 @@ def _decode_events_payload(payload: bytes) -> tuple[int, list[RawEvent]]:
     return start, raws
 
 
+def _parse_records(
+    data: bytes,
+) -> tuple[list[tuple[int, memoryview]], int | None, bool]:
+    """Whole records after a segment's magic; the byte offset of the
+    first record that is not whole (``None`` when clean); and whether
+    that record is damaged — a bad type, length or CRC — rather than cut
+    short by the end of the file.  Payloads are views of ``data``."""
+    view = memoryview(data)
+    records: list[tuple[int, memoryview]] = []
+    offset = _MAGIC_LEN
+    while offset < len(data):
+        if offset + _REC_HEADER.size > len(data):
+            return records, offset, False
+        rtype, length, crc = _REC_HEADER.unpack_from(data, offset)
+        if rtype not in _KNOWN_RECORDS or length > MAX_JOURNAL_PAYLOAD:
+            return records, offset, True
+        end = offset + _REC_HEADER.size + length
+        if end > len(data):
+            return records, offset, False
+        payload = view[offset + _REC_HEADER.size : end]
+        if zlib.crc32(payload) != crc:
+            return records, offset, True
+        records.append((rtype, payload))
+        offset = end
+    return records, None, False
+
+
 def scan_segment(
     path: str | Path, *, fs: RealFS | None = None
-) -> tuple[list[tuple[int, bytes]], int | None]:
+) -> tuple[list[tuple[int, memoryview]], int | None]:
     """Read one segment; returns ``(records, torn_offset)``.
 
     ``torn_offset`` is the byte offset of the first incomplete or
-    CRC-failing record (``None`` when the file is wholly clean).  The
-    journal is append-only, so a bad record can only be the torn tail
-    of a crash mid-append; everything before it is trusted, everything
-    after it is not.
+    CRC-failing record (``None`` when the file is wholly clean).
+    Everything before it is trusted, everything after it is not.
+    Raises :class:`ValueError` for a file that is not a journal segment.
     """
     path = Path(path)
     data = (fs if fs is not None else REAL_FS).read_bytes(path)
@@ -561,26 +599,393 @@ def scan_segment(
         parse_journal_magic(data[:_MAGIC_LEN])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    records: list[tuple[int, bytes]] = []
-    offset = _MAGIC_LEN
-    while offset < len(data):
-        if offset + _REC_HEADER.size > len(data):
-            return records, offset
-        rtype, length, crc = _REC_HEADER.unpack_from(data, offset)
-        if rtype not in _KNOWN_RECORDS or length > MAX_JOURNAL_PAYLOAD:
-            return records, offset
-        end = offset + _REC_HEADER.size + length
-        if end > len(data):
-            return records, offset
-        payload = data[offset + _REC_HEADER.size : end]
-        if zlib.crc32(payload) != crc:
-            return records, offset
-        records.append((rtype, payload))
-        offset = end
-    return records, None
+    return _parse_records(data)[:2]
 
 
-# -- recovery ----------------------------------------------------------------
+def _fresh_records(
+    records: Iterable[tuple[int, memoryview]], cursor: int
+) -> Iterator[tuple[int, Any]]:
+    """Journal records in append order, each EVENTS record decoded to
+    ``(start, raws)`` and trimmed to stream indices ``>= cursor``.
+
+    The cursor only advances, so retransmit overlap (a window that
+    landed twice around a crash — a legal state) yields each stream
+    index once; windows the cursor already covers are skipped without
+    decoding.  A window starting past the cursor (a cursor gap) is
+    yielded whole and the cursor jumps over the gap.
+    """
+    for rtype, payload in records:
+        if rtype != REC_EVENTS:
+            yield rtype, payload
+            continue
+        start, count = _EVENTS_HEADER.unpack_from(payload)
+        if start + count <= cursor:
+            continue
+        start, raws = _decode_events_payload(payload)
+        if start < cursor:
+            raws = raws[cursor - start :]
+            start = cursor
+        cursor = start + len(raws)
+        yield rtype, (start, raws)
+
+
+# -- the state-dir layout: one walker, one scan, one repair ------------------
+
+#: A fleet state dir keeps each worker's sessions under ``shard-NN``.
+SHARD_DIR_PREFIX = "shard-"
+_SHARD_DIR_RE = re.compile(rf"^{SHARD_DIR_PREFIX}(\d+)$")
+
+#: Repair moves damaged artifacts here, inside their session dir —
+#: moved, never deleted, so the loss stays inspectable.
+QUARANTINE_DIRNAME = "quarantine"
+
+#: Damage classes a scan reports (:attr:`SessionScan.damage`).
+TORN_TAIL = "torn-tail"
+DAMAGED_SEGMENT = "damaged-segment"
+BAD_CHECKPOINT = "bad-checkpoint"
+MISNAMED_CHECKPOINT = "misnamed-checkpoint"
+CURSOR_GAP = "cursor-gap"
+
+#: Fields every valid checkpoint carries.
+_CHECKPOINT_FIELDS = ("version", "session", "received", "applied", "engine")
+
+
+def shard_dir_name(index: int) -> str:
+    return f"{SHARD_DIR_PREFIX}{index:02d}"
+
+
+def shard_index(directory: Path) -> int | None:
+    """The shard number of a ``shard-NN`` directory, else ``None``."""
+    match = _SHARD_DIR_RE.match(directory.name)
+    return int(match.group(1)) if match else None
+
+
+def _is_session_dir(path: Path) -> bool:
+    """A session dir is any directory holding a segment or a checkpoint."""
+    return path.is_dir() and (
+        (path / _CHECKPOINT_NAME).exists() or any(path.glob(_SEGMENT_GLOB))
+    )
+
+
+def walk_state_dir(root: str | Path, *, nested: bool = True) -> list[Path]:
+    """Session directories under ``root``.
+
+    With ``nested`` (the offline tools) ``root`` may be one bare session
+    dir, a daemon state dir, or a fleet state dir whose sessions live in
+    ``shard-NN`` subdirectories.  Without it (daemon start-up) only the
+    sessions directly under ``root``: a daemon recovers its own state
+    dir, never a neighbour shard's.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        return []
+    if nested and _is_session_dir(root):
+        return [root]
+    parents = [root]
+    if nested:
+        parents += sorted(
+            d for d in root.iterdir() if d.is_dir() and shard_index(d) is not None
+        )
+    return [
+        child
+        for parent in parents
+        for child in sorted(parent.iterdir())
+        if _is_session_dir(child)
+    ]
+
+
+@dataclass
+class SegmentScan:
+    """One journal segment as a scan classified it.  Its bytes are not
+    kept: recovery re-reads each segment it replays, one at a time."""
+
+    path: Path
+    #: Format generation its magic names; ``None`` for a non-journal header.
+    version: int | None
+    size: int = 0
+    #: Offset of the first record that is not whole (``None``: clean).
+    torn_offset: int | None = None
+    #: That record fails its type, length or CRC check rather than
+    #: running past the end of the file.
+    corrupt: bool = False
+    #: ``(start, count)`` of each whole EVENTS record, in append order.
+    windows: list[tuple[int, int]] = field(default_factory=list)
+    #: Holds a FIN record.
+    finished: bool = False
+
+
+@dataclass
+class SessionScan:
+    """A session directory read once and classified once: the
+    checkpoint validated, each segment's format generation, window
+    bounds and first bad record, the first damage, and the cursor
+    continuity of what the repair policy keeps.  ``problems`` names each
+    damage and what it costs."""
+
+    directory: Path
+    #: The filesystem the scan read through; replay re-reads through it.
+    fs: RealFS = field(default=REAL_FS, repr=False)
+    segments: list[SegmentScan] = field(default_factory=list)
+    checkpoint_present: bool = False
+    #: The checkpoint's JSON object when it parses (valid or not).
+    checkpoint_state: dict[str, Any] | None = None
+    checkpoint_version: int | None = None
+    bad_checkpoint: bool = False
+    misnamed_checkpoint: bool = False
+    #: Set only when the whole checkpoint validates, engine included.
+    checkpoint_loaded: bool = False
+    checkpoint_received: int | None = None
+    checkpoint_applied: int | None = None
+    #: Replay continues into this: the valid checkpoint's engine, else
+    #: a fresh one.
+    engine: StreamingUseCaseEngine | None = None
+    duplicates: int = 0
+    #: Segments replay reads: those before the first damaged or
+    #: newer-format one.
+    kept: list[SegmentScan] = field(default_factory=list)
+    #: Index of the first damaged segment; repair quarantines it and
+    #: every later segment.
+    damaged_from: int | None = None
+    #: Highest stream index the kept state covers.
+    received: int = 0
+    finished: bool = False
+    #: The kept state has no events for some cursor range.
+    cursor_gap: bool = False
+    problems: list[str] = field(default_factory=list)
+    #: Artifacts written by a newer build (never damage, never repaired).
+    future: list[str] = field(default_factory=list)
+
+    @property
+    def session_id(self) -> str:
+        return self.directory.name
+
+    @property
+    def checkpoint_path(self) -> Path:
+        return self.directory / _CHECKPOINT_NAME
+
+    @property
+    def torn(self) -> list[SegmentScan]:
+        """Kept segments with a torn tail (or cut inside their magic)."""
+        return [s for s in self.kept if s.torn_offset is not None]
+
+    @property
+    def damage(self) -> tuple[str, ...]:
+        """The damage classes found, in a fixed order (empty: clean)."""
+        found = (
+            (TORN_TAIL, bool(self.torn)),
+            (DAMAGED_SEGMENT, self.damaged_from is not None),
+            (BAD_CHECKPOINT, self.bad_checkpoint),
+            (MISNAMED_CHECKPOINT, self.misnamed_checkpoint),
+            (CURSOR_GAP, self.cursor_gap),
+        )
+        return tuple(name for name, hit in found if hit)
+
+    @property
+    def versions(self) -> dict[str, Any]:
+        """Every artifact's format generation; ``state`` is the oldest
+        present (where migration starts), ``None`` when nothing is
+        versioned."""
+        segments = {s.path.name: s.version for s in self.segments}
+        known = [v for v in segments.values() if v is not None]
+        if self.checkpoint_version is not None:
+            known.append(self.checkpoint_version)
+        return {
+            "segments": segments,
+            "checkpoint": self.checkpoint_version,
+            "state": min(known) if known else None,
+        }
+
+    def check_format(self) -> None:
+        """Refuse state a newer build wrote: recovering or migrating it
+        would silently destroy what this build cannot read."""
+        if self.future:
+            raise FutureFormatError(
+                f"session {self.session_id}: {'; '.join(self.future)}; run "
+                "'dsspy migrate' with the newer build or upgrade this one"
+            )
+
+
+def _scan_checkpoint(
+    scan: SessionScan, versions_only: bool, knobs: dict[str, Any]
+) -> None:
+    path = scan.checkpoint_path
+    if not path.exists():
+        return
+    scan.checkpoint_present = True
+
+    def bad(problem: str) -> None:
+        scan.bad_checkpoint = True
+        scan.problems.append(problem)
+
+    try:
+        state = json.loads(scan.fs.read_text(path))
+    except (OSError, ValueError) as exc:
+        return bad(f"checkpoint unreadable: {exc}")
+    if not isinstance(state, dict):
+        return bad("checkpoint is not a JSON object")
+    scan.checkpoint_state = state
+    version = state.get("version")
+    if not isinstance(version, int) or version < 1:
+        return bad(f"checkpoint version invalid: {version!r}")
+    scan.checkpoint_version = version
+    if version > CHECKPOINT_VERSION:
+        # Written by a newer build: its schema may have changed, so do
+        # not validate it further.
+        scan.future.append(
+            f"checkpoint is format v{version}, newer than this build "
+            f"reads (v{CHECKPOINT_VERSION})"
+        )
+        return
+    if versions_only:
+        return
+    missing = [f for f in _CHECKPOINT_FIELDS if f not in state]
+    if missing:
+        return bad(f"checkpoint missing fields: {', '.join(missing)}")
+    if state["session"] != scan.session_id:
+        # Reported, never repaired: the directory was renamed or copied,
+        # and only the operator knows which name is right.  Its state
+        # is still the directory's, so recovery still loads it.
+        scan.misnamed_checkpoint = True
+        scan.problems.append(
+            f"checkpoint names session {state['session']!r}, directory is "
+            f"{scan.session_id!r}"
+        )
+    try:
+        received = int(state["received"])
+        applied = int(state["applied"])
+        if applied < 0 or received < applied:
+            raise ValueError(f"applied={applied} received={received}")
+    except (TypeError, ValueError) as exc:
+        return bad(f"checkpoint cursors invalid: {exc}")
+    try:
+        engine = engine_from_dict(state["engine"], **knobs)
+        duplicates = int(state.get("duplicates", 0))
+    except Exception as exc:  # schema damage surfaces as many exc types
+        return bad(f"checkpoint engine does not deserialize: {exc}")
+    # Only a wholly valid checkpoint moves where replay starts: the
+    # cursors of one whose engine is lost cover events no engine holds.
+    scan.checkpoint_loaded = True
+    scan.checkpoint_received, scan.checkpoint_applied = received, applied
+    scan.engine, scan.duplicates = engine, duplicates
+
+
+def _scan_segment_file(path: Path, fs: RealFS, versions_only: bool) -> SegmentScan:
+    if versions_only:
+        with fs.open(path, "rb") as fh:
+            return SegmentScan(path, _magic_version(fh.read(_MAGIC_LEN)))
+    data = fs.read_bytes(path)
+    segment = SegmentScan(path, _magic_version(data[:_MAGIC_LEN]), len(data))
+    if segment.version is None:
+        if JOURNAL_MAGIC.startswith(data):
+            segment.torn_offset = 0  # cut inside its magic
+        return segment
+    if segment.version > JOURNAL_VERSION:
+        return segment
+    records, segment.torn_offset, segment.corrupt = _parse_records(data)
+    for rtype, payload in records:
+        if rtype == REC_EVENTS:
+            segment.windows.append(_EVENTS_HEADER.unpack_from(payload))
+        elif rtype == REC_FIN:
+            segment.finished = True
+    return segment
+
+
+def scan_session_dir(
+    directory: str | Path,
+    *,
+    fs: RealFS | None = None,
+    versions_only: bool = False,
+    **knobs: Any,
+) -> SessionScan:
+    """Read and classify one session directory; never writes.
+
+    ``versions_only`` reads just each artifact's format generation (and
+    the checkpoint's JSON), which is all migration needs.  ``knobs``
+    (``thresholds``, ``detector_config``, ``rules``) shape the engine
+    replay continues into, and must match the ones the session was
+    recorded under.
+    """
+    scan = SessionScan(Path(directory), fs if fs is not None else REAL_FS)
+    _scan_checkpoint(scan, versions_only, knobs)
+    paths = sorted(scan.directory.glob(_SEGMENT_GLOB))
+    stop: int | None = None  # first damaged or newer-format segment
+    damage = ""
+    for i, path in enumerate(paths):
+        segment = _scan_segment_file(path, scan.fs, versions_only)
+        scan.segments.append(segment)
+        if segment.version is not None and segment.version > JOURNAL_VERSION:
+            scan.future.append(
+                f"{path.name}: segment format v{segment.version} is newer "
+                f"than this build reads (v{JOURNAL_VERSION})"
+            )
+            stop = i if stop is None else stop
+        if versions_only or stop is not None:
+            continue
+        last = i == len(paths) - 1
+        if segment.version is None and segment.torn_offset is None:
+            stop, scan.damaged_from = i, i
+            damage = f"{path.name}: bad header, not a DSspy journal segment"
+        elif segment.corrupt and not last:
+            stop, scan.damaged_from = i, i
+            damage = (
+                f"{path.name}: damaged record mid-journal at byte "
+                f"{segment.torn_offset} (not a crash tail: "
+                f"{len(paths) - 1 - i} newer segment(s) exist)"
+            )
+        elif segment.torn_offset is not None:
+            # A crash mid-append or inside the magic, or an append whose
+            # failure the journal could not truncate away (it then rolled
+            # to a new segment).
+            scan.problems.append(
+                f"{path.name}: torn tail ({segment.size - segment.torn_offset} "
+                "bytes past the last whole record)"
+            )
+    if versions_only:
+        return scan
+    if scan.engine is None:
+        scan.engine = StreamingUseCaseEngine(**knobs)
+    scan.kept = scan.segments[:stop]
+
+    # Cursor continuity of what replay will read.  Overlap is fine
+    # (replay folds each index once); a gap means acked events are on
+    # no disk.  Next to state a newer build wrote, continuity is not
+    # checkable: its checkpoint may cover the gap.
+    cursor = scan.checkpoint_applied or 0
+    for segment in scan.kept:
+        scan.finished = scan.finished or segment.finished
+        for start, count in segment.windows:
+            if start > cursor and not scan.future:
+                scan.cursor_gap = True
+                scan.problems.append(
+                    f"{segment.path.name}: cursor gap {cursor}..{start}, "
+                    f"{start - cursor} events lost"
+                    + ("" if scan.checkpoint_loaded else ", no checkpoint covers them")
+                )
+            cursor = max(cursor, start + count)
+    scan.received = cursor
+
+    if scan.damaged_from is not None:
+        moved = scan.segments[scan.damaged_from :]
+        lost_to = max((a + n for s in moved for a, n in s.windows), default=0)
+        scan.problems.append(
+            f"{damage}; quarantining it and every later segment "
+            f"({len(moved)} in all) loses "
+            + (
+                f"cursor range {scan.received}..{lost_to}"
+                if lost_to > scan.received
+                else f"whatever it held past cursor {scan.received}"
+            )
+        )
+    return scan
+
+
+def restamped_segment(
+    path: str | Path, version: int, *, fs: RealFS | None = None
+) -> bytes:
+    """A segment's bytes with its magic naming format generation
+    ``version`` (v1 and v2 share the record layout)."""
+    data = (fs if fs is not None else REAL_FS).read_bytes(path)
+    return journal_magic(version) + data[_MAGIC_LEN:]
 
 
 @dataclass
@@ -596,140 +1001,127 @@ class RecoveredSession:
     events_replayed: int
     truncated_bytes: int
     duplicates: int = 0
+    #: The scan's damage classes (:attr:`SessionScan.damage`).
+    damage: tuple[str, ...] = ()
+    #: The scan's problems, then what the repair did.
     notes: list[str] = field(default_factory=list)
+    #: Names the repair moved into ``quarantine/``.
+    quarantined: list[str] = field(default_factory=list)
+    #: Other repair actions (truncations, the rebuilt checkpoint).
+    repaired: list[str] = field(default_factory=list)
+    #: Why the repair stopped short (a full or failing disk), else ``None``.
+    repair_error: str | None = None
+
+
+def _quarantine(directory: Path, path: Path, fs: RealFS) -> str:
+    """Move ``path`` into the session's quarantine directory; returns
+    the name it got there."""
+    qdir = directory / QUARANTINE_DIRNAME
+    fs.mkdir(qdir)
+    target = qdir / path.name
+    suffix = 0
+    while target.exists():
+        suffix += 1
+        target = qdir / f"{path.name}.{suffix}"
+    fs.replace(path, target)
+    return target.name
+
+
+def _repair(scan: SessionScan, recovered: RecoveredSession, fs: RealFS) -> None:
+    """The one repair policy (see **Recovery** in the module docstring).
+    The rebuilt checkpoint lands before any segment moves: a repair that
+    a failing disk stops short leaves the damaged segments in place for
+    the next scan to find and name again."""
+    directory = scan.directory
+    if scan.bad_checkpoint:
+        recovered.quarantined.append(_quarantine(directory, scan.checkpoint_path, fs))
+    if scan.damaged_from is not None or scan.bad_checkpoint or scan.cursor_gap:
+        # Make the loss explicit on disk: the rebuilt checkpoint claims
+        # exactly what survived, so the next scan finds it consistent.
+        state = json.dumps(checkpoint_state(recovered), separators=(",", ":"))
+        tmp = directory / (_CHECKPOINT_NAME + ".tmp")
+        try:
+            fs.write_text(tmp, state)
+            fs.replace(tmp, scan.checkpoint_path)
+        except OSError:
+            fs.unlink(tmp)
+            raise
+        recovered.repaired.append(
+            f"checkpoint rebuilt from journal replay "
+            f"(received={recovered.received}, applied={recovered.applied})"
+        )
+    if scan.damaged_from is not None:
+        for segment in scan.segments[scan.damaged_from :]:
+            recovered.quarantined.append(_quarantine(directory, segment.path, fs))
+    for segment in scan.torn:
+        if segment.version is None:
+            fs.unlink(segment.path)  # a magic-less file is not a segment
+            recovered.repaired.append(f"{segment.path.name}: removed torn magic")
+        else:
+            with fs.open(segment.path, "r+b") as fh:
+                fh.truncate(segment.torn_offset)
+            recovered.repaired.append(f"{segment.path.name}: truncated torn tail")
+
+
+def recover_session(scan: SessionScan, *, fs: RealFS | None = None) -> RecoveredSession:
+    """Rebuild a scanned session — replay the kept journal records past
+    the checkpoint into its engine — and repair its directory to match
+    what was rebuilt, so that it rescans clean.
+
+    The repair writes through ``fs`` (default: the real filesystem).
+    When a write fails (a full disk, typically), the repair stops, the
+    failure joins the notes and :attr:`RecoveredSession.repair_error`,
+    and the rebuilt session is still returned: whatever damage the
+    repair did not reach stays on disk for the next scan to find.
+    """
+    scan.check_format()
+    engine = scan.engine
+    notes = list(scan.problems)
+    replayed = 0
+    # One segment's bytes in memory at a time.
+    records = (r for s in scan.kept for r in _parse_records(scan.fs.read_bytes(s.path))[0])
+    for rtype, item in _fresh_records(records, scan.checkpoint_applied or 0):
+        if rtype == REC_REGISTER:
+            try:
+                obj = json.loads(str(item, "utf-8"))
+                for iid, kind, site, label in parse_register_entries(obj):
+                    engine.register_instance(iid, kind, site=site, label=label)
+            except ValueError as exc:
+                notes.append(f"skipped bad REGISTER record: {exc}")
+        elif rtype == REC_EVENTS:
+            engine.feed_window(item[1])
+            replayed += len(item[1])
+    recovered = RecoveredSession(
+        session_id=scan.session_id,
+        engine=engine,
+        received=scan.received,
+        applied=scan.received,
+        finished=scan.finished,
+        checkpoint_loaded=scan.checkpoint_loaded,
+        events_replayed=replayed,
+        truncated_bytes=sum(s.size - s.torn_offset for s in scan.torn),
+        duplicates=scan.duplicates,
+        damage=scan.damage,
+        notes=notes,
+    )
+    try:
+        _repair(scan, recovered, fs if fs is not None else REAL_FS)
+    except OSError as exc:
+        recovered.repair_error = str(exc)
+    recovered.notes += [
+        f"moved {name} to {QUARANTINE_DIRNAME}/" for name in recovered.quarantined
+    ] + recovered.repaired
+    if recovered.repair_error is not None:
+        recovered.notes.append(f"repair stopped short: {recovered.repair_error}")
+    return recovered
 
 
 def recover_session_dir(
-    directory: str | Path,
-    *,
-    thresholds: Thresholds = PAPER_THRESHOLDS,
-    detector_config: DetectorConfig | None = None,
-    rules: tuple[Rule, ...] = ALL_RULES,
-    truncate: bool = True,
+    directory: str | Path, *, fs: RealFS | None = None, **knobs: Any
 ) -> RecoveredSession:
-    """Rebuild one session from its journal directory.
-
-    Loads the checkpoint if present (falling back to a full replay when
-    it is unreadable), replays every journal record past the
-    checkpoint's ``applied`` cursor in append order, and truncates a
-    torn tail back to the last whole record so the reopened journal
-    and the rebuilt state agree.
-    """
-    directory = Path(directory)
-    session_id = directory.name
-    notes: list[str] = []
-    engine: StreamingUseCaseEngine | None = None
-    received = applied = 0
-    duplicates = 0
-    checkpoint_loaded = False
-
-    ckpt_path = directory / _CHECKPOINT_NAME
-    if ckpt_path.exists():
-        try:
-            state = json.loads(ckpt_path.read_text())
-            if isinstance(state, dict):
-                version = state.get("version", 0)
-                if isinstance(version, int) and version > CHECKPOINT_VERSION:
-                    # Outside this try's except net on purpose: a
-                    # future-version checkpoint must refuse recovery,
-                    # not degrade into a replay-from-zero that would
-                    # clobber the newer state on the next checkpoint.
-                    raise FutureFormatError(
-                        f"checkpoint of session {session_id} is format "
-                        f"v{version}, newer than this build reads "
-                        f"(v{CHECKPOINT_VERSION}); run 'dsspy migrate' "
-                        "with the newer build or upgrade this one"
-                    )
-            engine = engine_from_dict(
-                state["engine"],
-                thresholds=thresholds,
-                detector_config=detector_config,
-                rules=rules,
-            )
-            received = applied = int(state["applied"])
-            duplicates = int(state.get("duplicates", 0))
-            checkpoint_loaded = True
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            notes.append(f"checkpoint unreadable ({exc}); replaying from zero")
-            engine = None
-    if engine is None:
-        engine = StreamingUseCaseEngine(
-            thresholds=thresholds, detector_config=detector_config, rules=rules
-        )
-        received = applied = 0
-
-    finished = False
-    events_replayed = 0
-    truncated_bytes = 0
-    for segment in sorted(directory.glob(_SEGMENT_GLOB)):
-        records, torn_offset = scan_segment(segment)
-        if torn_offset is not None:
-            size = segment.stat().st_size
-            truncated_bytes += size - torn_offset
-            notes.append(
-                f"{segment.name}: torn tail, dropped {size - torn_offset} bytes"
-            )
-            if truncate:
-                with segment.open("r+b") as fh:
-                    fh.truncate(torn_offset)
-        for rtype, payload in records:
-            if rtype == REC_FIN:
-                finished = True
-            elif rtype == REC_REGISTER:
-                try:
-                    obj = json.loads(payload.decode("utf-8"))
-                    for iid, kind, site, label in parse_register_entries(obj):
-                        engine.register_instance(iid, kind, site=site, label=label)
-                except ValueError as exc:
-                    notes.append(f"skipped bad REGISTER record: {exc}")
-            elif rtype == REC_EVENTS:
-                start, raws = _decode_events_payload(payload)
-                end = start + len(raws)
-                if end > received:
-                    received = end
-                if end <= applied:
-                    continue  # checkpoint already covers this window
-                if start > applied:
-                    # Cursor gap: events [applied, start) exist on no
-                    # disk.  Jump the cursor rather than letting it lag
-                    # — a lagging ``applied`` would make the resurrected
-                    # session re-drain (and double-fold) the tail the
-                    # engine is about to absorb right here.  The loss
-                    # itself is fsck's to flag; recovery just must not
-                    # compound it.
-                    notes.append(
-                        f"{segment.name}: cursor gap {applied}..{start}, "
-                        f"{start - applied} events lost"
-                    )
-                    applied = start
-                fresh = raws[applied - start :] if start < applied else raws
-                engine.feed_window(fresh)
-                applied += len(fresh)
-                events_replayed += len(fresh)
-    return RecoveredSession(
-        session_id=session_id,
-        engine=engine,
-        received=received,
-        applied=applied,
-        finished=finished,
-        checkpoint_loaded=checkpoint_loaded,
-        events_replayed=events_replayed,
-        truncated_bytes=truncated_bytes,
-        duplicates=duplicates,
-        notes=notes,
-    )
-
-
-def scan_state_dir(state_dir: str | Path) -> list[Path]:
-    """Session directories under ``state_dir`` (those with journals)."""
-    state_dir = Path(state_dir)
-    if not state_dir.is_dir():
-        return []
-    return sorted(
-        child
-        for child in state_dir.iterdir()
-        if child.is_dir() and any(child.glob(_SEGMENT_GLOB))
-    )
+    """Scan and recover one session directory (see :func:`recover_session`;
+    ``fs`` carries the repair's writes, the scan reads the real disk)."""
+    return recover_session(scan_session_dir(directory, **knobs), fs=fs)
 
 
 # -- overload protection -----------------------------------------------------
@@ -896,24 +1288,38 @@ def warn_notes(session_id: str, notes: list[str]) -> None:
 __all__ = [
     "AdmissionController",
     "AdmissionStage",
+    "BAD_CHECKPOINT",
     "CHECKPOINT_VERSION",
+    "CURSOR_GAP",
+    "DAMAGED_SEGMENT",
     "FutureFormatError",
     "JOURNAL_MAGIC",
     "JOURNAL_MAGIC_PREFIX",
     "JOURNAL_VERSION",
     "MAX_JOURNAL_PAYLOAD",
+    "MISNAMED_CHECKPOINT",
+    "QUARANTINE_DIRNAME",
     "REC_EVENTS",
     "REC_FIN",
     "REC_REGISTER",
     "RecoveredSession",
+    "SHARD_DIR_PREFIX",
+    "SegmentScan",
     "SessionJournal",
+    "SessionScan",
+    "TORN_TAIL",
+    "checkpoint_state",
     "engine_from_dict",
     "engine_to_dict",
     "journal_magic",
     "parse_journal_magic",
     "parse_register_entries",
+    "recover_session",
     "recover_session_dir",
+    "restamped_segment",
     "scan_segment",
-    "scan_state_dir",
-    "segment_version",
+    "scan_session_dir",
+    "shard_dir_name",
+    "shard_index",
+    "walk_state_dir",
 ]

@@ -54,35 +54,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from .durability import shard_dir_name, walk_state_dir
 from .router import SessionRouter, gather_snapshots, shard_for
-
-#: Shard state subdirectories are ``<state_dir>/shard-NN``.
-SHARD_DIR_PREFIX = "shard-"
-
-
-def shard_dir_name(index: int) -> str:
-    return f"{SHARD_DIR_PREFIX}{index:02d}"
-
-
-def scan_fleet_state_dir(state_dir: str | Path) -> list[Path]:
-    """Every recoverable session directory under a fleet state dir.
-
-    Covers both layouts: session dirs directly under ``state_dir`` (a
-    single daemon's layout, or a fleet of one) and under any
-    ``shard-NN`` subdirectory.  ``dsspy recover`` uses this so one
-    invocation recovers a whole fleet.
-    """
-    from .durability import scan_state_dir
-
-    state_dir = Path(state_dir)
-    if not state_dir.is_dir():
-        return []
-    dirs = list(scan_state_dir(state_dir))
-    for shard in sorted(state_dir.glob(SHARD_DIR_PREFIX + "*")):
-        if shard.is_dir():
-            dirs.extend(scan_state_dir(shard))
-    return dirs
-
 
 def rebalance_state_dir(
     state_dir: str | Path, n_workers: int
@@ -100,7 +73,9 @@ def rebalance_state_dir(
     """
     state_dir = Path(state_dir)
     moves: list[dict[str, Any]] = []
-    for session_dir in scan_fleet_state_dir(state_dir):
+    for session_dir in walk_state_dir(state_dir):
+        if session_dir == state_dir:
+            continue  # a bare session dir is not a fleet's to rebalance
         session_id = session_dir.name
         target = state_dir / shard_dir_name(shard_for(session_id, n_workers))
         if session_dir.parent == target:

@@ -101,6 +101,9 @@ class RealFS:
     def replace(self, src: str | Path, dst: str | Path) -> None:
         os.replace(src, dst)
 
+    def mkdir(self, path: str | Path) -> None:
+        Path(path).mkdir(exist_ok=True)
+
     def unlink(self, path: str | Path) -> None:
         Path(path).unlink(missing_ok=True)
 

@@ -24,13 +24,11 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .durability import (
-    _CHECKPOINT_NAME,
-    _MAGIC_LEN,
-    _SEGMENT_GLOB,
-    CHECKPOINT_VERSION,
     FutureFormatError,
-    journal_magic,
-    parse_journal_magic,
+    SessionScan,
+    restamped_segment,
+    scan_session_dir,
+    walk_state_dir,
 )
 from .governor import REAL_FS, RealFS
 
@@ -40,8 +38,8 @@ from .governor import REAL_FS, RealFS
 STATE_VERSION = 2
 
 #: Sibling suffix for in-flight rewrites.  Chosen so the temp file can
-#: never match ``_SEGMENT_GLOB`` — a crash mid-migration must not
-#: leave a file that recovery or fsck would scan as a segment.
+#: never pass for a segment or a checkpoint — a crash mid-migration
+#: must not leave a file that recovery or fsck would scan.
 TMP_SUFFIX = ".migrate-tmp"
 
 
@@ -49,15 +47,16 @@ class DowngradeError(RuntimeError):
     """Asked to migrate state *down* to an older format generation."""
 
 
-#: ``from_version -> step`` registry; each step raises on failure and
-#: is idempotent over partially migrated directories.
-MIGRATIONS: dict[int, Callable[[Path, RealFS], None]] = {}
+#: ``from_version -> step`` registry; each step rewrites the artifacts
+#: of a fresh :class:`~repro.service.durability.SessionScan`, raises on
+#: failure, and is idempotent over partially migrated directories.
+MIGRATIONS: dict[int, Callable[[SessionScan, RealFS], None]] = {}
 
 
 def migration(from_version: int):
     """Register a ``v{from} -> v{from+1}`` migration step."""
 
-    def register(fn: Callable[[Path, RealFS], None]):
+    def register(fn: Callable[[SessionScan, RealFS], None]):
         MIGRATIONS[from_version] = fn
         return fn
 
@@ -76,88 +75,29 @@ def _replace_file(fs: RealFS, path: Path, data: bytes) -> None:
     fs.replace(tmp, path)
 
 
-def _checkpoint_version(state: Any) -> int:
-    if not isinstance(state, dict):
-        return 1
-    version = state.get("version", 1)
-    return version if isinstance(version, int) and version >= 1 else 1
-
-
-def session_versions(
-    directory: str | Path, *, fs: RealFS | None = None
-) -> dict[str, Any]:
-    """Per-artifact format generations of one session directory.
-
-    ``state`` is the *oldest* generation present — migration starts
-    from there.  ``None`` means the directory holds nothing versioned
-    (already current by definition).  Future-generation artifacts
-    raise :class:`FutureFormatError`.
-    """
-    fs = fs if fs is not None else REAL_FS
-    directory = Path(directory)
-    segments: dict[str, int] = {}
-    for segment in sorted(directory.glob(_SEGMENT_GLOB)):
-        header = fs.read_bytes(segment)[:_MAGIC_LEN]
-        try:
-            segments[segment.name] = parse_journal_magic(header)
-        except FutureFormatError:
-            raise
-        except ValueError:
-            continue  # not a journal (damage is fsck's department)
-    checkpoint: int | None = None
-    ckpt_path = directory / _CHECKPOINT_NAME
-    if ckpt_path.exists():
-        try:
-            state = json.loads(fs.read_text(ckpt_path))
-        except (OSError, ValueError):
-            state = None  # unreadable: recovery replays; nothing to migrate
-        if state is not None:
-            checkpoint = _checkpoint_version(state)
-            if checkpoint > CHECKPOINT_VERSION:
-                raise FutureFormatError(
-                    f"{ckpt_path}: checkpoint format v{checkpoint} is newer "
-                    f"than this build writes (v{CHECKPOINT_VERSION})"
-                )
-    known = list(segments.values())
-    if checkpoint is not None:
-        known.append(checkpoint)
-    return {
-        "segments": segments,
-        "checkpoint": checkpoint,
-        "state": min(known) if known else None,
-    }
-
-
 @migration(1)
-def _migrate_1_to_2(directory: Path, fs: RealFS) -> None:
+def _migrate_1_to_2(scan: SessionScan, fs: RealFS) -> None:
     """v1 -> v2: stamp segment headers with their format generation
     and add the ``format`` build block to the checkpoint.  The record
     layout is unchanged, so the rewrite is mechanical — which is
     exactly why this hop exists: it proves the machinery the next
-    record-format change will depend on."""
+    record-format change will depend on.  Damaged artifacts are left
+    as they are (fsck, not migrate, handles them); already migrated
+    ones are skipped, so a rerun completes an interrupted migration."""
     from ..buildinfo import build_info
 
-    for segment in sorted(directory.glob(_SEGMENT_GLOB)):
-        data = fs.read_bytes(segment)
-        try:
-            version = parse_journal_magic(data[:_MAGIC_LEN])
-        except ValueError:
-            continue  # damaged header; fsck, not migrate, handles it
-        if version != 1:
-            continue  # already migrated (idempotent re-run)
-        _replace_file(fs, segment, journal_magic(2) + data[_MAGIC_LEN:])
-    ckpt_path = directory / _CHECKPOINT_NAME
-    if ckpt_path.exists():
-        try:
-            state = json.loads(fs.read_text(ckpt_path))
-        except (OSError, ValueError):
-            return  # unreadable checkpoint: recovery replays instead
-        if isinstance(state, dict) and _checkpoint_version(state) == 1:
-            state["version"] = 2
-            state["format"] = build_info()  # the build that migrated it
-            _replace_file(
-                fs, ckpt_path, json.dumps(state, separators=(",", ":")).encode()
-            )
+    for segment in scan.segments:
+        if segment.version == 1:
+            _replace_file(fs, segment.path, restamped_segment(segment.path, 2, fs=fs))
+    state = scan.checkpoint_state
+    if state is not None and scan.checkpoint_version == 1:
+        state["version"] = 2
+        state["format"] = build_info()  # the build that migrated it
+        _replace_file(
+            fs,
+            scan.checkpoint_path,
+            json.dumps(state, separators=(",", ":")).encode(),
+        )
 
 
 def migrate_session_dir(
@@ -169,7 +109,8 @@ def migrate_session_dir(
     """Bring one session directory to format generation ``to``.
 
     Returns ``{"path", "from", "to", "steps"}``; ``from`` is ``None``
-    for a directory with nothing to migrate.  Refuses downgrades.
+    for a directory with nothing to migrate.  Refuses downgrades, and
+    state a newer build wrote (:class:`FutureFormatError`).
     """
     fs = fs if fs is not None else REAL_FS
     directory = Path(directory)
@@ -177,8 +118,9 @@ def migrate_session_dir(
     # incomplete rewrite whose original is still intact.
     for leftover in directory.glob("*" + TMP_SUFFIX):
         fs.unlink(leftover)
-    versions = session_versions(directory, fs=fs)
-    current = versions["state"]
+    scan = scan_session_dir(directory, fs=fs, versions_only=True)
+    scan.check_format()
+    current = scan.versions["state"]
     result = {
         "path": str(directory),
         "from": current,
@@ -200,9 +142,11 @@ def migrate_session_dir(
                 f"{directory}: no migration step registered for "
                 f"v{current} -> v{current + 1}"
             )
-        step(directory, fs)
+        step(scan, fs)
         result["steps"].append(f"v{current}->v{current + 1}")
         current += 1
+        if current < to:
+            scan = scan_session_dir(directory, fs=fs, versions_only=True)
     return result
 
 
@@ -218,22 +162,16 @@ def migrate_state_dir(
     ``shard-NN`` subdirectories, or one bare session directory — the
     same layouts ``dsspy fsck`` walks.
     """
-    from .fleet import scan_fleet_state_dir
-
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"{root}: not a directory")
-    if any(root.glob(_SEGMENT_GLOB)) or (root / _CHECKPOINT_NAME).exists():
-        session_dirs = [root]  # bare session directory
-    else:
-        session_dirs = scan_fleet_state_dir(root)
     report: dict[str, Any] = {
         "root": str(root),
         "to": to,
         "sessions": [],
         "migrated": 0,
     }
-    for session_dir in session_dirs:
+    for session_dir in walk_state_dir(root):
         entry = migrate_session_dir(session_dir, to=to, fs=fs)
         report["sessions"].append(entry)
         if entry["steps"]:
@@ -249,5 +187,4 @@ __all__ = [
     "migrate_session_dir",
     "migrate_state_dir",
     "migration",
-    "session_versions",
 ]

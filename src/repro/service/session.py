@@ -43,6 +43,7 @@ from ..events.event import RawEvent
 from ..events.profile import site_to_dict
 from ..events.spill import RECORD_SIZE, SpillWriter, iter_spill_raw
 from ..testing.clock import SYSTEM_CLOCK, Clock
+from .durability import checkpoint_state
 from .protocol import ProtocolError
 from .streaming import StreamingUseCaseEngine
 
@@ -519,7 +520,7 @@ class Session:
         except TimeoutError:
             return  # folder busy; try again on a later window
         try:
-            self.journal.checkpoint(self._checkpoint_state())
+            self.journal.checkpoint(checkpoint_state(self))
         except OSError:
             # Recorded by the journal/governor; the old checkpoint and
             # every segment are intact, so skipping is always safe.
@@ -539,30 +540,13 @@ class Session:
             return
         try:
             self.pipeline.flush(timeout=1.0 if best_effort else 5.0)
-            self.journal.checkpoint(self._checkpoint_state())
+            self.journal.checkpoint(checkpoint_state(self))
         except (TimeoutError, OSError):
             return
         self._last_checkpoint = self.received
         self.forced_checkpoints += 1
         if self._governor is not None:
             self._governor.note_compaction()
-
-    def _checkpoint_state(self) -> dict[str, Any]:
-        from ..buildinfo import build_info
-        from .durability import CHECKPOINT_VERSION, engine_to_dict
-
-        return {
-            "version": CHECKPOINT_VERSION,
-            "session": self.session_id,
-            "received": self.received,
-            "applied": self.applied,
-            "duplicates": self.duplicates,
-            # v2: which build (and which format generations) wrote
-            # this checkpoint — the first thing to look at when a
-            # mixed-version fleet misbehaves.
-            "format": build_info(),
-            "engine": engine_to_dict(self.engine),
-        }
 
     def compact(self) -> bool:
         """Force a checkpoint to shrink the on-disk journal; the
@@ -676,7 +660,7 @@ class Session:
                 self._drain_deferred_locked()
                 self.pipeline.close()
                 if self.journal is not None:
-                    self.journal.checkpoint(self._checkpoint_state())
+                    self.journal.checkpoint(checkpoint_state(self))
             except (OSError, TimeoutError):
                 self.pipeline.abort()
             finally:

@@ -54,7 +54,6 @@ runs while sessions stream.  Either way the ledger must balance.
 from __future__ import annotations
 
 import json
-import os
 import random
 import shutil
 import tempfile
@@ -110,43 +109,21 @@ def regress_state_dir_to_v1(root: str | Path) -> int:
     this shape natively; the chaos ``upgrade`` fault regresses fresh
     state so every soak trial hands ``migrate`` genuinely old input.
     Returns the number of files rewritten."""
-    from ..service.durability import (
-        _CHECKPOINT_NAME,
-        _MAGIC_LEN,
-        _SEGMENT_GLOB,
-        journal_magic,
-        parse_journal_magic,
-    )
-    from ..service.fleet import scan_fleet_state_dir
+    from ..service.durability import restamped_segment, scan_session_dir, walk_state_dir
 
-    root = Path(root)
-    if any(root.glob(_SEGMENT_GLOB)) or (root / _CHECKPOINT_NAME).exists():
-        session_dirs = [root]
-    else:
-        session_dirs = scan_fleet_state_dir(root)
     rewritten = 0
-    for directory in session_dirs:
-        for segment in sorted(directory.glob(_SEGMENT_GLOB)):
-            data = segment.read_bytes()
-            try:
-                version = parse_journal_magic(data[:_MAGIC_LEN])
-            except ValueError:
-                continue  # damaged header stays damaged
-            if version <= 1:
-                continue
-            segment.write_bytes(journal_magic(1) + data[_MAGIC_LEN:])
-            rewritten += 1
-        ckpt = directory / _CHECKPOINT_NAME
-        if ckpt.exists():
-            try:
-                state = json.loads(ckpt.read_text())
-            except (OSError, ValueError):
-                continue
-            if isinstance(state, dict) and state.get("version", 1) != 1:
-                state["version"] = 1
-                state.pop("format", None)
-                ckpt.write_text(json.dumps(state, separators=(",", ":")))
+    for directory in walk_state_dir(root):
+        scan = scan_session_dir(directory, versions_only=True)
+        for segment in scan.segments:
+            if segment.version is not None and segment.version > 1:
+                segment.path.write_bytes(restamped_segment(segment.path, 1))
                 rewritten += 1
+        state = scan.checkpoint_state
+        if state is not None and scan.checkpoint_version not in (None, 1):
+            state["version"] = 1
+            state.pop("format", None)
+            scan.checkpoint_path.write_text(json.dumps(state, separators=(",", ":")))
+            rewritten += 1
     return rewritten
 
 
@@ -175,10 +152,10 @@ def _offline_replay_notes(state_dir: Path, batch: dict[str, Any]) -> list[str]:
     the trial ledger — they never flip a passing trial."""
     notes: list[str] = []
     try:
-        from ..service.durability import recover_session_dir, scan_state_dir
+        from ..service.durability import recover_session_dir, walk_state_dir
         from ..usecases.json_export import report_to_dict
 
-        for directory in scan_state_dir(state_dir):
+        for directory in walk_state_dir(state_dir):
             rec = recover_session_dir(directory)
             summary = summarize_report(report_to_dict(rec.engine.report()))
             diff = diff_summaries("batch", batch, "replay", summary)
@@ -395,9 +372,6 @@ class ChaosTrialResult:
     recovery_times: list[float] = field(default_factory=list)
     disk_faults: dict[str, Any] | None = None
     elapsed: float = 0.0
-    #: Path to the trial's state dir when it was preserved for autopsy
-    #: (violating trial under ``preserve_evidence=True``).
-    state_dir: str | None = None
     #: Inproc only: the trace and fault plan the trial ran, so a
     #: violation can be replayed and shrunk.  Not part of the ledger.
     trace: Trace | None = None
@@ -419,7 +393,6 @@ class ChaosTrialResult:
             "recovery_times": [round(t, 4) for t in self.recovery_times],
             "disk_faults": self.disk_faults,
             "elapsed": round(self.elapsed, 4),
-            "state_dir": self.state_dir,
         }
 
     def describe(self) -> str:
@@ -480,7 +453,6 @@ class ChaosSoak:
         fleet_fault_fs_spec: str | None = None,
         trace_kwargs: dict[str, Any] | None = None,
         monitor: InvariantMonitor | None = None,
-        preserve_evidence: bool = False,
     ) -> None:
         if backend not in ("inproc", "fleet"):
             raise ValueError(f"backend must be 'inproc' or 'fleet', got {backend!r}")
@@ -503,14 +475,6 @@ class ChaosSoak:
         self.fleet_fault_fs_spec = fleet_fault_fs_spec
         self.trace_kwargs = dict(trace_kwargs or {})
         self.monitor = monitor or InvariantMonitor()
-        #: Keep a violating trial's state dir (under the soak root, so
-        #: it lives until :meth:`close`) instead of deleting it, and
-        #: record its path on the trial result.  Off by default: the
-        #: broken-rung sensitivity test violates on purpose and must
-        #: not litter.
-        self.preserve_evidence = preserve_evidence
-        #: State dirs preserved so far (violating trials only).
-        self.preserved: list[str] = []
         self._root = Path(tempfile.mkdtemp(prefix="dsspy-chaos-"))
 
     # -- seeded ingredients ----------------------------------------------
@@ -798,7 +762,6 @@ class ChaosSoak:
             violations.append(f"trial aborted: {exc!r}")
         finally:
             violations += recovery_failures
-            preserved: str | None = None
             if violations:
                 # Freeze the evidence first — crash(), not close(), so
                 # no flush or checkpoint rewrites the state dir — then
@@ -809,27 +772,12 @@ class ChaosSoak:
                 except Exception:
                     pass
                 violations += _offline_replay_notes(state_dir, batch)
-                if self.preserve_evidence:
-                    # Move the evidence aside under a unique name: the
-                    # trial dir is keyed by seed, and a later trial of
-                    # the same seed must start on a clean slate, not
-                    # recover this trial's leftovers.
-                    target = state_dir.with_name(
-                        f"{state_dir.name}-violation-{len(self.preserved)}"
-                    )
-                    try:
-                        os.replace(state_dir, target)
-                        preserved = str(target)
-                    except OSError:
-                        preserved = str(state_dir)
-                    self.preserved.append(preserved)
-            if preserved is None:
-                try:
-                    daemon_box["d"].purge_sessions()
-                    daemon_box["d"].close()
-                except Exception:
-                    pass
-                shutil.rmtree(state_dir, ignore_errors=True)
+            try:
+                daemon_box["d"].purge_sessions()
+                daemon_box["d"].close()
+            except Exception:
+                pass
+            shutil.rmtree(state_dir, ignore_errors=True)
 
         return ChaosTrialResult(
             seed=seed,
@@ -846,7 +794,6 @@ class ChaosSoak:
             recovery_times=recovery_times,
             disk_faults=fs.stats() if fs is not None else None,
             elapsed=time.monotonic() - t_start,
-            state_dir=preserved,
             trace=trace,
             plan=plan,
         )
@@ -1047,12 +994,7 @@ class ChaosSoak:
                 sup.stop(graceful=False)
             except Exception:
                 pass
-            preserved: str | None = None
-            if violations and self.preserve_evidence:
-                preserved = str(state_dir)
-                self.preserved.append(preserved)
-            else:
-                shutil.rmtree(state_dir, ignore_errors=True)
+            shutil.rmtree(state_dir, ignore_errors=True)
 
         return ChaosTrialResult(
             seed=seed,
@@ -1069,7 +1011,6 @@ class ChaosSoak:
             recovery_times=recovery_log,
             disk_faults=None,
             elapsed=time.monotonic() - t_start,
-            state_dir=preserved,
         )
 
     @staticmethod

@@ -519,6 +519,10 @@ class FaultFS:
         self._charge_write(0 if self.enospc_after_bytes is None else 1)
         os.replace(src, dst)
 
+    def mkdir(self, path: str | Path) -> None:
+        self._charge_write(0 if self.enospc_after_bytes is None else 1)
+        Path(path).mkdir(exist_ok=True)
+
     def unlink(self, path: str | Path) -> None:
         Path(path).unlink(missing_ok=True)
 

@@ -33,7 +33,7 @@ from repro.service import (
     engine_from_dict,
     engine_to_dict,
     recover_session_dir,
-    scan_state_dir,
+    walk_state_dir,
 )
 from repro.service.client import ServiceClient
 from repro.service.daemon import _remove_stale_unix_socket
@@ -353,7 +353,7 @@ class TestDaemonCrashRecovery:
             "post-crash",
             summarize_report(report),
         )
-        assert scan_state_dir(state) == [], "a finished session must leave no journal"
+        assert walk_state_dir(state) == [], "a finished session must leave no journal"
 
     def test_clean_close_leaves_no_state_behind(self, tmp_path):
         trace = generate_trace(13)
@@ -364,7 +364,26 @@ class TestDaemonCrashRecovery:
             client.send_events(0, trace.events)
             client.fin()
             client.close()
-        assert scan_state_dir(state) == []
+        assert walk_state_dir(state) == []
+
+    def test_checkpoint_without_segments_is_still_a_session(self, tmp_path):
+        # A failed roll after a checkpoint leaves no segment behind; the
+        # checkpoint alone still holds every acknowledged event.
+        trace = generate_trace(14)
+        state = tmp_path / "state"
+        session = _session_with_journal(state, "ck", checkpoint_every=64)
+        _ingest_trace(session, trace, 64)
+        assert session.journal.checkpoints > 0
+        session.abandon()
+        for segment in (state / "ck").glob("journal-*.wal"):
+            segment.unlink()
+        checkpointed = json.loads((state / "ck" / "checkpoint.json").read_text())
+        daemon = ProfilingDaemon(port=0, state_dir=state)
+        try:
+            assert daemon.recovered_sessions == ["ck"]
+            assert daemon.sessions["ck"].received == checkpointed["received"] > 0
+        finally:
+            daemon.crash()
 
 
 def _fin_quietly(client):
@@ -452,7 +471,7 @@ class TestCrashedGenerationConnections:
             sock.close()
         assert not handlers[0].is_alive()
         # A dead generation writing a journal would race the next one.
-        assert scan_state_dir(state) == []
+        assert walk_state_dir(state) == []
 
 
 class TestAdmissionController:
@@ -841,10 +860,33 @@ class TestRecoverCLI:
 
         assert main(["recover", str(tmp_path / "state"), "--purge"]) == 0
         assert "purged 1 session journal(s)" in capsys.readouterr().out
-        assert scan_state_dir(tmp_path / "state") == []
+        assert walk_state_dir(tmp_path / "state") == []
 
     def test_recover_on_empty_dir_is_a_noop(self, tmp_path, capsys):
         from repro.cli import main
 
         assert main(["recover", str(tmp_path)]) == 0
         assert "no recoverable sessions" in capsys.readouterr().out
+
+    def test_recover_accepts_a_bare_session_dir(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace, session_id = self._crashed_state(tmp_path)
+        assert main(["recover", str(tmp_path / "state" / session_id)]) == 0
+        out = capsys.readouterr().out
+        assert "no recoverable sessions" not in out
+        assert f"{session_id}: interrupted, {len(trace.events)} events journaled" in out
+
+    def test_recover_on_newer_format_state_exits_two(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.service.durability import journal_magic
+
+        _trace, session_id = self._crashed_state(tmp_path)
+        segment = sorted((tmp_path / "state" / session_id).glob("journal-*.wal"))[0]
+        before = segment.read_bytes()
+        segment.write_bytes(journal_magic(99) + before[8:])
+        assert main(["recover", str(tmp_path / "state")]) == 2
+        err = capsys.readouterr().err
+        assert "state written by a newer dsspy build" in err
+        assert "dsspy migrate" in err
+        assert segment.read_bytes()[8:] == before[8:], "newer state is never touched"

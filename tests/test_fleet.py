@@ -30,8 +30,8 @@ from repro.service import (
     fetch_stats,
     fleet_run,
     rebalance_state_dir,
-    scan_fleet_state_dir,
     shard_for,
+    walk_state_dir,
 )
 from repro.service.fleet import shard_dir_name
 
@@ -120,7 +120,7 @@ class TestRebalance:
         _fabricate_session(tmp_path / "top")
         _fabricate_session(tmp_path / "shard-01" / "deep")
         (tmp_path / "shard-01" / "not-a-session").mkdir()
-        names = {d.name for d in scan_fleet_state_dir(tmp_path)}
+        names = {d.name for d in walk_state_dir(tmp_path)}
         assert names == {"top", "deep"}
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.events.types import StructureKind
 from repro.service.durability import (
     CHECKPOINT_VERSION,
     SessionJournal,
@@ -182,6 +183,31 @@ class TestBitFlips:
         report = fsck_session_dir(tmp_path / "s")
         assert not report["ok"]
         assert any("names session" in p for p in report["problems"])
+
+
+class TestRebuiltCheckpoint:
+    def test_has_exactly_the_keys_a_session_writes(self, tmp_path):
+        from repro.service import StreamingUseCaseEngine
+        from repro.service.session import Session
+
+        session = Session(
+            "live",
+            StreamingUseCaseEngine(),
+            journal=SessionJournal(tmp_path / "live"),
+            checkpoint_every=4,
+        )
+        session.register(1, StructureKind.LIST, None, "t")
+        session.ingest(0, _raws(8))
+        session.abandon()
+        written = json.loads((tmp_path / "live" / "checkpoint.json").read_text())
+
+        _fabricate(tmp_path / "s")
+        (tmp_path / "s" / "checkpoint.json").write_text("{ not json")
+        fsck_session_dir(tmp_path / "s", repair=True)
+        rebuilt = json.loads((tmp_path / "s" / "checkpoint.json").read_text())
+        assert list(rebuilt) == list(written)
+        assert rebuilt["format"] == written["format"]
+        assert rebuilt["version"] == CHECKPOINT_VERSION
 
 
 class TestCursorContinuity:

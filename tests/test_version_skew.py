@@ -43,17 +43,16 @@ from repro.service import (
 )
 from repro.service.client import ServiceClient
 from repro.service.durability import (
-    _CHECKPOINT_NAME,
     _MAGIC_LEN,
     JOURNAL_VERSION,
     journal_magic,
+    scan_session_dir,
 )
 from repro.service.fleet import FleetSupervisor
 from repro.service.migrate import (
     TMP_SUFFIX,
     migrate_session_dir,
     migrate_state_dir,
-    session_versions,
 )
 from repro.service.protocol import MessageType
 from repro.service.router import shard_for
@@ -291,7 +290,7 @@ class TestFixtureMigration:
 
     def test_fixture_is_still_version_1(self):
         for session_id, _seed in FIXTURE_SESSIONS:
-            versions = session_versions(FIXTURE / session_id)
+            versions = scan_session_dir(FIXTURE / session_id).versions
             assert versions["state"] == 1
             assert set(versions["segments"].values()) == {1}
             assert versions["checkpoint"] == 1
@@ -301,7 +300,7 @@ class TestFixtureMigration:
         assert cli_main(["migrate", str(state)]) == 0
         assert cli_main(["fsck", str(state)]) == 0
         for session_id, seed in FIXTURE_SESSIONS:
-            versions = session_versions(state / session_id)
+            versions = scan_session_dir(state / session_id).versions
             assert versions["state"] == STATE_VERSION
             trace = generate_trace(seed)
             recovered = recover_session_dir(state / session_id)
@@ -329,7 +328,7 @@ class TestFixtureMigration:
         state = _copy_fixture(tmp_path)
         segment = next((state / "fixture-a").glob("journal-*.wal"))
         segment.write_bytes(journal_magic(99) + segment.read_bytes()[_MAGIC_LEN:])
-        ckpt = state / "fixture-b" / _CHECKPOINT_NAME
+        ckpt = state / "fixture-b" / "checkpoint.json"
         ckpt_state = json.loads(ckpt.read_text())
         ckpt_state["version"] = 99
         ckpt.write_text(json.dumps(ckpt_state))
@@ -365,13 +364,13 @@ class TestCrashDuringMigration:
             session.ingest(offset, raws)
         session.abandon()
         assert regress_state_dir_to_v1(directory) > 0
-        assert session_versions(directory)["state"] == 1
+        assert scan_session_dir(directory).versions["state"] == 1
         return directory, trace
 
     @staticmethod
     def _artifact_bytes(directory: Path) -> dict[str, bytes]:
         names = sorted(p.name for p in directory.glob("journal-*.wal"))
-        names.append(_CHECKPOINT_NAME)
+        names.append("checkpoint.json")
         return {name: (directory / name).read_bytes() for name in names}
 
     def test_torn_tmp_at_every_byte_recovers_wholly_old_or_new(
@@ -396,7 +395,7 @@ class TestCrashDuringMigration:
                 (work / (name + TMP_SUFFIX)).write_bytes(new_bytes[:cut])
                 # Nothing versioned sees the temp file — the directory
                 # is still wholly old.
-                assert session_versions(work)["state"] == 1
+                assert scan_session_dir(work).versions["state"] == 1
                 assert self._artifact_bytes(work) == old
                 # Rerunning the migration sweeps the leftover and
                 # finishes the job.
