@@ -32,10 +32,6 @@ Metric map (all under ``derived``):
 ``remote_vs_plain`` / ``journal_vs_plain``
     The networked transport against a loopback daemon, without and
     with the write-ahead journal.
-``shm_vs_plain``
-    The same capture over the shared-memory ring transport
-    (:mod:`repro.service.shm`) — gated relatively like the others, and
-    expected to beat ``remote_vs_plain`` on the same machine.
 ``guard_vs_plain``
     The full structure hot path — ``TrackedList.append`` through
     ``EventCollector.record`` — under an armed fail-open firewall.
@@ -90,7 +86,6 @@ GATED_METRICS = (
     "batching_vs_plain",
     "remote_vs_plain",
     "journal_vs_plain",
-    "shm_vs_plain",
     "guard_vs_plain",
 )
 
@@ -246,20 +241,6 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
         "total_s": total_s,
         "per_event_ns": total_s / events * 1e9,
     }
-    # The same capture with EVENTS moved off the socket onto the
-    # shared-memory ring: the client packs records into the ring, the
-    # daemon's consumer thread drains it.
-    with ProfilingDaemon(port=0, session_linger=0.1) as daemon:
-        total_s = _best(
-            lambda: _time_channel(
-                lambda: RemoteChannel(daemon.address, transport="shm"), events
-            ),
-            repeats,
-        )
-    doc["channels"]["shm"] = {
-        "total_s": total_s,
-        "per_event_ns": total_s / events * 1e9,
-    }
     # Same transport against a durable daemon: every window is journaled
     # before it is acknowledged, with periodic checkpoints.
     with tempfile.TemporaryDirectory(prefix="dsspy-bench-state-") as state_dir:
@@ -313,7 +294,6 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
         # Machine-normalized cost multiples — the CI-gated metrics.
         "batching_vs_plain": batching_ns / plain_ns,
         "remote_vs_plain": doc["channels"]["remote"]["per_event_ns"] / plain_ns,
-        "shm_vs_plain": doc["channels"]["shm"]["per_event_ns"] / plain_ns,
         "journal_vs_plain": doc["channels"]["remote_journal"]["per_event_ns"]
         / plain_ns,
         # The record hook into a batching channel, informational.
@@ -956,8 +936,7 @@ def run(args: argparse.Namespace) -> int:
             f"{derived.get('record_batching_vs_plain', float('nan')):.1f}x plain; "
             f"batching: {derived.get('batching_vs_plain', float('nan')):.1f}x; "
             f"remote: {derived.get('remote_vs_plain', float('nan')):.1f}x "
-            f"(shm {derived.get('shm_vs_plain', float('nan')):.1f}x, "
-            f"journaled {derived.get('journal_vs_plain', float('nan')):.1f}x); "
+            f"(journaled {derived.get('journal_vs_plain', float('nan')):.1f}x); "
             f"guard: {derived.get('guard_vs_plain', float('nan')):.1f}x",
             file=sys.stderr,
         )

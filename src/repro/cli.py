@@ -108,7 +108,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     batch_size=args.batch_size,
                     give_up_after=args.remote_give_up,
                     fallback_spill=args.remote_spill,
-                    transport=args.transport,
                 )
             except OSError as exc:
                 print(
@@ -1207,14 +1206,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="stream events to a dsspy daemon (see 'dsspy serve') instead of "
         "keeping the capture purely in-process",
-    )
-    analyze.add_argument(
-        "--transport",
-        choices=("socket", "shm"),
-        default="socket",
-        help="with --remote: ship events over the TCP/Unix socket, or "
-        "offer a same-host shared-memory ring (falls back to the socket "
-        "when the daemon declines)",
     )
     analyze.add_argument(
         "--remote-give-up",

@@ -67,9 +67,9 @@ def pack_records(raws: Iterable[RawEvent]) -> bytes:
     """Pack raw event tuples into one block of fixed-width records.
 
     The one encoder of the record format, one ``struct`` pass per
-    block: spill files, the shm ring, the service wire protocol's
-    EVENTS frames (:mod:`repro.service.protocol`) and the session
-    journal all carry these bytes, so every side agrees byte for byte.
+    block: spill files, the service wire protocol's EVENTS frames
+    (:mod:`repro.service.protocol`) and the session journal all carry
+    these bytes, so every side agrees byte for byte.
     """
     pack = _RECORD.pack
     return b"".join([

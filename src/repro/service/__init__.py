@@ -82,14 +82,12 @@ from .protocol import (
 )
 from .router import SessionRouter, shard_for
 from .session import IngestPipeline, RateMeter, Session, SessionState
-from .shm import DEFAULT_RING_RECORDS, ShmRing
 from .streaming import StreamingUseCaseEngine
 
 __all__ = [
     "AdmissionController",
     "AdmissionStage",
     "BackoffPolicy",
-    "DEFAULT_RING_RECORDS",
     "DowngradeError",
     "FleetCoordinator",
     "FleetSupervisor",
@@ -120,7 +118,6 @@ __all__ = [
     "SessionRouter",
     "SessionScan",
     "SessionState",
-    "ShmRing",
     "StreamingUseCaseEngine",
     "decode_events",
     "decode_json",

@@ -23,19 +23,17 @@ from __future__ import annotations
 import random
 import socket
 import threading
-import time
 from pathlib import Path
 from typing import Any
 
 from ..events.batching import BatchingChannel
 from ..events.event import RawEvent
 from ..events.profile import AllocationSite, site_to_dict
-from ..events.spill import RECORD_SIZE, SpillWriter, pack_records
+from ..events.spill import SpillWriter
 from ..events.types import StructureKind
 from ..testing.clock import SYSTEM_CLOCK, Clock
 from .protocol import (
     MAX_EVENTS_PER_FRAME,
-    SHM_CAPABILITY,
     MessageType,
     ProtocolError,
     RetryAfterError,
@@ -44,10 +42,8 @@ from .protocol import (
     encode_json,
     parse_version_offer,
     recv_frame,
-    shm_offer,
     version_offer,
 )
-from .shm import DEFAULT_RING_RECORDS, ShmRing
 
 
 def parse_address(text: str) -> tuple[int, Any]:
@@ -79,7 +75,6 @@ class ServiceClient:
         address: str,
         session_id: str | None = None,
         timeout: float = 10.0,
-        shm: dict[str, Any] | None = None,
     ) -> None:
         self.address = address
         family, connect_arg = parse_address(address)
@@ -95,14 +90,10 @@ class ServiceClient:
         hello: dict[str, Any] = version_offer()
         if session_id:
             hello["session"] = session_id
-        if shm is not None:
-            hello[SHM_CAPABILITY] = shm
         ack = self._request(MessageType.HELLO, hello)
         self.session_id: str = ack["session"]
         self.server_received: int = int(ack.get("received", 0))
         self.resumed: bool = bool(ack.get("resumed", False))
-        #: Whether the daemon attached the offered shared-memory ring.
-        self.shm_accepted: bool = bool(ack.get(SHM_CAPABILITY, False))
         # A version-1 daemon sends no version keys; parse_version_offer
         # folds that case into (1, 1, inferred features).  The ACK's
         # "proto" is already the daemon's negotiated pick, so the max
@@ -311,8 +302,6 @@ class RemoteChannel(BatchingChannel):
         backoff: BackoffPolicy | None = None,
         give_up_after: float | None = None,
         fallback_spill: str | Path | None = None,
-        transport: str = "socket",
-        ring_records: int = DEFAULT_RING_RECORDS,
         **batching_kwargs: Any,
     ) -> None:
         if batching_kwargs.pop("spill", None) is not None:
@@ -320,18 +309,8 @@ class RemoteChannel(BatchingChannel):
                 "RemoteChannel keeps its retransmission source in RAM; "
                 "spill is not supported (use the daemon-side spill instead)"
             )
-        if transport not in ("socket", "shm"):
-            raise ValueError(
-                f"transport must be 'socket' or 'shm', got {transport!r}"
-            )
         batching_kwargs.setdefault("policy", "block")
         self.address = address
-        self._transport = transport
-        self._ring_records = ring_records
-        self._ring: ShmRing | None = None
-        #: Harvests that stalled because the ring had no room (the
-        #: consumer was behind); the tail is retried next harvest.
-        self.ring_full = 0
         self._clock = clock
         self.final_ack: dict[str, Any] | None = None
         self._client: ServiceClient | None = None
@@ -399,32 +378,7 @@ class RemoteChannel(BatchingChannel):
     # -- shipping (drainer thread) ---------------------------------------
 
     def _connect(self) -> None:
-        offer = None
-        if self._transport == "shm":
-            # Fresh ring per connection generation: the daemon's old
-            # consumer (if any) drains before the new one attaches, so
-            # reused counters could never line up with the resumed
-            # cursor.  The old segment dies with its last detach.
-            if self._ring is not None:
-                self._ring.unlink()
-                self._ring = None
-            self._ring = ShmRing.create(self._ring_records)
-            offer = shm_offer(self._ring.name, self._ring.capacity_bytes)
-        try:
-            client = ServiceClient(
-                self.address, session_id=self._session_id, shm=offer
-            )
-        except Exception:
-            if self._ring is not None:
-                self._ring.unlink()
-                self._ring = None
-            raise
-        if offer is not None and not client.shm_accepted:
-            # Daemon declined (stale segment, remote host, old daemon):
-            # fall back to EVENTS frames on the socket for this
-            # connection; the next reconnect offers a fresh ring again.
-            self._ring.unlink()
-            self._ring = None
+        client = ServiceClient(self.address, session_id=self._session_id)
         self._client = client
         self._session_id = client.session_id
         if client.resumed:
@@ -482,21 +436,6 @@ class RemoteChannel(BatchingChannel):
         pending = self._master[self._shipped :]
         if not pending:
             return
-        ring = self._ring
-        if ring is not None:
-            # Zero-syscall path: pack straight into the shared ring.
-            # Partial fit is backpressure, not failure — the daemon's
-            # consumer frees space and the next harvest ships the rest.
-            room = ring.free // RECORD_SIZE
-            if room <= 0:
-                self.ring_full += 1
-                return
-            chunk = pending[:room]
-            written = ring.write(pack_records(chunk))
-            self._shipped += written // RECORD_SIZE
-            if written // RECORD_SIZE < len(pending):
-                self.ring_full += 1
-            return
         try:
             self._client.send_events(self._shipped, pending)
             self._shipped += len(pending)
@@ -549,13 +488,6 @@ class RemoteChannel(BatchingChannel):
                 sock.close()
             except OSError:
                 pass
-        if self._ring is not None:
-            # Detach only: the segment (and the daemon conversation it
-            # belongs to) is the parent's.  A resession child creates
-            # its own ring at its first connect.
-            self._ring.close()
-            self._ring = None
-        self.ring_full = 0
         self._ship_lock = threading.Lock()
         self._shipped = 0
         self._registered_sent = 0
@@ -612,25 +544,12 @@ class RemoteChannel(BatchingChannel):
         self._hb_stop.set()
         self._hb_thread.join(timeout=5.0)
         with self._ship_lock:
-            # Stall-bounded final ship: iterations that move the cursor
-            # are free (a small ring legitimately needs many refills),
-            # only consecutive no-progress rounds count against the
-            # budget — a dead daemon exhausts it quickly.
-            max_stalls = 50 if self._transport == "shm" else 3
-            stalls_left = max_stalls
-            while stalls_left > 0:
-                before = self._shipped
+            # A few reconnect-and-ship rounds: one either ships the
+            # whole tail or fails, so a dead daemon exhausts them quickly.
+            for _ in range(3):
                 self._ship_pending(force=True)
                 if self._client is not None and self._shipped == len(master):
                     break
-                if self._shipped == before:
-                    stalls_left -= 1
-                    if self._ring is not None and stalls_left > 0:
-                        # Ring full: give the daemon's consumer a moment
-                        # to free space before packing the remainder.
-                        time.sleep(0.01)
-                else:
-                    stalls_left = max_stalls
             for _ in range(2):
                 client = self._client
                 if client is None:
@@ -639,19 +558,15 @@ class RemoteChannel(BatchingChannel):
                     self.final_ack = client.fin()
                     break
                 except (OSError, ProtocolError):
-                    # The shm path exercises the socket so rarely that a
-                    # long-dead connection may only surface here:
-                    # reconnect (resuming the session), re-ship whatever
-                    # the server lost, and try the FIN once more.
+                    # EVENTS frames get no reply, so a connection the
+                    # daemon already dropped (a heartbeat reap, a restart)
+                    # may only surface at FIN's reply: reconnect (resuming
+                    # the session), re-ship whatever the server lost, and
+                    # try the FIN once more.
                     self.final_ack = None
                     self._disconnect()
                     self._ship_pending(force=True)
             self._disconnect()
-            if self._ring is not None:
-                # FIN (or its failure) ends this ring's conversation;
-                # the daemon has already detached its side.
-                self._ring.unlink()
-                self._ring = None
             if self._shipped < len(master) and self._fallback_spill is not None:
                 with SpillWriter(self._fallback_spill) as writer:
                     writer.write_batch(master[self._shipped :])

@@ -46,8 +46,7 @@ from .durability import (
     walk_state_dir,
     warn_notes,
 )
-from ..events.spill import RECORD_SIZE, unpack_records
-from .governor import RealFS, ResourceGovernor, ResourcePressure, is_resource_error
+from .governor import RealFS, ResourceGovernor, ResourcePressure
 from .protocol import (
     _EVENTS_HEADER,
     PROTOCOL_FEATURES,
@@ -59,96 +58,11 @@ from .protocol import (
     decode_json,
     encode_json,
     negotiate_version,
-    parse_shm_offer,
     parse_version_offer,
     recv_frame,
 )
 from .session import Session, SessionState
-from .shm import ShmRing
 from .streaming import StreamingUseCaseEngine
-
-
-class _ShmConsumer:
-    """Per-session drain thread for a client's shared-memory ring.
-
-    Polls the ring and folds whole records into the session's ingest
-    pipeline.  Records are *not* individually screened the way socket
-    EVENTS frames are: skipping one would desynchronize the stream
-    cursor both sides use for exact resume, and the trust boundary was
-    already enforced at attach time (header validation in
-    :meth:`~repro.service.shm.ShmRing.attach`) — the ring lives in the
-    same trust domain as the client's own memory.
-
-    Admission control still applies: when the controller says shed,
-    the consumer simply stops reading — the ring fills up and the
-    *client* stalls, which is backpressure with zero protocol traffic.
-    """
-
-    def __init__(
-        self,
-        ring: ShmRing,
-        session: Session,
-        admission: AdmissionController | None = None,
-        poll_interval: float = 0.001,
-    ) -> None:
-        self._ring = ring
-        self._session = session
-        self._admission = admission
-        self._poll = poll_interval
-        self._stop = threading.Event()
-        self._stopped = False
-        self.error: Exception | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="dsspy-daemon-shm", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        try:
-            while not self._stop.is_set():
-                if not self._drain_once():
-                    self._stop.wait(self._poll)
-        except Exception as exc:  # ring torn down under us, pipeline dead
-            self.error = exc
-
-    def _drain_once(self, final: bool = False) -> bool:
-        """Ingest one batch; returns whether any records moved."""
-        count = self._ring.used // RECORD_SIZE
-        if count <= 0:
-            return False
-        stage = AdmissionStage.NORMAL
-        if self._admission is not None and not final:
-            stage = self._admission.admit(self._session, count)
-            if stage >= AdmissionStage.SHED:
-                return False  # leave the bytes in the ring: backpressure
-        data = self._ring.read(count * RECORD_SIZE)
-        raws = unpack_records(data)
-        session = self._session
-        try:
-            session.ingest(session.received, raws, stage=stage, data=data)
-        except ResourcePressure:
-            # Journal refused the batch: the session accounted it as a
-            # refused window.  Keep the consumer alive and back off —
-            # the ring backpressures the client while pressure decays.
-            return False
-        session.touch()
-        return True
-
-    def stop(self, drain: bool = True, timeout: float = 5.0) -> None:
-        """Stop the thread; with ``drain``, ingest the ring's remainder
-        so ``session.received`` is final before anyone reads it."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self._stop.set()
-        self._thread.join(timeout)
-        if drain:
-            try:
-                while self._drain_once(final=True):
-                    pass
-            except Exception as exc:
-                self.error = exc
-        self._ring.close()
 
 
 def _remove_stale_unix_socket(path: Path) -> None:
@@ -285,10 +199,11 @@ class ProfilingDaemon:
 
         self.sessions: dict[str, Session] = {}
         self._sessions_lock = threading.Lock()
-        self._shm_consumers: dict[str, _ShmConsumer] = {}
-        self._shm_lock = threading.Lock()
-        self._conns: dict[int, socket.socket] = {}
-        self._conn_sessions: dict[int, str] = {}
+        #: Live connections, each with an event its handler sets once
+        #: it has stopped ingesting and detached its session.
+        self._conns: dict[socket.socket, threading.Event] = {}
+        #: The connection each session is bound to.
+        self._bound: dict[str, socket.socket] = {}
         self._conns_lock = threading.Lock()
         self._closed = False
         self._close_lock = threading.Lock()
@@ -415,9 +330,9 @@ class ProfilingDaemon:
             thread.start()
 
     def _handle(self, conn: socket.socket) -> None:
-        key = id(conn)
+        done = threading.Event()
         with self._conns_lock:
-            self._conns[key] = conn
+            self._conns[conn] = done
         session: Session | None = None
         try:
             while True:
@@ -506,10 +421,6 @@ class ProfilingDaemon:
                         )
                     )
                 elif mtype == MessageType.FIN:
-                    # The ring may still hold events the consumer has
-                    # not folded yet; drain it before finalizing so the
-                    # report covers everything the client shipped.
-                    self._stop_shm_consumer(session.session_id)
                     report = session.finish()
                     self._write_report(session)
                     conn.sendall(
@@ -542,52 +453,48 @@ class ProfilingDaemon:
         except OSError:
             pass  # abrupt disconnect: fall through to detach
         finally:
-            with self._conns_lock:
-                self._conns.pop(key, None)
-                self._conn_sessions.pop(key, None)
             try:
                 conn.close()
             except OSError:
                 pass
-            if session is not None:
-                # Salvage whatever reached the ring before the link
-                # died, so the resume cursor reflects it.
-                self._stop_shm_consumer(session.session_id)
+            # Detach before the connection leaves the tables: a HELLO
+            # that finds it there waits for ``done``, and must then find
+            # the session detached.
+            bound = session is not None and self._bound.get(session.session_id) is conn
+            if bound:
                 session.detach()
+            with self._conns_lock:
+                self._conns.pop(conn, None)
+                if bound:
+                    del self._bound[session.session_id]
+            done.set()
 
-    def _stop_shm_consumer(self, session_id: str, drain: bool = True) -> None:
-        with self._shm_lock:
-            consumer = self._shm_consumers.pop(session_id, None)
-        if consumer is not None:
-            consumer.stop(drain=drain)
+    def _await_previous_connection(self, session_id: str, conn: socket.socket) -> None:
+        """Let the session's previous connection finish before a new
+        HELLO reads its cursor.
 
-    def _attach_shm(self, session: Session, offer: tuple[str, int] | None) -> bool:
-        """Negotiate the HELLO shm capability for ``session``.
-
-        Any previous consumer is stopped and drained *first* — also
-        when the new connection offers no ring — so the ``received``
-        cursor sent back in the ACK is final.  Returns whether the
-        offered ring was attached; a stale, foreign, or unreachable
-        segment declines the capability instead of failing the session.
-        """
-        self._stop_shm_consumer(session.session_id)
-        if offer is None:
-            return False
-        name, _capacity = offer
+        A client that reconnects after a broken link usually gets here
+        while the old connection's handler is still ingesting the frames
+        that reached it, and has not detached the session yet.  The ACK
+        would then carry a ``received`` cursor that still moves, and
+        ``resumed=False``.  So the HELLO waits for that handler: it ends
+        at once when the old peer is gone (it reads the rest, then EOF);
+        a connection still open after a second is shut down, and a
+        handler that still has not finished refuses the HELLO (the
+        client retries), so no session is ever fed by two handlers."""
+        with self._conns_lock:
+            old = self._bound.get(session_id)
+            done = self._conns.get(old)
+        if old is conn or done is None:
+            return
+        if done.wait(1.0):
+            return
         try:
-            ring = ShmRing.attach(name)
-        except (ValueError, OSError) as exc:
-            # An fd-limit or mmap failure here is resource pressure,
-            # not a bad offer; count it so STATS shows why shm rings
-            # are being declined.
-            if self._governor is not None and is_resource_error(exc):
-                self._governor.record_failure("shm-attach", exc)
-            return False
-        with self._shm_lock:
-            self._shm_consumers[session.session_id] = _ShmConsumer(
-                ring, session, admission=self._admission
-            )
-        return True
+            old.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        if not done.wait(5.0):
+            raise ProtocolError(f"session {session_id} is still busy on another connection")
 
     def _hello(self, conn: socket.socket, payload: bytes) -> Session | None:
         obj = decode_json(payload)
@@ -625,6 +532,7 @@ class ProfilingDaemon:
                 )
             )
             return None
+        self._await_previous_connection(session_id, conn)
         with self._sessions_lock:
             # crash() and park() set _closed before they take this lock,
             # so a HELLO that passes here is in the table they tear down.
@@ -652,15 +560,8 @@ class ProfilingDaemon:
             else:
                 resumed = session.resume()
         session.proto_version = proto
-        # shm rides the feature set: a peer that did not advertise it
-        # (or a build without it) keeps shipping EVENTS frames on the
-        # socket — graceful degradation, not an error.  _attach_shm is
-        # called either way so a previous connection's consumer is
-        # always stopped and drained before the cursor is ACKed.
-        offer = parse_shm_offer(obj) if "shm" in features else None
-        shm_ok = self._attach_shm(session, offer)
         with self._conns_lock:  # before the ACK, so a reap right after it finds this conn
-            self._conn_sessions[id(conn)] = session_id
+            self._bound[session_id] = conn
         conn.sendall(
             encode_json(
                 MessageType.ACK,
@@ -669,7 +570,6 @@ class ProfilingDaemon:
                     "received": session.received,
                     "resumed": resumed,
                     "recovered": session.recovered,
-                    "shm": shm_ok,
                     "proto": proto,
                     "proto_min": PROTOCOL_MIN_SUPPORTED,
                     "features": features,
@@ -723,9 +623,7 @@ class ProfilingDaemon:
         if stale_ids:
             with self._conns_lock:
                 stale_conns = [
-                    conn
-                    for key, conn in self._conns.items()
-                    if self._conn_sessions.get(key) in stale_ids
+                    conn for sid, conn in self._bound.items() if sid in stale_ids
                 ]
             for conn in stale_conns:
                 try:  # handler thread unblocks with an OSError and detaches
@@ -889,7 +787,7 @@ class ProfilingDaemon:
         except OSError:
             pass
         with self._conns_lock:
-            conns = list(self._conns.values())
+            conns = list(self._conns)
         for conn in conns:
             try:
                 conn.close()  # hard close: handler threads die on OSError
@@ -897,11 +795,6 @@ class ProfilingDaemon:
                 pass
         self._accept_thread.join(timeout=5.0)
         self._reaper_thread.join(timeout=5.0)
-        with self._shm_lock:
-            consumers = list(self._shm_consumers.values())
-            self._shm_consumers.clear()
-        for consumer in consumers:
-            consumer.stop(drain=False)  # a crash salvages nothing
         with self._sessions_lock:
             sessions = list(self.sessions.values())
             self.sessions.clear()
@@ -920,7 +813,6 @@ class ProfilingDaemon:
             sessions = list(self.sessions.values())
             self.sessions.clear()
         for session in sessions:
-            self._stop_shm_consumer(session.session_id)
             if session.state != SessionState.FINISHED:
                 session.finish()  # idempotent; joins the pipeline worker
             session.delete_journal()
@@ -949,7 +841,7 @@ class ProfilingDaemon:
         self._accept_thread.join(timeout=5.0)
         self._reaper_thread.join(timeout=5.0)
         with self._conns_lock:
-            conns = list(self._conns.values())
+            conns = list(self._conns)
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -978,7 +870,6 @@ class ProfilingDaemon:
         with self._sessions_lock:
             sessions = list(self.sessions.values())
         for session in sessions:
-            self._stop_shm_consumer(session.session_id)
             if session.state != SessionState.FINISHED:
                 session.finish()
             self._write_report(session)
@@ -1002,10 +893,6 @@ class ProfilingDaemon:
         with self._sessions_lock:
             sessions = list(self.sessions.values())
         for session in sessions:
-            # Drain the ring first so everything the client shipped is
-            # in the session (and therefore the journal) before the
-            # parking checkpoint freezes the cursor.
-            self._stop_shm_consumer(session.session_id)
             if session.state == SessionState.FINISHED:
                 # Report already frozen; deliver it and clean up as a
                 # normal shutdown would.

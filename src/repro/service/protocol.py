@@ -194,7 +194,7 @@ PROTOCOL_MIN_SUPPORTED = 1
 #: alongside the version range.  Both sides use the *intersection*;
 #: a feature missing on either side is silently not used (graceful
 #: degradation), never an error.
-PROTOCOL_FEATURES = frozenset({"shm", "snapshot", "journaled", "retry-after"})
+PROTOCOL_FEATURES = frozenset({"snapshot", "journaled", "retry-after"})
 
 
 def version_offer() -> dict[str, Any]:
@@ -215,16 +215,15 @@ def parse_version_offer(obj: dict[str, Any]) -> tuple[int, int, frozenset[str]]:
     """Extract ``(min, max, features)`` from a HELLO or ACK payload.
 
     A payload without version keys is a version-1 peer (the protocol
-    predating negotiation); its feature set is inferred from the
-    legacy capability keys it *did* send (an old client offering
-    ``shm`` still gets its ring).  Malformed version keys raise
-    :class:`ProtocolError` — a peer that speaks the schema but gets it
-    wrong is a bug, not a legacy peer.
+    predating negotiation), which advertises no features.  An old
+    client's ``shm`` key (a shared-memory ring offer) is ignored: the
+    ACK claims no ring, so the client keeps sending EVENTS frames.
+    Malformed version keys raise :class:`ProtocolError` — a peer that
+    speaks the schema but gets it wrong is a bug, not a legacy peer.
     """
     proto = obj.get("proto")
     if proto is None:
-        features = {"shm"} if SHM_CAPABILITY in obj else set()
-        return 1, 1, frozenset(features)
+        return 1, 1, frozenset()
     if not isinstance(proto, int) or proto < 1:
         raise ProtocolError("HELLO 'proto' must be a positive integer")
     proto_min = obj.get("proto_min", 1)
@@ -252,42 +251,6 @@ def negotiate_version(
     if high < max(peer_min, local_min):
         return None
     return high
-
-
-# -- HELLO capabilities ------------------------------------------------------
-
-#: HELLO payload key under which a client offers the shared-memory ring
-#: transport (:mod:`repro.service.shm`).  The daemon answers with the
-#: same key in its ACK: ``true`` when it attached the ring (EVENTS move
-#: off the socket entirely), ``false``/absent when the client must keep
-#: shipping EVENTS frames.  Control traffic (REGISTER, HEARTBEAT, FIN,
-#: STATS) stays on the socket either way.
-SHM_CAPABILITY = "shm"
-
-
-def shm_offer(name: str, capacity_bytes: int) -> dict[str, Any]:
-    """HELLO capability value offering a shared-memory ring."""
-    return {"name": name, "capacity": int(capacity_bytes)}
-
-
-def parse_shm_offer(obj: dict[str, Any]) -> tuple[str, int] | None:
-    """Extract a well-formed shm offer from a HELLO payload.
-
-    Returns ``(segment_name, capacity_bytes)`` or ``None`` when the
-    client offered nothing.  A *malformed* offer raises
-    :class:`ProtocolError` — the client spoke the capability but got
-    the schema wrong, which is a bug worth surfacing, not a reason to
-    silently fall back to the socket.
-    """
-    offer = obj.get(SHM_CAPABILITY)
-    if offer is None:
-        return None
-    if not isinstance(offer, dict) or not isinstance(offer.get("name"), str):
-        raise ProtocolError("HELLO 'shm' capability must be {name, capacity}")
-    capacity = offer.get("capacity", 0)
-    if not isinstance(capacity, int) or capacity <= 0:
-        raise ProtocolError("HELLO 'shm' capacity must be a positive integer")
-    return offer["name"], capacity
 
 
 # -- EVENTS payloads ---------------------------------------------------------

@@ -96,8 +96,8 @@ class TestCheck:
 
     def test_metric_missing_from_current_raises(self):
         current = _doc()
-        del current["derived"]["shm_vs_plain"]
-        with pytest.raises(ValueError, match="shm_vs_plain"):
+        del current["derived"]["remote_vs_plain"]
+        with pytest.raises(ValueError, match="remote_vs_plain"):
             check(current, _doc())
 
     def test_metric_missing_from_baseline_raises(self):
@@ -133,10 +133,6 @@ class TestCommittedBaseline:
         assert baseline["schema"] == SCHEMA_VERSION
         for metric in GATED_METRICS:
             assert metric in baseline["derived"], metric
-
-    def test_shm_beats_socket_transport(self, baseline):
-        derived = baseline["derived"]
-        assert derived["shm_vs_plain"] < derived["remote_vs_plain"]
 
     def test_baseline_passes_against_itself(self, baseline):
         failures, _ = check(baseline, baseline)
@@ -229,7 +225,7 @@ class TestCliCheckMode:
 
     def test_schema_mismatch_is_exit_two(self, tmp_path):
         broken = _doc()
-        del broken["derived"]["shm_vs_plain"]
+        del broken["derived"]["remote_vs_plain"]
         (tmp_path / "base.json").write_text(json.dumps(_doc()))
         (tmp_path / "cur.json").write_text(json.dumps(broken))
         proc = self._run(

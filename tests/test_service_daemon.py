@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -20,6 +21,7 @@ from repro.service import (
     ProtocolError,
     RemoteChannel,
     ServiceClient,
+    Session,
     SessionState,
     fetch_stats,
 )
@@ -172,6 +174,103 @@ class TestDisconnectAndResume:
             assert session.duplicates == 100
             assert session.stats()["folded"] == 600
             assert ack["report"]["instances_analyzed"] == 1
+
+    def test_resume_waits_for_the_old_connection(self, monkeypatch):
+        # The client reconnects while the daemon is still ingesting what
+        # reached it on the old connection.  The HELLO must wait for that
+        # handler, so the ACK says resumed and its cursor is final.
+        raws = _long_insert_raws(600)
+        ingest = Session.ingest
+
+        def slow_ingest(self, *args, **kwargs):
+            time.sleep(0.02)
+            return ingest(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "ingest", slow_ingest)
+        with ProfilingDaemon(port=0, session_linger=30.0) as daemon:
+            first = ServiceClient(daemon.address)
+            sid = first.session_id
+            first.register_instances([_registration()])
+            for start in range(0, 600, 50):
+                first.send_events(start, raws[start : start + 50])
+            first._sock.close()  # 12 windows still to ingest
+            second = ServiceClient(daemon.address, session_id=sid)
+            assert second.resumed
+            assert second.server_received == 600
+            ack = second.fin()
+            second.close()
+        assert ack["received"] == 600
+        assert ack["report"]["instances_analyzed"] == 1
+
+    def test_hello_is_refused_while_the_old_handler_is_stuck(self, monkeypatch):
+        # The old connection's handler cannot finish (its ingest is
+        # blocked), so a resuming HELLO is refused rather than letting two
+        # handlers feed one session; once it finishes, the resume works.
+        release = threading.Event()
+        ingest = Session.ingest
+
+        def stuck_ingest(self, *args, **kwargs):
+            release.wait(30.0)
+            return ingest(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "ingest", stuck_ingest)
+        with ProfilingDaemon(port=0, session_linger=30.0) as daemon:
+            first = ServiceClient(daemon.address)
+            sid = first.session_id
+            first.register_instances([_registration()])
+            first.send_events(0, _long_insert_raws(50))
+            first._sock.close()
+            with pytest.raises(ProtocolError, match="busy"):
+                ServiceClient(daemon.address, session_id=sid)
+            release.set()
+            second = ServiceClient(daemon.address, session_id=sid)
+            assert second.resumed
+            assert second.server_received == 50
+            assert second.fin()["received"] == 50
+            second.close()
+
+    def test_reconnect_storm_keeps_exact_cursors(self):
+        # More clients than cores, each dropping its connection after every
+        # few windows and resuming at once, under a short switch interval:
+        # every HELLO must report the resume and the exact count shipped.
+        raws = _long_insert_raws(600)
+        problems: list[str] = []
+
+        def client(daemon, index):
+            sid = f"storm-{index}"
+            sent = 0
+            while sent < len(raws):
+                c = ServiceClient(daemon.address, session_id=sid)
+                if sent and not (c.resumed and c.server_received == sent):
+                    problems.append(f"{sid}: {c.resumed} {c.server_received} != {sent}")
+                if not sent:
+                    c.register_instances([_registration()])
+                for _ in range(3):
+                    c.send_events(sent, raws[sent : sent + 40])
+                    sent = min(sent + 40, len(raws))
+                if sent == len(raws):
+                    ack = c.fin()
+                    if ack["received"] != len(raws):
+                        problems.append(f"{sid}: fin received {ack['received']}")
+                c.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ProfilingDaemon(port=0, session_linger=30.0) as daemon:
+                threads = [
+                    threading.Thread(target=client, args=(daemon, i)) for i in range(6)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60.0)
+                assert not any(t.is_alive() for t in threads)
+                duplicates = [daemon.sessions[f"storm-{i}"].duplicates for i in range(6)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not problems, problems
+        assert duplicates == [0] * 6
 
     def test_event_gap_is_a_protocol_error(self):
         with ProfilingDaemon(port=0) as daemon:

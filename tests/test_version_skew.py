@@ -54,7 +54,7 @@ from repro.service.migrate import (
     migrate_session_dir,
     migrate_state_dir,
 )
-from repro.service.protocol import MessageType
+from repro.service.protocol import MessageType, encode_events
 from repro.service.router import shard_for
 from repro.service.session import Session
 from repro.testing import generate_trace
@@ -151,13 +151,6 @@ class TestNegotiation:
     def test_legacy_hello_is_a_version_1_peer(self):
         assert parse_version_offer({"session": "s"}) == (1, 1, frozenset())
 
-    def test_legacy_hello_with_shm_keeps_its_ring(self):
-        low, high, features = parse_version_offer(
-            {"session": "s", "shm": {"name": "x", "capacity": 4096}}
-        )
-        assert (low, high) == (1, 1)
-        assert features == frozenset({"shm"})
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -241,6 +234,48 @@ class TestLiveSkew:
                 if s["session"] == "skew-legacy"
             )
             assert row["proto"] == 1
+
+    @pytest.mark.parametrize(
+        "hello",
+        [
+            # What an older build's RemoteChannel sends when it offers
+            # its shared-memory ring: proto 2 advertising "shm" ...
+            {
+                "proto": 2,
+                "proto_min": 1,
+                "features": ["journaled", "retry-after", "shm", "snapshot"],
+                "shm": {"name": "psm_oldclient", "capacity": 32 * 65536},
+            },
+            # ... and a version-1 HELLO carrying only the legacy key.
+            {"shm": {"name": "psm_oldclient", "capacity": 32 * 65536}},
+        ],
+        ids=["proto2", "legacy"],
+    )
+    def test_old_client_ring_offer_gets_the_socket(self, hello):
+        trace = generate_trace(31, **SMALL)
+        with ProfilingDaemon(port=0) as daemon:
+            peer = _RawPeer(daemon.address)
+            try:
+                peer.send_json(MessageType.HELLO, {"session": "skew-ring", **hello})
+                mtype, ack = peer.recv()
+                assert mtype == MessageType.ACK
+                # No truthy "shm" in the ACK: the old client keeps
+                # shipping EVENTS frames on the socket.
+                assert not ack.get("shm")
+                assert "shm" not in ack["features"]
+                peer.send_json(
+                    MessageType.REGISTER,
+                    {"instances": [i.registration() for i in trace.instances]},
+                )
+                for offset, raws in _windows(trace.events):
+                    peer.sock.sendall(encode_events(offset, raws))
+                peer.send_json(MessageType.FIN, {})
+                mtype, fin = peer.recv()
+            finally:
+                peer.close()
+        assert mtype == MessageType.ACK
+        assert fin["received"] == len(trace.events)
+        _assert_report_matches_batch(fin["report"], trace)
 
     def test_disjoint_version_range_is_a_clear_error(self):
         with ProfilingDaemon(port=0) as daemon:
