@@ -189,9 +189,16 @@ def _time_plain_append(events: int) -> float:
     return time.perf_counter() - start
 
 
-def _best(measure, repeats: int) -> float:
-    """Minimum over ``repeats`` runs — the standard noise filter."""
-    return min(measure() for _ in range(repeats))
+def _best_round_robin(measures: dict, repeats: int) -> dict:
+    """Minimum over ``repeats`` runs of each measure — the standard
+    noise filter — taken round-robin: every round runs each measure
+    once, so a slow spell of a shared host falls on every configuration
+    instead of on one configuration's back-to-back repeats."""
+    best = {name: float("inf") for name in measures}
+    for _ in range(repeats):
+        for name, measure in measures.items():
+            best[name] = min(best[name], measure())
+    return best
 
 
 def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
@@ -212,84 +219,69 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
         "batching_burst1000_10": (lambda: BatchingChannel(), lambda: Burst(1000, 10)),
     }
 
-    plain_s = _best(lambda: _time_plain_append(events), repeats)
+    def per_event(total_s: float) -> dict:
+        return {"total_s": total_s, "per_event_ns": total_s / events * 1e9}
+
+    def channel_measure(factory):
+        return lambda: _time_channel(factory, events)
+
+    def record_measure(factory, make_policy):
+        return lambda: _time_record(
+            factory, events, sampling=make_policy() if make_policy else None
+        )
+
+    measures = {("plain", ""): lambda: _time_plain_append(events)}
+    for name, factory in channels.items():
+        measures[("channels", name)] = channel_measure(factory)
+    for name, (factory, make_policy) in recorders.items():
+        measures[("recording", name)] = record_measure(factory, make_policy)
+    # The firewall hot path: a healthy armed guard on the tracked-append
+    # loop, against the identical loop with no guard armed (seed mode).
+    measures[("structures", "tracked_append")] = lambda: _time_tracked_append(events)
+    measures[("structures", "tracked_append_guarded")] = lambda: _time_tracked_append(
+        events, guard=RuntimeGuard(budget=25)
+    )
+    # The networked transport: same producer hot path as "batching",
+    # plus loopback shipping to a live daemon (one daemon reused across
+    # repeats; every repeat is a fresh session, and drain() includes the
+    # FIN handshake so the full capture cost is measured).  The same
+    # transport against a durable daemon journals every window before it
+    # is acknowledged, with periodic checkpoints.
+    with (
+        tempfile.TemporaryDirectory(prefix="dsspy-bench-state-") as state_dir,
+        ProfilingDaemon(port=0, session_linger=0.1) as daemon,
+        ProfilingDaemon(
+            port=0,
+            session_linger=0.1,
+            state_dir=state_dir,
+            checkpoint_every=max(events // 2, 10_000),
+        ) as durable,
+    ):
+        for name, address in (
+            ("remote", daemon.address),
+            ("remote_journal", durable.address),
+        ):
+            measures[("channels", name)] = channel_measure(
+                lambda address=address: RemoteChannel(address)
+            )
+        best = _best_round_robin(measures, repeats)
+
     doc: dict = {
         "schema": SCHEMA_VERSION,
         "events": events,
         "repeats": repeats,
         "python": sys.version.split()[0],
-        "plain_append_ns": plain_s / events * 1e9,
+        "plain_append_ns": best.pop(("plain", "")) / events * 1e9,
         "channels": {},
         "recording": {},
+        "structures": {},
     }
-    for name, factory in channels.items():
-        total_s = _best(lambda: _time_channel(factory, events), repeats)
-        doc["channels"][name] = {
-            "total_s": total_s,
-            "per_event_ns": total_s / events * 1e9,
-        }
-    # The networked transport: same producer hot path as "batching",
-    # plus loopback shipping to a live daemon (one daemon reused across
-    # repeats; every repeat is a fresh session, and drain() includes the
-    # FIN handshake so the full capture cost is measured).
-    with ProfilingDaemon(port=0, session_linger=0.1) as daemon:
-        total_s = _best(
-            lambda: _time_channel(lambda: RemoteChannel(daemon.address), events),
-            repeats,
-        )
-    doc["channels"]["remote"] = {
-        "total_s": total_s,
-        "per_event_ns": total_s / events * 1e9,
-    }
-    # Same transport against a durable daemon: every window is journaled
-    # before it is acknowledged, with periodic checkpoints.
-    with tempfile.TemporaryDirectory(prefix="dsspy-bench-state-") as state_dir:
-        with ProfilingDaemon(
-            port=0,
-            session_linger=0.1,
-            state_dir=state_dir,
-            checkpoint_every=max(events // 2, 10_000),
-        ) as daemon:
-            total_s = _best(
-                lambda: _time_channel(lambda: RemoteChannel(daemon.address), events),
-                repeats,
-            )
-    doc["channels"]["remote_journal"] = {
-        "total_s": total_s,
-        "per_event_ns": total_s / events * 1e9,
-    }
-
-    for name, (factory, make_policy) in recorders.items():
-        total_s = _best(
-            lambda: _time_record(
-                factory, events, sampling=make_policy() if make_policy else None
-            ),
-            repeats,
-        )
-        doc["recording"][name] = {
-            "total_s": total_s,
-            "per_event_ns": total_s / events * 1e9,
-        }
-
-    # The firewall hot path: a healthy armed guard on the tracked-append
-    # loop, against the identical loop with no guard armed (seed mode).
-    unguarded_s = _best(lambda: _time_tracked_append(events), repeats)
-    guarded_s = _best(
-        lambda: _time_tracked_append(events, guard=RuntimeGuard(budget=25)), repeats
-    )
-    doc["structures"] = {
-        "tracked_append": {
-            "total_s": unguarded_s,
-            "per_event_ns": unguarded_s / events * 1e9,
-        },
-        "tracked_append_guarded": {
-            "total_s": guarded_s,
-            "per_event_ns": guarded_s / events * 1e9,
-        },
-    }
+    for (section, name), total_s in best.items():
+        doc[section][name] = per_event(total_s)
 
     plain_ns = doc["plain_append_ns"]
     batching_ns = doc["channels"]["batching"]["per_event_ns"]
+    structures = doc["structures"]
     doc["derived"] = {
         # Machine-normalized cost multiples — the CI-gated metrics.
         "batching_vs_plain": batching_ns / plain_ns,
@@ -301,9 +293,10 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
         / plain_ns,
         # Firewall cost, gated: full guarded tracked-append vs a bare
         # append — and, informational, vs the same path unguarded.
-        "guard_vs_plain": doc["structures"]["tracked_append_guarded"]["per_event_ns"]
+        "guard_vs_plain": structures["tracked_append_guarded"]["per_event_ns"]
         / plain_ns,
-        "guard_overhead": guarded_s / unguarded_s,
+        "guard_overhead": structures["tracked_append_guarded"]["total_s"]
+        / structures["tracked_append"]["total_s"],
     }
     return doc
 

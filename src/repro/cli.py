@@ -492,8 +492,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         unix_socket=args.unix,
         heartbeat_timeout=args.heartbeat_timeout,
         session_linger=args.linger,
-        max_pending_events=args.max_pending,
-        overflow=args.overflow,
         report_dir=args.report_dir,
         state_dir=args.state_dir,
         checkpoint_every=args.checkpoint_every,
@@ -547,7 +545,6 @@ def _serve_fleet(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         report_dir=args.report_dir,
-        overflow=args.overflow,
         checkpoint_every=args.checkpoint_every,
         heartbeat_timeout=args.heartbeat_timeout,
         linger=args.linger,
@@ -659,7 +656,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
         return 0
     header = (
         f"{'session':<14} {'state':<9} {'received':>10} {'ev/s':>8} "
-        f"{'dup':>6} {'decim':>6} {'spill':>6} {'skip':>5} {'defer':>6} "
+        f"{'dup':>6} {'decim':>6} {'defer':>6} "
         f"{'ckpt':>5} {'refus':>5} {'stage':<8} {'press':<7} {'pr':>2} "
         f"{'inst':>5}  flagged"
     )
@@ -674,7 +671,6 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
         print(
             f"{s['session']:<14} {state:<9} {s['received']:>10} "
             f"{s['events_per_sec']:>8} {s['duplicates']:>6} {s['decimated']:>6} "
-            f"{s['spilled']:>6} {s.get('spill_corrupt_skipped', 0):>5} "
             f"{s.get('deferred', 0):>6} "
             f"{s.get('checkpoints', 0):>5} {s.get('refused_windows', 0):>5} "
             f"{s.get('stage', 'normal'):<8} "
@@ -684,11 +680,6 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
         )
     if any(s.get("recovered") for s in sessions):
         print("(* = session rebuilt from its write-ahead journal)")
-    if any(s.get("spill_corrupt_skipped") for s in sessions):
-        print(
-            "(skip = corrupt spill records dropped during replay; "
-            "the events are lost but accounted)"
-        )
     return 0
 
 
@@ -1355,17 +1346,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         help="seconds a detached session waits for resume before finalizing",
     )
+    # Hidden and inert: windows fold on the connection thread, so a
+    # client that outpaces analysis is always blocked by TCP.  The
+    # flag stays because a previous release's fleet supervisor passes
+    # `--overflow block` when it respawns workers on new code during a
+    # rolling upgrade; any other value was a queue policy that is gone.
     serve.add_argument(
-        "--max-pending",
-        type=int,
-        default=200_000,
-        help="per-session events buffered ahead of the analyzer",
-    )
-    serve.add_argument(
-        "--overflow",
-        choices=("block", "decimate", "spill"),
-        default="block",
-        help="policy when a client outpaces analysis",
+        "--overflow", choices=("block",), default="block", help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--report-dir",

@@ -81,7 +81,7 @@ from .protocol import (
     version_offer,
 )
 from .router import SessionRouter, shard_for
-from .session import IngestPipeline, RateMeter, Session, SessionState
+from .session import RateMeter, Session, SessionState
 from .streaming import StreamingUseCaseEngine
 
 __all__ = [
@@ -93,7 +93,6 @@ __all__ = [
     "FleetSupervisor",
     "FrameDecoder",
     "FutureFormatError",
-    "IngestPipeline",
     "MAX_EVENTS_PER_FRAME",
     "MAX_FRAME_BYTES",
     "MessageType",

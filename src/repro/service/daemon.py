@@ -3,8 +3,12 @@
 :class:`ProfilingDaemon` listens on TCP (or a Unix socket), speaks the
 frame protocol of :mod:`~repro.service.protocol`, and keeps one
 :class:`~repro.service.session.Session` — engine, cursor, stats — per
-client.  Each accepted connection gets its own handler thread; a
-background *reaper* enforces the time-based guarantees:
+client.  Each accepted connection gets its own handler thread, which
+folds every EVENTS window it reads before it reads the next frame, so
+a client that outpaces analysis is slowed by TCP itself.  Under load
+the admission ladder (decimate, journal-compact, journal-only, shed)
+is the one way the daemon degrades.  A background *reaper* enforces
+the time-based guarantees:
 
 - an ACTIVE session whose client went silent past ``heartbeat_timeout``
   has its connection closed (the session detaches and can resume);
@@ -15,9 +19,9 @@ background *reaper* enforces the time-based guarantees:
 
 Shutdown is a first-class path, not process teardown: ``SIGTERM`` and
 ``SIGINT`` (when :meth:`serve_forever` installs handlers) stop the
-accept loop, close every live connection, flush and finalize every
-session (reports optionally land in ``report_dir``), and remove the
-Unix socket file.
+accept loop, close every live connection, finalize every session
+(reports optionally land in ``report_dir``), and remove the Unix
+socket file.
 """
 
 from __future__ import annotations
@@ -112,9 +116,6 @@ class ProfilingDaemon:
     session_linger:
         Seconds a detached session waits for a resume before being
         finalized, and a finished one stays queryable before eviction.
-    max_pending_events / overflow / spill_dir:
-        Per-session ingest bounds, see
-        :class:`~repro.service.session.IngestPipeline`.
     report_dir:
         When set, every finalized session writes
         ``<report_dir>/<session>.json``.
@@ -122,9 +123,8 @@ class ProfilingDaemon:
         Time source for every policy deadline (heartbeat staleness,
         linger windows, reaper cadence, uptime).  Defaults to real
         time; tests pass a :class:`~repro.testing.clock.SimClock` and
-        advance it instead of sleeping.  I/O waits (socket reads,
-        ingest backpressure, close-time connection drain) stay on real
-        time regardless.
+        advance it instead of sleeping.  I/O waits (socket reads and
+        the close-time connection drain) stay on real time regardless.
     """
 
     def __init__(
@@ -135,9 +135,6 @@ class ProfilingDaemon:
         *,
         heartbeat_timeout: float = 30.0,
         session_linger: float = 60.0,
-        max_pending_events: int = 200_000,
-        overflow: str = "block",
-        spill_dir: str | None = None,
         report_dir: str | Path | None = None,
         state_dir: str | Path | None = None,
         checkpoint_every: int = 50_000,
@@ -157,9 +154,6 @@ class ProfilingDaemon:
         self.clock = clock
         self.heartbeat_timeout = heartbeat_timeout
         self.session_linger = session_linger
-        self._max_pending_events = max_pending_events
-        self._overflow = overflow
-        self._spill_dir = spill_dir
         self._report_dir = Path(report_dir) if report_dir is not None else None
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self._checkpoint_every = checkpoint_every
@@ -283,9 +277,6 @@ class ProfilingDaemon:
             session = Session(
                 recovered.session_id,
                 recovered.engine,
-                max_pending_events=self._max_pending_events,
-                overflow=self._overflow,
-                spill_dir=self._spill_dir,
                 clock=self.clock,
                 journal=SessionJournal(
                     directory,
@@ -547,9 +538,6 @@ class ProfilingDaemon:
                         detector_config=self._detector_config,
                         rules=self._rules,
                     ),
-                    max_pending_events=self._max_pending_events,
-                    overflow=self._overflow,
-                    spill_dir=self._spill_dir,
                     clock=self.clock,
                     journal=self._new_journal(session_id),
                     checkpoint_every=self._checkpoint_every,
@@ -705,10 +693,7 @@ class ProfilingDaemon:
         """Serialized engine state of one session (or all of them).
 
         The payload feeds :func:`~repro.service.durability.merge_engine_dicts`
-        on the fleet coordinator.  A session whose ingest folder cannot
-        drain within its flush timeout is reported under ``"errors"``
-        instead of being silently skipped — a partial merge must be
-        visible to the caller, never mistaken for a converged one.
+        on the fleet coordinator.
         """
         with self._sessions_lock:
             if session_id is not None:
@@ -716,17 +701,10 @@ class ProfilingDaemon:
                 sessions = [found] if found is not None else []
             else:
                 sessions = list(self.sessions.values())
-        snapshots: list[dict[str, Any]] = []
-        errors: list[dict[str, Any]] = []
-        for session in sessions:
-            try:
-                snapshots.append(session.snapshot())
-            except TimeoutError as exc:
-                errors.append({"session": session.session_id, "error": str(exc)})
-        out: dict[str, Any] = {"address": self.address, "snapshots": snapshots}
-        if errors:
-            out["errors"] = errors
-        return out
+        return {
+            "address": self.address,
+            "snapshots": [session.snapshot() for session in sessions],
+        }
 
     # -- lifecycle -------------------------------------------------------
 
@@ -863,7 +841,7 @@ class ProfilingDaemon:
                 pass
 
     def close(self) -> None:
-        """Stop listening, flush and finalize every session, remove the
+        """Stop listening, finalize every session, remove the
         Unix socket file.  Idempotent and safe to call from any thread."""
         if not self._quiesce_transport():
             return
@@ -883,10 +861,10 @@ class ProfilingDaemon:
         """Journal-preserving shutdown — the exit half of a rolling
         upgrade.  Unlike :meth:`close`, unfinished sessions are *not*
         finalized: each is quiesced under the checkpoint barrier
-        (deferred backlog drained, pipeline flushed, checkpoint
-        written) and its journal closed but kept, so the next daemon
-        generation on the same state directory resumes every session
-        at its exact ``received`` cursor.  Idempotent with close():
+        (deferred backlog folded, checkpoint written) and its journal
+        closed but kept, so the next daemon generation on the same
+        state directory resumes every session at its exact
+        ``received`` cursor.  Idempotent with close():
         whichever runs first wins."""
         if not self._quiesce_transport():
             return

@@ -1,12 +1,13 @@
 """Fleet-scale sharded ingestion: supervisor, coordinator, batch runs.
 
 One :class:`~repro.service.ProfilingDaemon` process is the ceiling on
-concurrent clients: every session shares its GIL, its ingest folders,
-and its accept loop.  This module grows the service horizontally
-while keeping the single-daemon analysis guarantees:
+concurrent clients: every session shares its GIL, its connection
+threads (each folds the windows it reads), and its accept loop.  This
+module grows the service horizontally while keeping the single-daemon
+analysis guarantees:
 
 **FleetSupervisor** spawns N worker processes (each a full ``dsspy
-serve`` — daemon + per-session :class:`~repro.service.IngestPipeline` +
+serve`` — daemon + per-session
 :class:`~repro.service.StreamingUseCaseEngine` — with its own
 ``shard-NN`` state subdirectory) and fronts them with a session-affine
 :class:`~repro.service.router.SessionRouter`, the fleet's one public
@@ -157,7 +158,6 @@ class FleetSupervisor:
         host: str = "127.0.0.1",
         port: int = 0,
         report_dir: str | Path | None = None,
-        overflow: str = "block",
         checkpoint_every: int = 50_000,
         heartbeat_timeout: float = 30.0,
         linger: float = 60.0,
@@ -174,7 +174,6 @@ class FleetSupervisor:
         self._host = host
         self._port = port
         self._report_dir = Path(report_dir) if report_dir is not None else None
-        self._overflow = overflow
         self._checkpoint_every = checkpoint_every
         self._heartbeat_timeout = heartbeat_timeout
         self._linger = linger
@@ -251,8 +250,8 @@ class FleetSupervisor:
 
     def stop(self, graceful: bool = True, timeout: float = 15.0) -> None:
         """Drain the fleet: close the front door, SIGTERM every worker
-        (their ``serve_forever`` flushes and finalizes all sessions),
-        escalate to SIGKILL past the deadline."""
+        (their ``serve_forever`` finalizes all sessions), escalate to
+        SIGKILL past the deadline."""
         with self._lock:
             if self._stopping:
                 return
@@ -409,8 +408,6 @@ class FleetSupervisor:
             str(worker.shard_dir),
             "--port-file",
             str(port_file),
-            "--overflow",
-            self._overflow,
             "--checkpoint-every",
             str(self._checkpoint_every),
             "--heartbeat-timeout",
@@ -591,8 +588,8 @@ class FleetCoordinator:
             "report": report,
             "errors": list(errors),
             # A merge with errors is a *partial* view (a worker was
-            # down or a folder busy); consumers must not present it as
-            # the converged fleet report.
+            # down); consumers must not present it as the converged
+            # fleet report.
             "complete": not errors,
         }
 

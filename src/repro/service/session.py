@@ -8,44 +8,32 @@ events it already accepted (``received``), and the client retransmits
 from there; :meth:`Session.ingest` drops the overlap, so a
 retransmitted window is never double-counted.
 
-Between the socket and the engine sits an :class:`IngestPipeline`: a
-bounded hand-off that decouples frame receipt from event folding.  Its
-``overflow`` policy is the daemon's last line of defense when clients
-outpace analysis:
-
-``"block"``
-    the connection thread waits for the folder — backpressure
-    propagates to the client through TCP (lossless).
-``"decimate"``
-    keep 1-in-``stride`` events and count the rest as ``decimated`` —
-    the same graceful degradation the in-process pipeline uses
-    (:class:`~repro.events.sampling.Decimate`), trading exactness for
-    liveness.
-``"spill"``
-    append overflow windows to a binary spill file
-    (:class:`~repro.events.spill.SpillWriter`) and fold them during the
-    next :meth:`~IngestPipeline.flush` — lossless and bounded-RAM, at
-    the price of deferred analysis.  Once a window spills, every later
-    window spills too until the file is replayed, preserving
-    per-instance event order.
+Each EVENTS window is folded into the engine on the connection thread
+that read it, under the session lock that orders windows.  Backpressure
+is TCP: the thread reads its next frame only after the fold returns,
+so a client that outpaces analysis fills the kernel socket buffers and
+blocks in ``send``.  The only degradation is the daemon's admission
+ladder (:class:`~repro.service.durability.AdmissionStage`): decimate,
+journal-compact, journal-only deferral, shed.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
-import time
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from ..events.event import RawEvent
 from ..events.profile import site_to_dict
-from ..events.spill import RECORD_SIZE, SpillWriter, iter_spill_raw
+from ..events.spill import RECORD_SIZE
 from ..testing.clock import SYSTEM_CLOCK, Clock
 from .durability import checkpoint_state
 from .protocol import ProtocolError
 from .streaming import StreamingUseCaseEngine
+
+
+#: The DECIMATE admission rung keeps one event in this many.
+ADMISSION_DECIMATE_STRIDE = 10
 
 
 class SessionState:
@@ -95,207 +83,16 @@ class RateMeter:
 
 
 class IngestPipeline:
-    """Bounded hand-off between a receiving thread and a folding worker."""
-
-    def __init__(
-        self,
-        fold: Callable[[list[RawEvent]], None],
-        max_pending_events: int = 200_000,
-        overflow: str = "block",
-        decimate_stride: int = 10,
-        spill_dir: str | None = None,
-        block_timeout: float = 30.0,
-    ) -> None:
-        if overflow not in ("block", "decimate", "spill"):
-            raise ValueError(
-                f"overflow must be 'block', 'decimate' or 'spill', got {overflow!r}"
-            )
-        if decimate_stride < 1:
-            raise ValueError(f"decimate_stride must be >= 1, got {decimate_stride}")
-        self._fold = fold
-        self._max_pending = max_pending_events
-        self._overflow = overflow
-        self._stride = decimate_stride
-        self._spill_dir = spill_dir
-        self._block_timeout = block_timeout
-
-        self._lock = threading.Lock()
-        self._has_work = threading.Condition(self._lock)
-        self._has_room = threading.Condition(self._lock)
-        self._queue: deque[list[RawEvent]] = deque()
-        self._pending = 0
-        self._accepted = 0
-        self._folded = 0
-        self._closing = False
-
-        self.decimated = 0
-        self.spilled = 0
-        self.spill_corrupt_skipped = 0
-        self._decim_counter = 0
-        self._spill_writer: SpillWriter | None = None
-        self._spill_path: str | None = None
-        self._spill_backlog = 0
-
-        self._worker = threading.Thread(
-            target=self._run, name="dsspy-ingest-folder", daemon=True
-        )
-        self._worker.start()
-
-    # -- receiving side --------------------------------------------------
+    """Retired.  Windows fold on the connection thread, in
+    :meth:`Session.ingest`; nothing constructs this class or calls
+    :meth:`submit`.  The name stays only because the end-to-end
+    benchmark's span tracer (``benchmarks/e2e/trace``) wraps
+    ``IngestPipeline.submit`` by name when this module loads, and fails
+    on a missing target; its ``session.submit_wait_s`` layer now reads
+    0.  Delete both with that tracer target."""
 
     def submit(self, batch: list[RawEvent]) -> None:
-        """Hand one window to the folder, applying the overflow policy."""
-        if not batch:
-            return
-        with self._lock:
-            if self._closing:
-                raise RuntimeError("ingest pipeline already closed")
-            over = self._pending + len(batch) > self._max_pending
-            if self._overflow == "spill" and (over or self._spill_backlog):
-                self._spill_locked(batch)
-                return
-            if over and self._overflow == "decimate":
-                batch, dropped = self._decimate(batch)
-                self.decimated += dropped
-                if not batch:
-                    return
-            elif over:  # block
-                deadline = time.monotonic() + self._block_timeout
-                while self._pending + len(batch) > self._max_pending:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError(
-                            "ingest folder did not catch up within "
-                            f"{self._block_timeout}s"
-                        )
-                    self._has_room.wait(remaining)
-                    if self._closing:
-                        raise RuntimeError("ingest pipeline already closed")
-            self._queue.append(batch)
-            self._pending += len(batch)
-            self._accepted += len(batch)
-            self._has_work.notify()
-
-    def _decimate(self, batch: list[RawEvent]) -> tuple[list[RawEvent], int]:
-        stride = self._stride
-        counter = self._decim_counter
-        kept = [raw for i, raw in enumerate(batch, counter) if i % stride == 0]
-        self._decim_counter = counter + len(batch)
-        return kept, len(batch) - len(kept)
-
-    def _spill_locked(self, batch: list[RawEvent]) -> None:
-        if self._spill_writer is None:
-            fd, path = tempfile.mkstemp(
-                prefix="dsspy-ingest-", suffix=".spill", dir=self._spill_dir
-            )
-            os.close(fd)
-            self._spill_writer = SpillWriter(path)
-            self._spill_path = path
-        self._spill_writer.write_batch(batch)
-        self._spill_backlog += len(batch)
-        self.spilled += len(batch)
-        self._accepted += len(batch)
-
-    # -- folding side ----------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            with self._lock:
-                while not self._queue and not self._closing:
-                    self._has_work.wait()
-                if not self._queue and self._closing:
-                    return
-                batch = self._queue.popleft()
-            try:
-                self._fold(batch)
-            finally:
-                with self._lock:
-                    self._pending -= len(batch)
-                    self._folded += len(batch)
-                    self._has_room.notify_all()
-                    self._has_work.notify_all()  # flush waiters
-
-    def _replay_spill(self) -> None:
-        """Fold the spill backlog (receiver must be quiescent or keep
-        spilling, which :meth:`submit` guarantees via the backlog flag)."""
-        with self._lock:
-            writer = self._spill_writer
-            if writer is None:
-                return
-            writer.close()
-            path = self._spill_path
-            self._spill_writer = None
-            self._spill_path = None
-            backlog = self._spill_backlog
-        def count_skips(n: int) -> None:
-            # Surfaced through session STATS ("spill_corrupt_skipped"):
-            # a corrupt record dropped here is data loss and must be
-            # visible to operators, not just a RuntimeWarning.
-            self.spill_corrupt_skipped += n
-
-        window: list[RawEvent] = []
-        for raw in iter_spill_raw(path, on_skip=count_skips):
-            window.append(raw)
-            if len(window) >= 4096:
-                self._fold(window)
-                self._folded += len(window)
-                window = []
-        if window:
-            self._fold(window)
-            self._folded += len(window)
-        os.unlink(path)
-        with self._lock:
-            self._spill_backlog -= backlog
-
-    def flush(self, timeout: float = 30.0) -> None:
-        """Block until everything accepted so far has been folded."""
-        deadline = time.monotonic() + timeout
-        with self._lock:
-            while self._queue or self._pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError("ingest folder did not drain in time")
-                self._has_work.wait(remaining)
-        if self._spill_backlog:
-            self._replay_spill()
-
-    @property
-    def accepted(self) -> int:
-        return self._accepted
-
-    @property
-    def folded(self) -> int:
-        return self._folded
-
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return self._pending + self._spill_backlog
-
-    def close(self, timeout: float = 30.0) -> None:
-        """Flush, then stop the worker thread.  Idempotent."""
-        if self._closing and not self._worker.is_alive():
-            return
-        self.flush(timeout)
-        with self._lock:
-            self._closing = True
-            self._has_work.notify_all()
-            self._has_room.notify_all()
-        self._worker.join(timeout)
-
-    def abort(self, timeout: float = 5.0) -> None:
-        """Stop immediately, discarding queued work.  Used to simulate
-        (and clean up after) an abrupt daemon death: whatever was not
-        folded is exactly what crash recovery must replay."""
-        with self._lock:
-            self._closing = True
-            self._queue.clear()
-            self._pending = 0
-            self._has_work.notify_all()
-            self._has_room.notify_all()
-        self._worker.join(timeout)
-        if self._spill_writer is not None:
-            self._spill_writer.close()
+        raise NotImplementedError("windows fold in Session.ingest")
 
 
 class Session:
@@ -315,13 +112,9 @@ class Session:
         self,
         session_id: str,
         engine: StreamingUseCaseEngine,
-        max_pending_events: int = 200_000,
-        overflow: str = "block",
-        spill_dir: str | None = None,
         clock: Clock = SYSTEM_CLOCK,
         journal=None,
         checkpoint_every: int = 0,
-        decimate_stride: int = 10,
         governor=None,
     ) -> None:
         self.session_id = session_id
@@ -341,12 +134,11 @@ class Session:
         self.proto_version: int | None = None
         self.journal = journal
         #: Set once the owning daemon generation crashed or parked: the
-        #: journal and the pipeline are closed, so a connection thread
-        #: still holding a frame it read before must not touch them.
+        #: journal is closed, so a connection thread still holding a
+        #: frame it read before must not touch it.
         self._closed = False
         self._checkpoint_every = checkpoint_every
         self._last_checkpoint = 0
-        self._admission_stride = max(1, decimate_stride)
         self._admission_counter = 0
         self._clock = clock
         self.started_at = clock.wall()
@@ -356,12 +148,6 @@ class Session:
         self.rate = RateMeter(clock=clock)
         self._lock = threading.RLock()
         self._report_dict: dict[str, Any] | None = None
-        self.pipeline = IngestPipeline(
-            engine.feed_window,
-            max_pending_events=max_pending_events,
-            overflow=overflow,
-            spill_dir=spill_dir,
-        )
 
     @property
     def deferred(self) -> int:
@@ -438,7 +224,7 @@ class Session:
                     # The governor was already notified by the journal;
                     # try to reclaim disk, then refuse the window with
                     # full accounting.
-                    self._compact_locked(best_effort=True)
+                    self._compact_locked()
                     self.refused_windows += 1
                     if self._governor is not None:
                         self._governor.note_refused()
@@ -470,13 +256,12 @@ class Session:
             if stage == AdmissionStage.DECIMATE:
                 fresh, dropped = self._admission_decimate(fresh)
                 self.admission_decimated += dropped
-            # Submit under the session lock: the cursor advance and the
-            # hand-off must be atomic or two racing windows could fold
-            # out of order.  (The folder never takes this lock, so
-            # blocking backpressure cannot deadlock.)
+            # Fold under the session lock: the cursor advance and the
+            # fold must be atomic or two racing windows could fold out
+            # of order.
             self.applied = self.received
             if fresh:
-                self.pipeline.submit(fresh)
+                self.engine.feed_window(fresh)
             if stage == AdmissionStage.JOURNAL_COMPACT:
                 # Disk-pressure rung: checkpoint *now* — pruning the
                 # journal segments behind it is what frees space.
@@ -486,20 +271,20 @@ class Session:
         return self.received - start - skip
 
     def _admission_decimate(self, batch: list[RawEvent]) -> tuple[list[RawEvent], int]:
-        stride = self._admission_stride
+        stride = ADMISSION_DECIMATE_STRIDE
         counter = self._admission_counter
         kept = [raw for i, raw in enumerate(batch, counter) if i % stride == 0]
         self._admission_counter = counter + len(batch)
         return kept, len(batch) - len(kept)
 
     def _drain_deferred_locked(self) -> None:
-        """Replay the journal-only backlog into the pipeline (caller
-        holds the lock).  Windows come back in journal append order, so
-        per-instance order — the convergence precondition — holds."""
+        """Fold the journal-only backlog (caller holds the lock).
+        Windows come back in journal append order, so per-instance
+        order — the convergence precondition — holds."""
         if self.journal is None or self.applied >= self.received:
             return
         for _start, raws in self.journal.iter_event_windows(self.applied):
-            self.pipeline.submit(raws)
+            self.engine.feed_window(raws)
             self.applied += len(raws)
 
     def _maybe_checkpoint_locked(self) -> None:
@@ -514,12 +299,6 @@ class Session:
         ):
             return
         try:
-            # The engine must be quiescent and complete up to `applied`
-            # before its state can stand in for the journal prefix.
-            self.pipeline.flush(timeout=5.0)
-        except TimeoutError:
-            return  # folder busy; try again on a later window
-        try:
             self.journal.checkpoint(checkpoint_state(self))
         except OSError:
             # Recorded by the journal/governor; the old checkpoint and
@@ -527,10 +306,10 @@ class Session:
             return
         self._last_checkpoint = self.received
 
-    def _compact_locked(self, best_effort: bool = False) -> None:
+    def _compact_locked(self) -> None:
         """Force a checkpoint to prune journal segments (caller holds
         the lock).  Only sound when the engine covers every received
-        event; a deferred backlog or a busy folder skips silently —
+        event; a deferred backlog or a failing disk skips silently —
         compaction is pressure relief, not a correctness step."""
         if (
             self.journal is None
@@ -539,9 +318,8 @@ class Session:
         ):
             return
         try:
-            self.pipeline.flush(timeout=1.0 if best_effort else 5.0)
             self.journal.checkpoint(checkpoint_state(self))
-        except (TimeoutError, OSError):
+        except OSError:
             return
         self._last_checkpoint = self.received
         self.forced_checkpoints += 1
@@ -599,17 +377,16 @@ class Session:
             return resumed
 
     def finish(self) -> dict[str, Any]:
-        """Flush the pipeline, freeze the final report, return it as a
-        JSON-ready dict.  Idempotent — a second FIN gets the same
-        report.  Any journal-only backlog is replayed first: the final
-        report always covers every received event."""
+        """Freeze the final report and return it as a JSON-ready dict.
+        Idempotent — a second FIN gets the same report.  Any
+        journal-only backlog is replayed first: the final report always
+        covers every received event."""
         from ..usecases.json_export import report_to_dict
 
         with self._lock:
             if self._report_dict is None:
                 self._check_open_locked()
                 self._drain_deferred_locked()
-                self.pipeline.close()
                 self._report_dict = report_to_dict(self.engine.report())
                 self.state = SessionState.FINISHED
                 self.finished_at = self._clock.monotonic()
@@ -628,29 +405,27 @@ class Session:
             return self._report_dict
 
     def abandon(self) -> None:
-        """Tear down without flushing or reporting — the session is
-        dying with its daemon (a real or simulated crash).  Whatever
-        the pipeline had not folded stays only in the journal, which
-        is exactly what recovery replays."""
+        """Tear down without reporting — the session is dying with its
+        daemon (a real or simulated crash).  Recovery replays the
+        journal."""
         with self._lock:
             self._closed = True
-            self.pipeline.abort()
             if self.journal is not None:
                 self.journal.close()
 
     def park(self) -> None:
         """Quiesce for a rolling upgrade: drain the deferred backlog,
-        flush the pipeline, write a final checkpoint under the same
-        barrier discipline as :meth:`_maybe_checkpoint_locked`, and
-        close the journal *without* deleting it.  The next daemon
+        write a final checkpoint under the same barrier discipline as
+        :meth:`_maybe_checkpoint_locked`, and close the journal
+        *without* deleting it.  The next daemon
         generation resumes from the checkpoint (plus any journal tail)
         with the exact ``received`` cursor, so clients reconnecting
         after the upgrade retransmit nothing they do not have to.
 
-        Best-effort by design: a flush timeout or a failing disk skips
-        the checkpoint — the journal already holds every accepted
-        window, so recovery replays instead of resuming, trading
-        restart latency for zero loss."""
+        Best-effort by design: a failing disk skips the checkpoint —
+        the journal already holds every accepted window, so recovery
+        replays instead of resuming, trading restart latency for zero
+        loss."""
         with self._lock:
             if self.state == SessionState.FINISHED:
                 # Report already frozen (and FIN journaled); finish()
@@ -658,11 +433,10 @@ class Session:
                 return
             try:
                 self._drain_deferred_locked()
-                self.pipeline.close()
                 if self.journal is not None:
                     self.journal.checkpoint(checkpoint_state(self))
-            except (OSError, TimeoutError):
-                self.pipeline.abort()
+            except OSError:
+                pass
             finally:
                 self._closed = True
                 if self.journal is not None:
@@ -675,23 +449,18 @@ class Session:
         if self.journal is not None:
             self.journal.delete()
 
-    def snapshot(self, flush_timeout: float = 5.0) -> dict[str, Any]:
+    def snapshot(self) -> dict[str, Any]:
         """Serialized engine state + cursors, for fleet-wide merging.
 
-        The engine must be quiescent while it is serialized, so the
-        deferred backlog is drained and the pipeline flushed first
-        (holding the session lock keeps new windows out, exactly as
-        :meth:`_maybe_checkpoint_locked` does).  Raises
-        :class:`TimeoutError` when the folder cannot drain in time —
-        the coordinator retries on its next merge pass rather than
-        reading a torn engine.
+        The deferred backlog is folded first, so the snapshot covers
+        every received event; holding the session lock keeps new
+        windows out while the engine is serialized.
         """
         from .durability import engine_to_dict
 
         with self._lock:
             if self.state != SessionState.FINISHED:
                 self._drain_deferred_locked()
-                self.pipeline.flush(timeout=flush_timeout)
             return {
                 "session": self.session_id,
                 "state": self.state,
@@ -712,11 +481,13 @@ class Session:
                 "state": self.state,
                 "received": self.received,
                 "folded": engine.events_folded,
-                "pending": self.pipeline.pending,
                 "duplicates": self.duplicates,
-                "decimated": self.pipeline.decimated + self.admission_decimated,
-                "spilled": self.pipeline.spilled,
-                "spill_corrupt_skipped": self.pipeline.spill_corrupt_skipped,
+                "decimated": self.admission_decimated,
+                # Always 0 (nothing spills since windows fold on the
+                # connection thread).  Kept for one release: the
+                # previous release's `dsspy sessions` indexes
+                # s["spilled"] directly and would fail without it.
+                "spilled": 0,
                 "refused_windows": self.refused_windows,
                 "forced_checkpoints": self.forced_checkpoints,
                 "append_failures": (

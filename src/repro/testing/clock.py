@@ -9,7 +9,8 @@ clock is :data:`SYSTEM_CLOCK` and nothing changes; in tests it is a
 one ``clock.advance(31)`` call instead of a wall-clock sleep.
 
 The split is deliberate about what it does *not* virtualize: I/O
-waits.  Blocking socket reads, ``IngestPipeline`` backpressure, and
+waits.  Blocking socket reads (which carry the daemon's backpressure:
+a connection thread folds each window before it reads the next) and
 the daemon's close-time connection drain are genuine waits on another
 thread's progress and stay on real time — virtualizing them would
 deadlock a single-threaded test that has no one to advance the clock.

@@ -110,7 +110,7 @@ def _ingest_without_overlap_skip(self, start, raws, stage=0, data=None):
             )
         self.received = max(self.received, start + len(raws))
         self.touch()
-        self.pipeline.submit(raws)  # BUG: folds the overlap twice
+        self.engine.feed_window(raws)  # BUG: folds the overlap twice
         self.rate.tick(len(raws))
     return len(raws)
 

@@ -16,7 +16,6 @@ from repro.events import (
     push_collector,
 )
 from repro.service import (
-    IngestPipeline,
     ProfilingDaemon,
     ProtocolError,
     RemoteChannel,
@@ -386,63 +385,22 @@ class TestLifecycle:
         daemon.close()
 
 
-class TestIngestPipelineOverflow:
-    def _gated_fold(self):
-        gate = threading.Event()
-        folded: list = []
-
-        def fold(batch):
-            gate.wait(10.0)
-            folded.extend(batch)
-
-        return gate, folded, fold
-
-    def test_decimate_keeps_one_in_stride(self):
-        gate, folded, fold = self._gated_fold()
-        pipeline = IngestPipeline(
-            fold, max_pending_events=10, overflow="decimate", decimate_stride=10
-        )
-        first = _long_insert_raws(8)
-        overflow = _long_insert_raws(8)
-        pipeline.submit(first)  # fits
-        assert _wait_for(lambda: pipeline.pending <= 8)
-        pipeline.submit(overflow)  # 8 + 8 > 10 -> decimated
-        assert pipeline.decimated == 7  # stride 10 keeps 1 of 8
-        gate.set()
-        pipeline.close()
-        assert len(folded) == 9
-
-    def test_spill_overflow_is_lossless_and_ordered(self, tmp_path):
-        gate, folded, fold = self._gated_fold()
-        pipeline = IngestPipeline(
-            fold,
-            max_pending_events=10,
-            overflow="spill",
-            spill_dir=str(tmp_path),
-        )
-        raws = _long_insert_raws(30)
-        pipeline.submit(raws[:8])  # fits in RAM
-        assert _wait_for(lambda: pipeline.pending <= 8)
-        pipeline.submit(raws[8:20])  # overflows -> spill file
-        pipeline.submit(raws[20:30])  # backlog exists -> keeps spilling
-        assert pipeline.spilled == 22
-        gate.set()
-        pipeline.close()
-        assert folded == raws  # nothing lost, order preserved
-        assert pipeline.pending == 0
-        assert not list(tmp_path.glob("*.spill"))  # replayed and unlinked
-
-    def test_block_times_out_when_folder_is_stuck(self):
-        gate, _, fold = self._gated_fold()
-        pipeline = IngestPipeline(
-            fold, max_pending_events=4, overflow="block", block_timeout=0.1
-        )
-        pipeline.submit(_long_insert_raws(4))
-        with pytest.raises(TimeoutError):
-            pipeline.submit(_long_insert_raws(4))
-        gate.set()
-        pipeline.close()
-
-    def test_bad_overflow_rejected(self):
-        with pytest.raises(ValueError, match="overflow"):
-            IngestPipeline(lambda batch: None, overflow="drop")
+class TestFoldOnConnectionThread:
+    def test_windows_are_folded_before_the_heartbeat_reply(self):
+        """The connection thread folds each window before it reads the
+        next frame, so once a HEARTBEAT is answered every window sent
+        before it is in the engine, and no separate folder thread runs."""
+        raws = _long_insert_raws(600)
+        with ProfilingDaemon(port=0) as daemon:
+            client = ServiceClient(daemon.address)
+            client.register_instances([_registration()])
+            for lo in range(0, len(raws), 100):
+                client.send_events(lo, raws[lo : lo + 100])
+            client.heartbeat()
+            threads = [t.name for t in threading.enumerate()]
+            assert "dsspy-ingest-folder" not in threads
+            (row,) = fetch_stats(daemon.address)["sessions"]
+            assert row["folded"] == row["received"] == 600
+            assert "pending" not in row and "spill_corrupt_skipped" not in row
+            assert row["spilled"] == 0
+            client.close()

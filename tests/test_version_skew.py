@@ -523,6 +523,56 @@ class TestParkAndResume:
 # -- fleet rolling upgrade -----------------------------------------------
 
 
+class TestPreviousSupervisorArgv:
+    """During ``dsspy fleet upgrade`` the previous release's supervisor
+    respawns its workers on the new code with the argv it always built,
+    which carries ``--overflow block``; ``serve`` must still accept it."""
+
+    #: FleetSupervisor._spawn's worker argv in the release that still
+    #: had the ingest queue, after ``python -m repro.cli``.
+    PREVIOUS_WORKER_ARGV = [
+        "serve",
+        "--host", "127.0.0.1",
+        "--port", "40123",
+        "--state-dir", "fleet/shard-00",
+        "--port-file", "fleet/shard-00/port",
+        "--overflow", "block",
+        "--checkpoint-every", "50000",
+        "--heartbeat-timeout", "30.0",
+        "--linger", "60.0",
+        "--report-dir", "reports",
+    ]
+
+    def test_previous_worker_argv_parses(self):
+        from repro.cli import _cmd_serve, build_parser
+
+        args = build_parser().parse_args(self.PREVIOUS_WORKER_ARGV)
+        assert args.fn is _cmd_serve
+        assert (args.port, args.state_dir, args.port_file) == (
+            40123, "fleet/shard-00", "fleet/shard-00/port"
+        )
+        assert (args.checkpoint_every, args.linger) == (50000, 60.0)
+
+    @pytest.mark.parametrize("policy", ["spill", "decimate"])
+    def test_other_overflow_policies_are_refused(self, policy, capsys):
+        from repro.cli import build_parser
+
+        argv = ["serve", "--overflow", policy]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_flag_is_hidden_and_max_pending_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["serve", "--help"])
+        out = capsys.readouterr().out
+        assert "--overflow" not in out and "--max-pending" not in out
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["serve", "--max-pending", "10"])
+        assert exc.value.code == 2
+
+
 @pytest.mark.slow
 class TestRollingUpgrade:
     def test_rolling_upgrade_cycles_every_worker_without_loss(self, tmp_path):
