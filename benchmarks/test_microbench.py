@@ -25,6 +25,9 @@ from repro.usecases import UseCaseEngine
 
 N = 5_000
 
+#: Round-robin rounds behind the sampling budget's median ratio.
+SAMPLING_BUDGET_ROUNDS = 12
+
 
 class TestRecordingCosts:
     def test_plain_list_append_baseline(self, benchmark):
@@ -143,13 +146,37 @@ class TestOverheadBudget:
         # ~3x; 8x means the fast path grew real per-event work.
         assert overhead_doc["derived"]["batching_vs_plain"] < 8.0
 
-    def test_sampling_stays_on_budget(self, overhead_doc):
-        recording = overhead_doc["recording"]
+    def test_sampling_stays_on_budget(self):
         # Sampling's payoff is the 90% cut in downstream volume
         # (materialization, analysis, spill, memory), not the record
         # call itself: admit() costs about what the skipped batched
         # post would have.  Guard that the admit check never becomes a
         # per-event regression of its own.
-        full = recording["batching"]["per_event_ns"]
-        assert recording["batching_decimate10"]["per_event_ns"] <= full * 1.5
-        assert recording["batching_burst1000_10"]["per_event_ns"] <= full * 1.5
+        #
+        # BatchingChannel's drainer thread gives every batching run a
+        # fast tail in about one run of eight, so a ratio of two minima
+        # is a ratio of two outliers.  Each round times the three
+        # configurations back to back, and the bound holds for the
+        # median of the per-round ratios.
+        from statistics import median
+
+        from repro.bench import _time_record
+        from repro.events import BatchingChannel, Burst, Decimate
+
+        policies = {
+            "batching": None,
+            "batching_decimate10": lambda: Decimate(10),
+            "batching_burst1000_10": lambda: Burst(1000, 10),
+        }
+        ratios: dict[str, list[float]] = {name: [] for name in policies if name != "batching"}
+        for _ in range(SAMPLING_BUDGET_ROUNDS):
+            seconds = {
+                name: _time_record(
+                    BatchingChannel, 100_000, sampling=make() if make else None
+                )
+                for name, make in policies.items()
+            }
+            for name, per_round in ratios.items():
+                per_round.append(seconds[name] / seconds["batching"])
+        for name, per_round in ratios.items():
+            assert median(per_round) <= 1.5, (name, sorted(per_round))

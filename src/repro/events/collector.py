@@ -64,6 +64,7 @@ class EventCollector:
     ) -> None:
         self._channel: Channel = channel if channel is not None else SynchronousChannel()
         self._post = self._channel.post
+        self._on_register = getattr(self._channel, "on_register", None)
         self._tls = threading.local()
         self._capture_wall_time = capture_wall_time
         if sampling is not None and type(sampling) is RecordAll:
@@ -95,10 +96,8 @@ class EventCollector:
         with self._lock:
             instance_id = self._next_instance_id
             self._next_instance_id += 1
-            self._profiles[instance_id] = RuntimeProfile(
-                instance_id, kind=kind, site=site, label=label
-            )
-        notify = getattr(self._channel, "on_register", None)
+            self._profiles[instance_id] = RuntimeProfile(instance_id, kind, site, label)
+        notify = self._on_register
         if notify is not None:
             notify(instance_id, kind, site, label)
         return instance_id

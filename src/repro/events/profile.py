@@ -21,6 +21,7 @@ records and cached the same way.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
@@ -33,6 +34,9 @@ from .types import AccessKind, OperationKind, StructureKind
 
 #: Sentinel stored in the positions array for whole-structure events.
 NO_POSITION = -1
+
+#: The records of a profile that has none yet.
+_NO_RECORDS: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +85,7 @@ def site_from_dict(obj: dict[str, Any] | None) -> AllocationSite | None:
 class RuntimeProfile:
     """Chronologically ordered access events of one instance.
 
-    Stores records (parallel lists of ``seq`` and raw tuples) only;
+    Stores records (``seq`` numbers and raw tuples, in parallel) only;
     :attr:`events` and the numpy arrays are views built from them.
 
     Parameters
@@ -118,8 +122,13 @@ class RuntimeProfile:
         self.kind = kind
         self.site = site
         self.label = label
-        self._seqs: list[int] = []
-        self._raws: list[RawEvent] = []
+        # The stores are made when the first record arrives: most
+        # instances of an allocation-heavy program are registered long
+        # before their events are routed, and empty containers apiece add
+        # to every garbage collection in between.  ``seq`` numbers go in
+        # an int64 array, which the collector does not track at all.
+        self._seqs: array | tuple = _NO_RECORDS
+        self._raws: list[RawEvent] | tuple = _NO_RECORDS
         self._events: list[AccessEvent] | None = None
         self._arrays: dict[str, np.ndarray] | None = None
 
@@ -127,6 +136,9 @@ class RuntimeProfile:
 
     def append_record(self, seq: int, raw: RawEvent) -> None:
         """Add one event as its record; ``seq`` must not decrease."""
+        if self._raws is _NO_RECORDS:
+            self._seqs = array("q")
+            self._raws = []
         self._seqs.append(seq)
         self._raws.append(raw)
         self._events = None
@@ -337,8 +349,9 @@ class RuntimeProfile:
     def slice(self, start: int, stop: int) -> "RuntimeProfile":
         """Sub-profile covering events ``start:stop`` (by index)."""
         sub = self._like()
-        sub._seqs = self._seqs[start:stop]
-        sub._raws = self._raws[start:stop]
+        if self._raws:
+            sub._seqs = self._seqs[start:stop]
+            sub._raws = self._raws[start:stop]
         return sub
 
     def op_histogram(self) -> dict[OperationKind, int]:
@@ -372,6 +385,9 @@ def route_records(
             else:
                 profile._events = None
                 profile._arrays = None
+                if profile._raws is _NO_RECORDS:
+                    profile._seqs = array("q")
+                    profile._raws = []
                 sink = (profile._seqs.append, profile._raws.append)
             sinks[instance_id] = sink
         if sink is not None:

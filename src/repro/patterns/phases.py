@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..events.profile import RuntimeProfile
 from ..events.types import OperationKind
@@ -72,6 +72,23 @@ class Run:
     def distinct_positions(self) -> int:
         return len(self.positions)
 
+    def snapshot(self) -> "RunSnapshot":
+        """This run's classification inputs as of now."""
+        return RunSnapshot(
+            self.category,
+            self.thread_id,
+            self.start,
+            self.stop,
+            self.length,
+            self.direction,
+            self.first_position,
+            self.last_position,
+            len(self.positions),
+            self.size_at_end,
+            self.all_front,
+            self.all_back,
+        )
+
     # -- serialization (checkpoint / SNAPSHOT payloads) ------------------
 
     def to_dict(self) -> dict[str, Any]:
@@ -108,6 +125,24 @@ class Run:
         )
 
 
+class RunSnapshot(NamedTuple):
+    """An open run frozen at one instant: what the classifier reads of a
+    :class:`Run`, so feeding the run further cannot change it."""
+
+    category: str
+    thread_id: int
+    start: int
+    stop: int
+    length: int
+    direction: int
+    first_position: int
+    last_position: int
+    distinct_positions: int
+    size_at_end: int
+    all_front: bool
+    all_back: bool
+
+
 _run_start = attrgetter("start")
 
 
@@ -140,6 +175,16 @@ class RunSegmenter:
         snapshot.
         """
         out = self.completed + [run for run in self.open.values() if run is not None]
+        out.sort(key=_run_start)
+        return out
+
+    def snapshot(self) -> list[Run | RunSnapshot]:
+        """:meth:`runs`, frozen: closed runs never change, and each open
+        run is copied as a :class:`RunSnapshot`, so later feeding cannot
+        move what the list classifies into."""
+        out = self.completed + [
+            run.snapshot() for run in self.open.values() if run is not None
+        ]
         out.sort(key=_run_start)
         return out
 

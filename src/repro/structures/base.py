@@ -54,13 +54,33 @@ def site_capture_enabled() -> bool:
     return _SITE_CAPTURE[0]
 
 
+#: Interned sites, keyed by their fields: allocation-heavy code builds
+#: many structures at a few lines, and the collector then keeps one
+#: shared frozen site per line instead of one site per instance.
+#: Cleared when full, so a program that makes up labels cannot grow it
+#: without bound.
+_SITES: dict[tuple[str, int, str, str], AllocationSite] = {}
+_SITES_LIMIT = 4096
+
+
+def _interned_site(filename: str, lineno: int, function: str, variable: str) -> AllocationSite:
+    key = (filename, lineno, function, variable)
+    site = _SITES.get(key)
+    if site is None:
+        if len(_SITES) >= _SITES_LIMIT:
+            _SITES.clear()
+        site = _SITES[key] = AllocationSite(*key)
+    return site
+
+
 def capture_site(variable: str = "") -> AllocationSite:
     """Allocation site of the nearest caller outside this package.
 
     Walks the stack past all ``repro.structures`` frames so that user
     code constructing a tracked structure -- directly or through a
     factory -- is reported, mirroring how DSspy binds events to the
-    instantiation location in the analyzed program.
+    instantiation location in the analyzed program.  Repeated
+    constructions at one line with one variable share one site object.
 
     Fail-open: the frame walk is best-effort observability, never worth
     an exception in user code.  If it raises (``sys._getframe`` missing
@@ -69,16 +89,14 @@ def capture_site(variable: str = "") -> AllocationSite:
     an armed guard counts the fault.
     """
     if not _SITE_CAPTURE[0]:
-        return AllocationSite("<unknown>", 0, "<module>", variable)
+        return _interned_site("<unknown>", 0, "<module>", variable)
     try:
         frame = sys._getframe(1)
         while frame is not None:
             module = frame.f_globals.get("__name__", "")
             if not module.startswith(_PACKAGE_PREFIX):
                 code = frame.f_code
-                # Positional (filename, lineno, function, variable): one
-                # site per constructed structure, and keywords cost more.
-                return AllocationSite(
+                return _interned_site(
                     code.co_filename, frame.f_lineno, code.co_name, variable
                 )
             frame = frame.f_back
@@ -86,7 +104,7 @@ def capture_site(variable: str = "") -> AllocationSite:
         guard = ACTIVE_GUARD[0]
         if guard is not None:
             guard.fault("site", exc)
-    return AllocationSite("<unknown>", 0, "<module>", variable)
+    return _interned_site("<unknown>", 0, "<module>", variable)
 
 
 def _discard_event(
@@ -124,14 +142,7 @@ class TrackedBase:
         self._label = label
         guard = ACTIVE_GUARD[0]
         if guard is None:
-            self._collector = collector if collector is not None else get_collector()
-            self._site = site if site is not None else capture_site(label)
-            self._instance_id = self._collector.register_instance(
-                self.KIND, site=self._site, label=label
-            )
-            # Bound method cached at construction: saves one attribute
-            # hop per access event, measurable on the hot path.
-            self._record_fn = self._collector.record
+            self._register(label, collector, site)
             return
         if guard._blocked[0] or guard._tls.inside:
             # Breaker tripped, or a profiler internal is constructing a
@@ -139,15 +150,27 @@ class TrackedBase:
             self._untrack(site)
             return
         try:
-            self._collector = collector if collector is not None else get_collector()
-            self._site = site if site is not None else capture_site(label)
-            self._instance_id = self._collector.register_instance(
-                self.KIND, site=self._site, label=label
-            )
-            self._record_fn = self._collector.record
+            self._register(label, collector, site)
         except Exception as exc:
             guard.fault("register", exc)
             self._untrack(site)
+
+    def _register(
+        self,
+        label: str,
+        collector: EventCollector | None,
+        site: AllocationSite | None,
+    ) -> None:
+        if collector is None:
+            collector = get_collector()
+        if site is None:
+            site = capture_site(label)
+        self._collector = collector
+        self._site = site
+        self._instance_id = collector.register_instance(self.KIND, site, label)
+        # Bound method cached at construction: saves one attribute hop
+        # per access event, measurable on the hot path.
+        self._record_fn = collector.record
 
     def _untrack(self, site: AllocationSite | None = None) -> None:
         """Degrade this instance to an uninstrumented plain delegate."""

@@ -30,6 +30,7 @@ _OP_READ = int(_OP.READ)
 _OP_WRITE = int(_OP.WRITE)
 _OP_INSERT = int(_OP.INSERT)
 _OP_FORALL = int(_OP.FORALL)
+_OP_INIT = int(_OP.INIT)
 _K_READ = int(_READ)
 _K_WRITE = int(_WRITE)
 
@@ -64,10 +65,11 @@ class TrackedList(TrackedBase):
         collector: EventCollector | None = None,
         site: AllocationSite | None = None,
     ) -> None:
-        super().__init__(label=label, collector=collector, site=site)
+        super().__init__(label, collector, site)
         self._data: list[Any] = []
-        self._capacity = max(int(capacity), 0)
-        self._record(_OP.INIT, _WRITE, None, self._reported_size())
+        self._capacity = capacity = max(int(capacity), 0)
+        # The reported size of an empty list is its capacity.
+        self._record_fn(self._instance_id, _OP_INIT, _K_WRITE, None, capacity)
         if iterable is not None:
             for item in iterable:
                 self.append(item)

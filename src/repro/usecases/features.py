@@ -25,11 +25,20 @@ the only analysis implementation:
 Both hand the resulting :class:`ProfileFeatures` to the same
 :meth:`~repro.usecases.rules.Rule.evaluate_features` implementations,
 so equal event streams yield equal use cases *and* equal evidence.
+
+Patterns are built when they are read, not when features are taken.
+Most instances fire no rule, and the rules test their scalar
+preconditions first, so an instance pays for classification only once
+a rule that scans patterns passes its checks (or a rule fires and the
+report needs them).  :meth:`InstanceFold.features` is a snapshot: it
+copies the scalars and op counts, keeps the closed runs (which never
+change) and copies each open run's state, so features read after the
+fold moved on still describe the events folded when they were taken.
+The batch :func:`features_of` owns its fold and skips those copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from ..events.event import RawEvent
@@ -51,8 +60,9 @@ _INIT = int(OperationKind.INIT)
 #: index instead of the enum's call-by-value lookup.
 _OPS = tuple(OperationKind)
 
+_NO_OPS: frozenset = frozenset()
 
-@dataclass(frozen=True, slots=True)
+
 class ProfileFeatures:
     """Everything the eight use-case rules measure, as plain scalars.
 
@@ -88,7 +98,8 @@ class ProfileFeatures:
         size they observed.
     patterns:
         The detected access patterns (maximal consistent runs), in
-        ``start`` order.
+        ``start`` order.  Features from a fold classify them on first
+        read (see :meth:`InstanceFold.features`); the tuple is then kept.
     workspan:
         Work and span of the instance's happens-before DAG, from the
         fold's lane summary — what the what-if ranking reads.  Not a
@@ -100,26 +111,100 @@ class ProfileFeatures:
         rule input, so it takes no part in equality.
     """
 
-    kind: StructureKind
-    total_events: int
-    read_kind_events: int = 0
-    op_counts: Mapping[OperationKind, int] = field(default_factory=dict)
-    insert_front: int = 0
-    insert_back: int = 0
-    delete_front: int = 0
-    delete_back: int = 0
-    read_front: int = 0
-    read_back: int = 0
-    end_events: int = 0
-    sort_count: int = 0
-    last_sort_index: int = -1
-    trailing_writes: int = 0
-    trailing_ops: frozenset = frozenset()
-    trailing_distinct_positions: int = 0
-    trailing_max_size: int = 0
-    patterns: tuple[AccessPattern, ...] = ()
-    workspan: WorkSpan | None = field(default=None, compare=False)
-    max_size: int | None = field(default=None, compare=False)
+    #: The rule inputs, in constructor order: what equality compares.
+    _COMPARED = (
+        "kind",
+        "total_events",
+        "read_kind_events",
+        "op_counts",
+        "insert_front",
+        "insert_back",
+        "delete_front",
+        "delete_back",
+        "read_front",
+        "read_back",
+        "end_events",
+        "sort_count",
+        "last_sort_index",
+        "trailing_writes",
+        "trailing_ops",
+        "trailing_distinct_positions",
+        "trailing_max_size",
+        "patterns",
+    )
+
+    # ``patterns``, the last rule input, is a property over ``_patterns``.
+    __slots__ = (*_COMPARED[:-1], "_patterns", "_runs", "_config", "workspan", "max_size")
+
+    def __init__(
+        self,
+        kind: StructureKind,
+        total_events: int,
+        read_kind_events: int = 0,
+        op_counts: Mapping[OperationKind, int] | None = None,
+        insert_front: int = 0,
+        insert_back: int = 0,
+        delete_front: int = 0,
+        delete_back: int = 0,
+        read_front: int = 0,
+        read_back: int = 0,
+        end_events: int = 0,
+        sort_count: int = 0,
+        last_sort_index: int = -1,
+        trailing_writes: int = 0,
+        trailing_ops: frozenset = _NO_OPS,
+        trailing_distinct_positions: int = 0,
+        trailing_max_size: int = 0,
+        patterns: tuple[AccessPattern, ...] = (),
+        workspan: WorkSpan | None = None,
+        max_size: int | None = None,
+    ) -> None:
+        self.kind = kind
+        self.total_events = total_events
+        self.read_kind_events = read_kind_events
+        self.op_counts = {} if op_counts is None else op_counts
+        self.insert_front = insert_front
+        self.insert_back = insert_back
+        self.delete_front = delete_front
+        self.delete_back = delete_back
+        self.read_front = read_front
+        self.read_back = read_back
+        self.end_events = end_events
+        self.sort_count = sort_count
+        self.last_sort_index = last_sort_index
+        self.trailing_writes = trailing_writes
+        self.trailing_ops = trailing_ops
+        self.trailing_distinct_positions = trailing_distinct_positions
+        self.trailing_max_size = trailing_max_size
+        self._patterns = patterns
+        self._runs = None
+        self._config = None
+        self.workspan = workspan
+        self.max_size = max_size
+
+    @property
+    def patterns(self) -> tuple[AccessPattern, ...]:
+        runs = self._runs
+        if runs is not None:
+            self._patterns = patterns_from_runs(runs, self._config)
+            self._runs = self._config = None
+        return self._patterns
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self._COMPARED
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # op_counts is a dict
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in (*self._COMPARED, "workspan", "max_size")
+        )
+        return f"ProfileFeatures({fields})"
 
     # -- derived quantities the rules threshold --------------------------
 
@@ -294,14 +379,28 @@ class InstanceFold:
         max_size = self.max_size or 0
         first = self.index
         i = first - 1
+        # The current thread's lane end and open run are held in locals
+        # until the thread changes (most instances see one thread).  Its
+        # lane end goes back to the dict then, and at the end; every
+        # change of an open run is written through at once.
+        current = None
+        lane = 0.0
+        run = None
 
         for i, (_, op, kind, position, size, thread_id, _) in enumerate(raws, first):
             if size > max_size:
                 max_size = size
-            start = lane_end.get(thread_id, 0.0)
-            if last_write_end > start:
-                start = last_write_end
-            counts[op] = counts.get(op, 0) + 1
+            if thread_id != current:
+                if current is not None:
+                    lane_end[current] = lane
+                current = thread_id
+                lane = lane_end.get(thread_id, 0.0)
+                run = open_runs.get(thread_id)
+            start = lane if lane > last_write_end else last_write_end
+            try:
+                counts[op] += 1
+            except KeyError:
+                counts[op] = 1
             if kind == _READ:
                 end = start + 1.0
                 if end > max_read_end:
@@ -324,7 +423,7 @@ class InstanceFold:
                         trailing_positions.add(position)
                     if size > trailing_max_size:
                         trailing_max_size = size
-            lane_end[thread_id] = end
+            lane = end
 
             if op == _SORT:
                 sort_count += 1
@@ -333,9 +432,9 @@ class InstanceFold:
             if position is None:
                 if op in TRANSPARENT_OPS:
                     continue
-                run = open_runs.get(thread_id)
                 if run is not None:
                     completed.append(run)
+                    run = None
                 open_runs[thread_id] = None
                 continue
 
@@ -364,14 +463,13 @@ class InstanceFold:
                 if op in TRANSPARENT_OPS:
                     continue
                 if op in BREAKER_OPS:
-                    run = open_runs.get(thread_id)
                     if run is not None:
                         completed.append(run)
+                        run = None
                     open_runs[thread_id] = None
                 else:
                     open_runs.setdefault(thread_id, None)
                 continue
-            run = open_runs.get(thread_id)
             if run is not None:
                 delta = position - run.last_position
                 if (
@@ -397,7 +495,7 @@ class InstanceFold:
             # Positional, in field order (category, thread_id, start,
             # stop, length, direction, first/last position, positions,
             # size_at_end, all_front, all_back).
-            open_runs[thread_id] = Run(
+            open_runs[thread_id] = run = Run(
                 category,
                 thread_id,
                 i,
@@ -412,6 +510,8 @@ class InstanceFold:
                 size != 0 and at_back,
             )
 
+        if current is not None:
+            lane_end[current] = lane
         self.index = i + 1
         lanes.work += self.index - first
         self.read_kind = read_kind
@@ -437,14 +537,24 @@ class InstanceFold:
         """Classified patterns as the batch detector would emit them now."""
         return patterns_from_runs(self.segmenter.runs(), config)
 
-    def features(self, config: DetectorConfig) -> ProfileFeatures:
-        # Positional, in field order: this runs once per instance, and
-        # keyword arguments cost half as much again on a frozen dataclass.
-        return ProfileFeatures(
+    def features(self, config: DetectorConfig, final: bool = False) -> ProfileFeatures:
+        """Features of everything folded so far, patterns classified on
+        first read.
+
+        They are a snapshot: the op counts are copied, closed runs never
+        change, and open runs are kept as
+        :class:`~repro.patterns.phases.RunSnapshot` copies, so
+        folding more events afterwards leaves them as they were.
+        ``final=True`` skips those copies, for a caller that folds
+        nothing more into this fold (:func:`features_of`).
+        """
+        trailing_ops = self.trailing_ops
+        # Positional, in field order: this runs once per instance.
+        features = ProfileFeatures(
             self.kind,
             self.index,
             self.read_kind,
-            dict(self.op_counts),
+            self.op_counts if final else dict(self.op_counts),
             self.insert_front,
             self.insert_back,
             self.delete_front,
@@ -455,13 +565,17 @@ class InstanceFold:
             self.sort_count,
             self.last_sort_index,
             self.trailing,
-            frozenset([_OPS[op] for op in self.trailing_ops]),
+            frozenset([_OPS[op] for op in trailing_ops]) if trailing_ops else _NO_OPS,
             len(self.trailing_positions),
             self.trailing_max_size,
-            self.patterns(config),
+            (),
             self.lanes.workspan(),
             self.max_size,
         )
+        segmenter = self.segmenter
+        features._runs = segmenter.runs() if final else segmenter.snapshot()
+        features._config = config
+        return features
 
     # -- serialization (checkpoint / SNAPSHOT payloads) ------------------
 
@@ -520,4 +634,4 @@ class InstanceFold:
 def features_of(profile: RuntimeProfile, config: DetectorConfig) -> ProfileFeatures:
     """Fold a whole batch profile, in one pass over its raws, into its
     :class:`ProfileFeatures` (work/span included)."""
-    return InstanceFold.of_profile(profile, config.max_gap).features(config)
+    return InstanceFold.of_profile(profile, config.max_gap).features(config, final=True)

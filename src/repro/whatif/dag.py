@@ -38,12 +38,12 @@ around as the property-test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from ..events.profile import RuntimeProfile
 
 
-@dataclass
+@dataclass(slots=True)
 class LaneSummary:
     """O(threads) happens-before state of one instance, advanced by the
     analysis fold (:meth:`~repro.usecases.features.InstanceFold.fold_raws`).
@@ -103,9 +103,11 @@ class LaneSummary:
         )
 
 
-@dataclass(frozen=True)
-class WorkSpan:
-    """The two causal-profiling scalars of one instance."""
+class WorkSpan(NamedTuple):
+    """The two causal-profiling scalars of one instance.
+
+    A named tuple: a batch report keeps one per instance, and a tuple is
+    the cheapest immutable record to build."""
 
     work: float
     span: float

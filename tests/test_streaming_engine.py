@@ -185,3 +185,55 @@ class TestLaneSummaryRetention:
         # unaffected (lanes feed only the what-if profiler).
         assert restored.workspans() == {}
         assert _signature(restored.report()) == _signature(engine.report())
+
+
+class TestSnapshotIsolation:
+    """Features classify their patterns on first read, and the fold keeps
+    extending its open runs afterwards, so an interim report and an
+    interim ``features()`` must hold what the fold had when they were
+    taken, however late their patterns are read."""
+
+    def test_interim_report_and_features_ignore_later_windows(self):
+        from repro.events import AccessKind, OperationKind, StructureKind
+        from repro.patterns import DetectorConfig
+
+        insert, read = int(OperationKind.INSERT), int(OperationKind.READ)
+        write_kind, read_kind = int(AccessKind.WRITE), int(AccessKind.READ)
+
+        def appends(start, stop):
+            """Instance 0: appends at the back, one open insert run."""
+            return [(0, insert, write_kind, i, i + 1, 0, None) for i in range(start, stop)]
+
+        def interleaved(start, stop):
+            """Instance 1: appends on thread 0, reads of them on thread 1."""
+            out = []
+            for i in range(start, stop):
+                out.append((1, insert, write_kind, i, i + 1, 0, None))
+                out.append((1, read, read_kind, i, i + 1, 1, None))
+            return out
+
+        config = DetectorConfig()
+        engine = StreamingUseCaseEngine(detector_config=config)
+        engine.register_instance(0, StructureKind.LIST, None, "grows")
+        engine.register_instance(1, StructureKind.LIST, None, "two threads")
+        engine.feed_window(appends(0, 150) + interleaved(0, 120))
+
+        interim = engine.report()
+        features = {iid: fold.features(config) for iid, fold in engine._folds.items()}
+        eager = {iid: fold.patterns(config) for iid, fold in engine._folds.items()}
+
+        # Every open run grows: more appends on both instances, more
+        # reads on instance 1's second thread.
+        engine.feed_window(appends(150, 260) + interleaved(120, 200))
+        for iid, fold in engine._folds.items():
+            assert fold.patterns(config) != eager[iid]
+
+        assert {u.instance_id: u.evidence["longest_phase"] for u in interim.use_cases} == {
+            0: 150,
+            1: 120,
+        }
+        for use_case in interim.use_cases:
+            assert use_case.analysis.patterns == eager[use_case.instance_id]
+        # Read only now, after the fold moved on.
+        for iid, snapshot in features.items():
+            assert snapshot.patterns == eager[iid]
