@@ -210,7 +210,6 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
     channels = {
         "sync": lambda: SynchronousChannel(),
         "batching": lambda: BatchingChannel(),
-        "batching_drop": lambda: BatchingChannel(policy="drop"),
     }
     recorders = {
         "sync": (lambda: SynchronousChannel(), None),

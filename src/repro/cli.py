@@ -474,6 +474,17 @@ def _parse_bytes(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a rate quota: a number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers > 1:
         return _serve_fleet(args)
@@ -523,11 +534,38 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fleet_supervisor(args: argparse.Namespace):
+    """The (unstarted) supervisor for ``dsspy serve --workers N``; every
+    worker gets the per-daemon options below."""
+    from .service.fleet import FleetSupervisor
+
+    serve_args = ["--retry-after", str(args.retry_after)]
+    if args.journal_fsync:
+        serve_args.append("--journal-fsync")
+    for flag, value in (
+        ("--max-events-per-sec", args.max_events_per_sec),
+        ("--session-max-events-per-sec", args.session_max_events_per_sec),
+        ("--state-budget", args.state_budget),
+        ("--fault-fs", args.fault_fs),
+    ):
+        if value is not None:
+            serve_args += [flag, str(value)]
+    return FleetSupervisor(
+        args.workers,
+        args.state_dir,
+        host=args.host,
+        port=args.port,
+        report_dir=args.report_dir,
+        checkpoint_every=args.checkpoint_every,
+        heartbeat_timeout=args.heartbeat_timeout,
+        linger=args.linger,
+        serve_args=serve_args,
+    )
+
+
 def _serve_fleet(args: argparse.Namespace) -> int:
     import signal
     import threading
-
-    from .service.fleet import FleetSupervisor
 
     if args.unix:
         print("--workers is TCP-only (--unix is single-daemon)", file=sys.stderr)
@@ -539,16 +577,7 @@ def _serve_fleet(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    supervisor = FleetSupervisor(
-        args.workers,
-        args.state_dir,
-        host=args.host,
-        port=args.port,
-        report_dir=args.report_dir,
-        checkpoint_every=args.checkpoint_every,
-        heartbeat_timeout=args.heartbeat_timeout,
-        linger=args.linger,
-    )
+    supervisor = _fleet_supervisor(args)
     supervisor.start()
     port = int(supervisor.address.rsplit(":", 1)[1])
     print(
@@ -656,7 +685,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
         return 0
     header = (
         f"{'session':<14} {'state':<9} {'received':>10} {'ev/s':>8} "
-        f"{'dup':>6} {'decim':>6} {'defer':>6} "
+        f"{'dup':>6} {'defer':>6} "
         f"{'ckpt':>5} {'refus':>5} {'stage':<8} {'press':<7} {'pr':>2} "
         f"{'inst':>5}  flagged"
     )
@@ -670,7 +699,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
         proto = s.get("proto")
         print(
             f"{s['session']:<14} {state:<9} {s['received']:>10} "
-            f"{s['events_per_sec']:>8} {s['duplicates']:>6} {s['decimated']:>6} "
+            f"{s['events_per_sec']:>8} {s['duplicates']:>6} "
             f"{s.get('deferred', 0):>6} "
             f"{s.get('checkpoints', 0):>5} {s.get('refused_windows', 0):>5} "
             f"{s.get('stage', 'normal'):<8} "
@@ -1384,18 +1413,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-events-per-sec",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="N",
-        help="global ingest quota; sustained excess degrades sessions "
-        "through decimate -> journal-only -> shed",
+        help="global ingest quota: from 1x it journaled sessions defer "
+        "analysis (the report stays exact), from 4x windows and new "
+        "sessions get RETRY-AFTER (with --workers: per worker)",
     )
     serve.add_argument(
         "--session-max-events-per-sec",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="N",
-        help="per-session ingest quota (same degradation ladder)",
+        help="per-session ingest quota (same ladder)",
     )
     serve.add_argument(
         "--retry-after",
@@ -1409,9 +1439,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_bytes,
         default=None,
         metavar="BYTES",
-        help="cap on total --state-dir bytes (suffixes K/M/G); over "
-        "budget the daemon force-checkpoints the fattest journals, "
-        "evicts finished sessions, then sheds new windows",
+        help="cap on total --state-dir bytes (suffixes K/M/G; with "
+        "--workers: per worker shard); over budget the daemon "
+        "force-checkpoints the fattest journals, evicts finished "
+        "sessions, then sheds new windows",
     )
     serve.add_argument(
         "--fault-fs",
@@ -1428,7 +1459,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="shard ingestion across N worker processes behind a "
-        "session-affine router (requires --state-dir; 1 = single daemon)",
+        "session-affine router (requires --state-dir; 1 = single daemon); "
+        "every worker gets the journal, quota, budget and fault options, "
+        "and applies quotas and --state-budget to itself alone",
     )
     serve.add_argument(
         "--port-file",

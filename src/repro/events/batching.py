@@ -18,17 +18,14 @@ queue).  :meth:`producer` hands out that cached fast path; the generic
 ``threading.local`` and stays protocol-compatible with
 :class:`~repro.events.channel.SynchronousChannel`.
 
-Backpressure is explicit: ``max_buffered`` bounds the events held in
-RAM, and ``policy`` picks what happens at the bound — ``"block"``
-(lossless: producers gate on a cell flag and wait; a capture that
-overruns the bound without a spill consumer eventually raises instead
-of eating all memory) or ``"drop"`` (bounded memory: the drainer
-discards harvested overflow and counts it in :attr:`dropped`; drop-mode
-producers are a bare bound append, the fastest configuration).  With a
-``spill`` path the drainer streams every harvested batch to the compact
-binary format of :mod:`~repro.events.spill` instead of RAM, so the
-bound is effectively never hit and million-event captures cost a file,
-not a heap.
+Backpressure is explicit and lossless: ``max_buffered`` bounds the
+events held in RAM, and at the bound producers gate on a cell flag and
+wait; a capture that overruns the bound without a spill consumer
+eventually raises instead of eating all memory.  With a ``spill``
+path the drainer streams every harvested batch to the compact binary
+format of :mod:`~repro.events.spill` instead of RAM, so the bound is
+effectively never hit and million-event captures cost a file, not a
+heap.
 
 Ordering: events from one thread always stay in posting order; threads
 interleave at harvest granularity rather than event granularity.  The
@@ -60,16 +57,11 @@ class BatchingChannel:
         :meth:`snapshot` data can be before the snapshot barrier flushes.
     max_buffered:
         Backpressure bound: events resident in RAM (master buffer)
-        before the policy engages.  Thread buffers can briefly overshoot
-        by up to one harvest interval of production — the bound is a
-        watermark, not a hard ceiling.
-    policy:
-        ``"block"``: producers wait at the bound (and raise after
-        ``block_timeout`` if nothing ever drains — without a spill file
-        the bound can only be relieved by ``drain()``).
-        ``"drop"``: harvested events beyond the bound are discarded and
-        counted in :attr:`dropped`; the producer fast path is a bare
-        ``list.append``.
+        before producers wait (and raise after ``block_timeout`` if
+        nothing ever drains — without a spill file the bound can only
+        be relieved by ``drain()``).  Thread buffers can briefly
+        overshoot by up to one harvest interval of production — the
+        bound is a watermark, not a hard ceiling.
     spill:
         Optional path; harvested batches stream to this binary spill
         file instead of RAM, and :meth:`drain` reads the file back.
@@ -91,7 +83,6 @@ class BatchingChannel:
         batch_size: int = 4096,
         flush_interval: float = 0.005,
         max_buffered: int = 1_000_000,
-        policy: str = "block",
         spill: str | Path | None = None,
         block_timeout: float = 30.0,
         sink: Callable[[list[RawEvent]], None] | None = None,
@@ -100,12 +91,9 @@ class BatchingChannel:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if max_buffered < 1:
             raise ValueError(f"max_buffered must be >= 1, got {max_buffered}")
-        if policy not in ("block", "drop"):
-            raise ValueError(f"policy must be 'block' or 'drop', got {policy!r}")
         self._batch_size = batch_size
         self._flush_interval = flush_interval
         self._max_buffered = max_buffered
-        self._policy = policy
         self._block_timeout = block_timeout
         self._writer = SpillWriter(spill) if spill is not None else None
         self.spill_path = Path(spill) if spill is not None else None
@@ -119,12 +107,11 @@ class BatchingChannel:
         self._drainer_error: BaseException | None = None
         self._failed_open = False
         self._absorbed = 0
-        self._dropped = 0
         self._closed = False
         self._stopping = False
 
-        # Fast-path gate: a one-slot list read by block-mode producers
-        # (a C subscript, far cheaper than Event.is_set); the Event is
+        # Fast-path gate: a one-slot list read by producers (a C
+        # subscript, far cheaper than Event.is_set); the Event is
         # what gated producers actually sleep on.
         self._open = [True]
         self._gate = threading.Event()
@@ -144,18 +131,13 @@ class BatchingChannel:
         """The calling thread's hot-path recording callable.
 
         Registers (or reuses) this thread's buffer and returns a
-        callable of one argument that appends a raw event.  Under the
-        ``drop`` policy this is literally the buffer's bound
-        ``list.append``; under ``block`` it is a closure that checks the
-        backpressure gate first.  The callable stays valid for the
+        callable of one argument that appends a raw event after
+        checking the backpressure gate.  The callable stays valid for the
         channel's whole lifetime — harvesting never replaces the buffer
         object — but must only be invoked from the thread that obtained
         it.
         """
-        buf = self._register_thread()
-        append = buf.append
-        if self._policy == "drop":
-            return append
+        append = self._register_thread().append
         open_cell = self._open
         blocked = self._blocked_append
 
@@ -192,7 +174,7 @@ class BatchingChannel:
             raise RuntimeError(
                 f"backpressure: more than {self._max_buffered} events buffered "
                 f"and nothing drained them within {self._block_timeout}s "
-                f"(use a spill file or the 'drop' policy for unbounded captures)"
+                f"(use a spill file for unbounded captures)"
             )
         append(raw)
 
@@ -246,7 +228,7 @@ class BatchingChannel:
             del buf[:n]
             for i in range(0, n, batch_size):
                 self._absorb(harvested[i:i + batch_size])
-        if self._policy == "block" and self._writer is None and not self._failed_open:
+        if self._writer is None and not self._failed_open:
             over = len(self._master) > self._max_buffered
             if over and self._open[0]:
                 self._open[0] = False
@@ -261,14 +243,6 @@ class BatchingChannel:
             self._absorbed += len(batch)
             self._notify_sink(batch)
             return
-        if self._policy == "drop":
-            room = self._max_buffered - len(self._master)
-            if room <= 0:
-                self._dropped += len(batch)
-                return
-            if len(batch) > room:
-                self._dropped += len(batch) - room
-                batch = batch[:room]
         self._master.extend(batch)
         self._absorbed += len(batch)
         self._notify_sink(batch)
@@ -311,7 +285,6 @@ class BatchingChannel:
         self._buffers = {}
         self._master = []
         self._absorbed = 0
-        self._dropped = 0
         self._sink_error = None
         self._drainer_error = None
         self._failed_open = False
@@ -393,12 +366,7 @@ class BatchingChannel:
         """Events posted so far (approximate while producers race)."""
         with self._registry_lock:
             unharvested = sum(len(b) for b in self._buffers.values())
-        return self._absorbed + self._dropped + unharvested
-
-    @property
-    def dropped(self) -> int:
-        """Events discarded under the ``drop`` backpressure policy."""
-        return self._dropped
+        return self._absorbed + unharvested
 
     @property
     def sink_error(self) -> BaseException | None:
@@ -419,8 +387,3 @@ class BatchingChannel:
     @property
     def batch_size(self) -> int:
         return self._batch_size
-
-    @property
-    def policy(self) -> str:
-        return self._policy
-

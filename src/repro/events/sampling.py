@@ -141,23 +141,31 @@ class Decimate(SamplingPolicy):
         self.stride = n
         self.seed = seed
         self._salt = _salt_from_seed(seed)
-        self._counts: dict[int, int] = {}
+        #: Per instance: [events seen, index of the next admitted one].
+        #: The jitter hash runs once per block, when its event is admitted.
+        self._state: dict[int, list[int]] = {}
 
     def admit(self, instance_id: int) -> bool:
-        counts = self._counts
-        c = counts.get(instance_id, 0)
-        counts[instance_id] = c + 1
-        if self.n == 1:
-            return True
-        block, offset = divmod(c, self.n)
-        return offset == _jitter(block, instance_id, self.n, self._salt)
+        state = self._state.get(instance_id)
+        if state is None:
+            state = self._state[instance_id] = [
+                0, _jitter(0, instance_id, self.n, self._salt)
+            ]
+        c = state[0]
+        state[0] = c + 1
+        if c != state[1]:
+            return False
+        block = c // self.n + 1
+        state[1] = block * self.n + _jitter(block, instance_id, self.n, self._salt)
+        return True
 
     def is_exact(self, instance_id: int) -> bool:
         return self.n == 1
 
     def observed(self, instance_id: int) -> int:
         """Total events this instance produced (admitted or not)."""
-        return self._counts.get(instance_id, 0)
+        state = self._state.get(instance_id)
+        return state[0] if state is not None else 0
 
     def describe(self) -> str:
         if self.seed is None:
@@ -184,28 +192,36 @@ class Burst(SamplingPolicy):
         self.stride = n
         self.seed = seed
         self._salt = _salt_from_seed(seed)
-        self._counts: dict[int, int] = {}
+        #: Per instance: [events seen, index of the next admitted one
+        #: past the burst], as in :class:`Decimate`.
+        self._state: dict[int, list[int]] = {}
 
     def admit(self, instance_id: int) -> bool:
-        counts = self._counts
-        c = counts.get(instance_id, 0)
-        counts[instance_id] = c + 1
-        if c < self.keep:
-            return True
-        if self.n == 1:
-            return True
-        block, offset = divmod(c - self.keep, self.n)
-        return offset == _jitter(block, instance_id, self.n, self._salt)
+        state = self._state.get(instance_id)
+        if state is None:
+            state = self._state[instance_id] = [
+                0, self.keep + _jitter(0, instance_id, self.n, self._salt)
+            ]
+        c = state[0]
+        state[0] = c + 1
+        if c != state[1]:
+            return c < self.keep
+        block = (c - self.keep) // self.n + 1
+        state[1] = (
+            self.keep + block * self.n + _jitter(block, instance_id, self.n, self._salt)
+        )
+        return True
 
     def is_exact(self, instance_id: int) -> bool:
-        return self.n == 1 or self._counts.get(instance_id, 0) <= self.keep
+        return self.n == 1 or self.observed(instance_id) <= self.keep
 
     def exact_prefix(self, instance_id: int) -> int:
         return 0 if self.is_exact(instance_id) else self.keep
 
     def observed(self, instance_id: int) -> int:
         """Total events this instance produced (admitted or not)."""
-        return self._counts.get(instance_id, 0)
+        state = self._state.get(instance_id)
+        return state[0] if state is not None else 0
 
     def describe(self) -> str:
         if self.seed is None:

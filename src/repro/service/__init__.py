@@ -25,8 +25,6 @@ from .client import (
 )
 from .daemon import ProfilingDaemon
 from .durability import (
-    AdmissionController,
-    AdmissionStage,
     FutureFormatError,
     RecoveredSession,
     SessionJournal,
@@ -42,6 +40,8 @@ from .durability import (
 )
 from .governor import (
     RESOURCE_ERRNOS,
+    AdmissionStage,
+    RateMeter,
     RealFS,
     ResourceGovernor,
     ResourcePressure,
@@ -81,11 +81,10 @@ from .protocol import (
     version_offer,
 )
 from .router import SessionRouter, shard_for
-from .session import RateMeter, Session, SessionState
+from .session import Session, SessionState
 from .streaming import StreamingUseCaseEngine
 
 __all__ = [
-    "AdmissionController",
     "AdmissionStage",
     "BackoffPolicy",
     "DowngradeError",

@@ -283,7 +283,7 @@ class RemoteChannel(BatchingChannel):
 
     Producer side is untouched :class:`BatchingChannel` (same ~25 ns
     append); the drainer's ``sink`` hook ships each batch.  The master
-    buffer retains everything (``block`` policy, no spill), serving as
+    buffer retains everything (no spill), serving as
     the retransmission source: on any socket error the channel marks
     itself disconnected and the next harvest reconnects with the same
     session id, rewinds its cursor to the server's ``received`` count,
@@ -309,7 +309,6 @@ class RemoteChannel(BatchingChannel):
                 "RemoteChannel keeps its retransmission source in RAM; "
                 "spill is not supported (use the daemon-side spill instead)"
             )
-        batching_kwargs.setdefault("policy", "block")
         self.address = address
         self._clock = clock
         self.final_ack: dict[str, Any] | None = None

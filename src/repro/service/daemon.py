@@ -6,9 +6,10 @@ frame protocol of :mod:`~repro.service.protocol`, and keeps one
 client.  Each accepted connection gets its own handler thread, which
 folds every EVENTS window it reads before it reads the next frame, so
 a client that outpaces analysis is slowed by TCP itself.  Under load
-the admission ladder (decimate, journal-compact, journal-only, shed)
-is the one way the daemon degrades.  A background *reaper* enforces
-the time-based guarantees:
+the admission ladder of :mod:`~repro.service.governor`
+(journal-compact, journal-only, shed) is the one way the daemon
+degrades, and none of its stages changes the final report.  A
+background *reaper* enforces the time-based guarantees:
 
 - an ACTIVE session whose client went silent past ``heartbeat_timeout``
   has its connection closed (the session detaches and can resume);
@@ -42,15 +43,13 @@ from ..testing.clock import SYSTEM_CLOCK, Clock
 from ..usecases.rules import ALL_RULES, Rule
 from ..usecases.thresholds import PAPER_THRESHOLDS, Thresholds
 from .durability import (
-    AdmissionController,
-    AdmissionStage,
     SessionJournal,
     parse_register_entries,
     recover_session_dir,
     walk_state_dir,
     warn_notes,
 )
-from .governor import RealFS, ResourceGovernor, ResourcePressure
+from .governor import AdmissionStage, RealFS, ResourceGovernor, ResourcePressure
 from .protocol import (
     _EVENTS_HEADER,
     PROTOCOL_FEATURES,
@@ -139,12 +138,10 @@ class ProfilingDaemon:
         state_dir: str | Path | None = None,
         checkpoint_every: int = 50_000,
         journal_fsync: bool = False,
-        admission: AdmissionController | None = None,
         max_events_per_sec: float | None = None,
         session_max_events_per_sec: float | None = None,
         retry_after: float = 2.0,
         state_budget: int | None = None,
-        governor: ResourceGovernor | None = None,
         fs: RealFS | None = None,
         thresholds: Thresholds = PAPER_THRESHOLDS,
         detector_config: DetectorConfig | None = None,
@@ -161,35 +158,27 @@ class ProfilingDaemon:
         self._thresholds = thresholds
         self._detector_config = detector_config
         self._rules = rules
-        # Resource governance: any of state_budget / fs / governor turns
-        # it on; a state_dir alone also gets one so disk failures are
-        # always accounted even without a configured budget.
-        if governor is None and (
-            state_budget is not None or fs is not None or state_dir is not None
+        # Admission and resource governance: a quota, a state budget, a
+        # fault-injecting fs or a state_dir turns it on (a state_dir so
+        # disk failures are always accounted).  Without any of them the
+        # daemon runs no ladder at all.
+        self._governor: ResourceGovernor | None = None
+        if (
+            max_events_per_sec is not None
+            or session_max_events_per_sec is not None
+            or state_budget is not None
+            or fs is not None
+            or state_dir is not None
         ):
-            governor = ResourceGovernor(
+            self._governor = ResourceGovernor(
                 fs=fs,
                 state_budget_bytes=state_budget,
-                retry_after=retry_after,
-                clock=clock,
-            )
-        self._governor = governor
-        self._fs = fs if fs is not None else (
-            governor.fs if governor is not None else None
-        )
-        if admission is None and (
-            max_events_per_sec or session_max_events_per_sec or governor is not None
-        ):
-            admission = AdmissionController(
                 global_events_per_sec=max_events_per_sec,
                 session_events_per_sec=session_max_events_per_sec,
                 retry_after=retry_after,
                 clock=clock,
-                governor=governor,
             )
-        elif admission is not None and governor is not None and admission.governor is None:
-            admission.governor = governor
-        self._admission = admission
+        self._fs = self._governor.fs if self._governor is not None else None
 
         self.sessions: dict[str, Session] = {}
         self._sessions_lock = threading.Lock()
@@ -360,8 +349,8 @@ class ProfilingDaemon:
                     # the validated record bytes as received (``data`` below).
                     start, raws = decode_events(payload, validate=True)
                     stage = AdmissionStage.NORMAL
-                    if self._admission is not None:
-                        stage = self._admission.admit(session, len(raws))
+                    if self._governor is not None:
+                        stage = self._governor.admit(session, len(raws))
                         if stage >= AdmissionStage.SHED:
                             # Refuse the window before it is journaled
                             # or folded; the cursor in the reply tells
@@ -373,7 +362,7 @@ class ProfilingDaemon:
                                     {
                                         "session": session.session_id,
                                         "received": session.received,
-                                        "retry_after": self._admission.retry_after,
+                                        "retry_after": self._governor.retry_after,
                                     },
                                 )
                             )
@@ -512,14 +501,14 @@ class ProfilingDaemon:
             return None
         features = sorted(PROTOCOL_FEATURES & peer_features)
         if (
-            self._admission is not None
-            and self._admission.peek() >= AdmissionStage.SHED
+            self._governor is not None
+            and self._governor.peek() >= AdmissionStage.SHED
         ):
-            self._admission.note_hello_refused()
+            self._governor.note_hello_refused()
             conn.sendall(
                 encode_json(
                     MessageType.RETRY_AFTER,
-                    {"retry_after": self._admission.retry_after},
+                    {"retry_after": self._governor.retry_after},
                 )
             )
             return None
@@ -658,7 +647,7 @@ class ProfilingDaemon:
             if gov.measure_state(self.state_dir) <= gov.state_budget_bytes:
                 return
         # Nothing left to reclaim: stop the bleeding at admission.
-        gov.force_pressure(3)
+        gov.force_pressure(AdmissionStage.SHED)
 
     def _write_report(self, session: Session) -> None:
         if self._report_dir is None:
@@ -683,10 +672,8 @@ class ProfilingDaemon:
             "frames_skipped": self.frames_skipped,
             "sessions": [s.stats() for s in sessions],
         }
-        if self._admission is not None:
-            out["admission"] = self._admission.stats()
-        elif self._governor is not None:
-            out["governor"] = self._governor.stats()
+        if self._governor is not None:
+            out["admission"] = self._governor.admission_stats()
         return out
 
     def snapshot(self, session_id: str | None = None) -> dict[str, Any]:

@@ -35,13 +35,6 @@ events were lost, and every lost cursor range is named.  State a newer
 build wrote is never touched.  Daemon start-up, ``dsspy recover``,
 ``dsspy fsck`` and ``dsspy migrate`` all consume the same scan.
 
-**Admission.**  Durability makes overload *survivable*; the
-:class:`AdmissionController` makes it *graceful*.  Global and
-per-session event-rate quotas (sliding-window :class:`RateMeter`)
-drive a degradation ladder — decimate, journal-only (events land
-durably but analysis is deferred), shed with a RETRY-AFTER reply —
-so an overloaded daemon slows clients down instead of falling over.
-
 Journal segment layout::
 
     8 bytes   magic  b"DSPYWJ01"
@@ -76,7 +69,6 @@ from ..events.profile import AllocationSite, site_from_dict
 from ..events.spill import pack_records, unpack_records
 from ..events.types import StructureKind
 from ..patterns.detector import DetectorConfig
-from ..testing.clock import SYSTEM_CLOCK, Clock
 from ..usecases.features import InstanceFold
 from ..usecases.rules import ALL_RULES, Rule
 from ..usecases.thresholds import PAPER_THRESHOLDS, Thresholds
@@ -1124,161 +1116,6 @@ def recover_session_dir(
     return recover_session(scan_session_dir(directory, **knobs), fs=fs)
 
 
-# -- overload protection -----------------------------------------------------
-
-
-class AdmissionStage:
-    """Degradation ladder positions (ints: comparisons are ordering).
-
-    ``JOURNAL_COMPACT`` is the disk-pressure rung: ingest continues at
-    full fidelity but every window force-checkpoints the session,
-    which prunes journal segments — the one ladder step that *frees*
-    resources instead of consuming fewer.  Rate overload never selects
-    it (sampling is the right answer there); only the
-    :class:`~repro.service.governor.ResourceGovernor` does.
-    """
-
-    NORMAL = 0
-    DECIMATE = 1
-    JOURNAL_COMPACT = 2
-    JOURNAL = 3
-    SHED = 4
-
-    _NAMES = {
-        0: "normal",
-        1: "decimate",
-        2: "journal-compact",
-        3: "journal",
-        4: "shed",
-    }
-
-    @classmethod
-    def name(cls, stage: int) -> str:
-        return cls._NAMES.get(stage, f"unknown({stage})")
-
-
-class AdmissionController:
-    """Global + per-session event-rate quotas driving the degradation
-    ladder.
-
-    The *load factor* is the worst ratio of observed rate to quota
-    (global and per-session, whichever is more over budget).  Stage
-    thresholds are multiples of quota: at ``decimate_at`` the daemon
-    starts sampling, at ``journal_at`` it journals without analyzing
-    (recovery or FIN replays the backlog), at ``shed_at`` it refuses
-    the window with a RETRY-AFTER reply and drops the connection —
-    the client's backoff turns that into spaced-out retries.
-
-    Rates are measured with ``min_span=1.0`` so a single early burst
-    is averaged over at least a second instead of tripping SHED from
-    the first millisecond of traffic.
-    """
-
-    def __init__(
-        self,
-        *,
-        global_events_per_sec: float | None = None,
-        session_events_per_sec: float | None = None,
-        decimate_at: float = 1.0,
-        journal_at: float = 2.0,
-        shed_at: float = 4.0,
-        retry_after: float = 2.0,
-        clock: Clock = SYSTEM_CLOCK,
-        governor: ResourceGovernor | None = None,
-    ) -> None:
-        if not (0 < decimate_at <= journal_at <= shed_at):
-            raise ValueError(
-                "stage thresholds must satisfy 0 < decimate_at <= "
-                f"journal_at <= shed_at, got {decimate_at}/{journal_at}/{shed_at}"
-            )
-        from .session import RateMeter  # deferred: session imports this module
-
-        self.global_quota = global_events_per_sec
-        self.session_quota = session_events_per_sec
-        self.decimate_at = decimate_at
-        self.journal_at = journal_at
-        self.shed_at = shed_at
-        self.retry_after = retry_after
-        self.governor = governor
-        self._global_rate = RateMeter(clock=clock)
-        self._lock = threading.Lock()
-        self.windows_by_stage = {stage: 0 for stage in range(5)}
-        self.refused_hellos = 0
-
-    def _stage_for(self, load: float) -> int:
-        if load >= self.shed_at:
-            return AdmissionStage.SHED
-        if load >= self.journal_at:
-            return AdmissionStage.JOURNAL
-        if load >= self.decimate_at:
-            return AdmissionStage.DECIMATE
-        return AdmissionStage.NORMAL
-
-    def _load(self, session_rate: float) -> float:
-        load = 0.0
-        if self.global_quota:
-            load = self._global_rate.rate(min_span=1.0) / self.global_quota
-        if self.session_quota:
-            load = max(load, session_rate / self.session_quota)
-        return load
-
-    def _pressure_stage(self) -> int:
-        """The resource governor's demanded stage (NORMAL without one).
-        Taken *outside* the controller lock — the governor has its own."""
-        if self.governor is None:
-            return AdmissionStage.NORMAL
-        return self.governor.pressure_stage()
-
-    def admit(self, session, n: int) -> int:
-        """Account ``n`` incoming events and return the stage to apply.
-
-        ``session`` supplies its own :class:`RateMeter` (``.rate``);
-        the controller owns the global one.  The verdict is the worse
-        of the rate ladder and the resource governor's pressure ladder.
-        """
-        pressure = self._pressure_stage()
-        with self._lock:
-            self._global_rate.tick(n)
-            stage = self._stage_for(self._load(session.rate.rate(min_span=1.0)))
-            stage = max(stage, pressure)
-            self.windows_by_stage[stage] += 1
-            return stage
-
-    def peek(self) -> int:
-        """Current global stage without accounting anything (used to
-        turn away a HELLO while shedding)."""
-        pressure = self._pressure_stage()
-        with self._lock:
-            return max(self._stage_for(self._load(0.0)), pressure)
-
-    def note_hello_refused(self) -> None:
-        """Account one HELLO turned away while shedding — part of the
-        no-silent-loss ledger: every RETRY-AFTER the daemon ever sends
-        must be visible in some counter."""
-        with self._lock:
-            self.refused_hellos += 1
-
-    def stats(self) -> dict[str, Any]:
-        pressure = self._pressure_stage()
-        with self._lock:
-            out = {
-                "global_events_per_sec": round(self._global_rate.rate(min_span=1.0), 1),
-                "global_quota": self.global_quota,
-                "session_quota": self.session_quota,
-                "stage": AdmissionStage.name(
-                    max(self._stage_for(self._load(0.0)), pressure)
-                ),
-                "windows_by_stage": {
-                    AdmissionStage.name(s): n
-                    for s, n in self.windows_by_stage.items()
-                },
-                "refused_hellos": self.refused_hellos,
-            }
-        if self.governor is not None:
-            out["governor"] = self.governor.stats()
-        return out
-
-
 def warn_notes(session_id: str, notes: list[str]) -> None:
     """Surface recovery anomalies without failing the recovery."""
     for note in notes:
@@ -1286,8 +1123,6 @@ def warn_notes(session_id: str, notes: list[str]) -> None:
 
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionStage",
     "BAD_CHECKPOINT",
     "CHECKPOINT_VERSION",
     "CURSOR_GAP",

@@ -148,6 +148,10 @@ class FleetSupervisor:
     state_dir:
         Fleet state root.  Required: supervised restart is only
         meaningful with journals to recover from.
+    serve_args:
+        Further ``dsspy serve`` options every worker gets (journal
+        fsync, quotas, state budget, fault injection); each worker
+        applies them to itself alone.
     """
 
     def __init__(
@@ -391,10 +395,8 @@ class FleetSupervisor:
             for index in range(len(self.workers))
         ]
 
-    def _spawn(self, worker: _Worker) -> None:
-        worker.shard_dir.mkdir(parents=True, exist_ok=True)
-        port_file = worker.shard_dir / "port"
-        port_file.unlink(missing_ok=True)
+    def worker_command(self, worker: _Worker) -> list[str]:
+        """The ``dsspy serve`` argv that runs ``worker``."""
         cmd = [
             self._python,
             "-m",
@@ -407,7 +409,7 @@ class FleetSupervisor:
             "--state-dir",
             str(worker.shard_dir),
             "--port-file",
-            str(port_file),
+            str(worker.shard_dir / "port"),
             "--checkpoint-every",
             str(self._checkpoint_every),
             "--heartbeat-timeout",
@@ -417,12 +419,19 @@ class FleetSupervisor:
         ]
         if self._report_dir is not None:
             cmd += ["--report-dir", str(self._report_dir)]
-        cmd += self._serve_args
+        return cmd + self._serve_args
+
+    def _spawn(self, worker: _Worker) -> None:
+        worker.shard_dir.mkdir(parents=True, exist_ok=True)
+        (worker.shard_dir / "port").unlink(missing_ok=True)
         worker.log_path = worker.shard_dir / "serve.log"
         log = open(worker.log_path, "ab")
         try:
             worker.proc = subprocess.Popen(
-                cmd, env=_repro_env(), stdout=log, stderr=subprocess.STDOUT
+                self.worker_command(worker),
+                env=_repro_env(),
+                stdout=log,
+                stderr=subprocess.STDOUT,
             )
         finally:
             log.close()

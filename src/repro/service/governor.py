@@ -1,10 +1,10 @@
-"""Resource-exhaustion governance for the profiling service.
+"""Admission and resource governance for the profiling service.
 
-Durability (PR 4) made the daemon honest about *crashes*; this module
-makes it honest about the slower disasters a production host actually
-delivers: a filesystem that fills up mid-journal-append, a process
-that runs out of file descriptors, a disk that starts returning EIO.
-Two pieces cooperate:
+Durability made the daemon honest about *crashes*; this module makes it
+honest about overload and about the slower disasters a production host
+actually delivers: a filesystem that fills up mid-journal-append, a
+process that runs out of file descriptors, a disk that starts returning
+EIO.  Every EVENTS window's verdict comes from here.
 
 **The filesystem seam.**  Every on-disk write the durability layer
 performs — journal appends, checkpoint renames, result-cache entries —
@@ -15,9 +15,20 @@ same surface with a seeded fault schedule (ENOSPC after N bytes, EIO
 on read, slow fsync), so every failure branch below is deterministically
 reachable.
 
-**The governor.**  :class:`ResourceGovernor` classifies caught
-``OSError``\\ s (:data:`RESOURCE_ERRNOS`), counts them per operation
-site, and converts sustained pressure into an admission-ladder stage:
+**The governor.**  :class:`ResourceGovernor` gives each window one
+:class:`AdmissionStage`, the worse of two ladders.
+
+The *rate* ladder compares global and per-session event rates
+(sliding-window :class:`RateMeter`) with their quotas.  From
+:data:`JOURNAL_AT` times quota a journaled session journals the window
+without analyzing it (exact: recovery or FIN replays the backlog); a
+session without a journal folds it at once, since TCP already paces
+its client.  From :data:`SHED_AT` times quota the window is refused
+with a RETRY-AFTER reply, and so is every new HELLO.
+
+The *pressure* ladder classifies caught ``OSError``\\ s
+(:data:`RESOURCE_ERRNOS`), counts them per operation site, and converts
+sustained pressure into a stage:
 
 - first failures put the governor at ``journal-compact`` — the session
   layer reacts by force-checkpointing, which prunes journal segments
@@ -35,9 +46,9 @@ byte cap over the whole state directory that the daemon enforces with
 per-session retention (compact the biggest journals first, then evict
 finished sessions, then apply ladder pressure).
 
-Every count the governor keeps is surfaced through ``stats()`` into
-the daemon's STATS reply — silent degradation is the one failure mode
-this module exists to kill.
+Every count the governor keeps is surfaced in the daemon's STATS reply
+(:meth:`ResourceGovernor.admission_stats`) — silent degradation is the
+one failure mode this module exists to kill.
 """
 
 from __future__ import annotations
@@ -45,10 +56,78 @@ from __future__ import annotations
 import errno
 import os
 import threading
+from collections import deque
 from pathlib import Path
 from typing import IO, Any
 
 from ..testing.clock import SYSTEM_CLOCK, Clock
+
+class AdmissionStage:
+    """Ladder positions (ints: comparisons are ordering).
+
+    ``JOURNAL_COMPACT`` is the disk-pressure rung: ingest continues at
+    full fidelity but every window force-checkpoints the session,
+    which prunes journal segments — the one ladder step that *frees*
+    resources instead of consuming fewer.  Rate overload never selects
+    it; only resource failures do.
+    """
+
+    NORMAL = 0
+    JOURNAL_COMPACT = 1
+    JOURNAL = 2
+    SHED = 3
+
+    _NAMES = ("normal", "journal-compact", "journal", "shed")
+
+    @classmethod
+    def name(cls, stage: int) -> str:
+        if 0 <= stage < len(cls._NAMES):
+            return cls._NAMES[stage]
+        return f"unknown({stage})"
+
+
+#: Rate-ladder thresholds, in multiples of quota: from ``JOURNAL_AT`` a
+#: journaled session defers analysis, from ``SHED_AT`` windows and new
+#: HELLOs are refused with RETRY-AFTER.
+JOURNAL_AT = 1.0
+SHED_AT = 4.0
+
+
+class RateMeter:
+    """Sliding-window events/sec estimate."""
+
+    __slots__ = ("_window", "_samples", "_total", "_clock")
+
+    def __init__(self, window: float = 10.0, clock: Clock = SYSTEM_CLOCK) -> None:
+        self._window = window
+        self._samples: deque[tuple[float, int]] = deque()
+        self._total = 0
+        self._clock = clock
+
+    def _expire(self, now: float) -> None:
+        horizon = now - self._window
+        while self._samples and self._samples[0][0] < horizon:
+            _, dropped = self._samples.popleft()
+            self._total -= dropped
+
+    def tick(self, n: int) -> None:
+        now = self._clock.monotonic()
+        self._samples.append((now, n))
+        self._total += n
+        self._expire(now)
+
+    def rate(self, min_span: float = 0.0) -> float:
+        """Events/sec over the window.  ``min_span`` floors the divisor
+        so a burst in the first milliseconds of traffic reads as an
+        average over at least that long — the governor passes 1.0 to
+        keep one early window from tripping SHED."""
+        now = self._clock.monotonic()
+        self._expire(now)
+        if not self._samples:
+            return 0.0
+        span = max(now - self._samples[0][0], min_span, 1e-9)
+        return self._total / span
+
 
 #: errnos treated as *resource exhaustion* (recoverable by shedding or
 #: compaction) rather than bugs: disk full, quota, fd limits, I/O error.
@@ -139,11 +218,15 @@ class ResourcePressure(Exception):
 
 
 class ResourceGovernor:
-    """Classify resource failures and drive the admission ladder.
+    """Give each window its admission verdict: rate quotas and
+    resource pressure.
 
-    Thread-safe; one instance per daemon (shared by every session's
-    journal).  ``escalate_after`` failures at one rung step to the
-    next; ``cooldown`` clean seconds step back down one rung at a time.
+    Thread-safe under one lock; one instance per daemon (shared by
+    every session and its journal).  ``escalate_after`` failures at one
+    pressure rung step to the next; ``cooldown`` clean seconds step back
+    down one rung at a time.  Rates are measured with ``min_span=1.0``
+    so a single early burst is averaged over at least a second instead
+    of tripping SHED from the first millisecond of traffic.
     """
 
     def __init__(
@@ -151,6 +234,8 @@ class ResourceGovernor:
         *,
         fs: RealFS | None = None,
         state_budget_bytes: int | None = None,
+        global_events_per_sec: float | None = None,
+        session_events_per_sec: float | None = None,
         escalate_after: int = 3,
         cooldown: float = 5.0,
         retry_after: float = 2.0,
@@ -160,16 +245,27 @@ class ResourceGovernor:
             raise ValueError(
                 f"state_budget_bytes must be positive, got {state_budget_bytes}"
             )
+        for name, quota in (
+            ("global_events_per_sec", global_events_per_sec),
+            ("session_events_per_sec", session_events_per_sec),
+        ):
+            if quota is not None and quota <= 0:
+                raise ValueError(f"{name} must be positive, got {quota}")
         self.fs = fs if fs is not None else REAL_FS
         self.state_budget_bytes = state_budget_bytes
+        self.global_quota = global_events_per_sec
+        self.session_quota = session_events_per_sec
         self.escalate_after = escalate_after
         self.cooldown = cooldown
         self.retry_after = retry_after
         self._clock = clock
         self._lock = threading.Lock()
-        self._level = 0  # 0 normal, 1 compact, 2 journal-only, 3 shed
+        self._global_rate = RateMeter(clock=clock)
+        self._level = AdmissionStage.NORMAL  # the pressure ladder's rung
         self._failures_at_level = 0
         self._last_failure: float | None = None
+        self.windows_by_stage = [0] * len(AdmissionStage._NAMES)
+        self.refused_hellos = 0
         self.failures_by_errno: dict[str, int] = {}
         self.failures_by_op: dict[str, int] = {}
         self.compactions = 0
@@ -177,6 +273,49 @@ class ResourceGovernor:
         self.budget_evictions = 0
         self.refused_windows = 0
         self.state_bytes = 0  # last measured state-dir usage
+
+    # -- admission --------------------------------------------------------
+
+    def _stage_locked(self, session_rate: float) -> int:
+        """The worse of the rate and pressure ladders (caller holds the
+        lock)."""
+        load = 0.0
+        if self.global_quota:
+            load = self._global_rate.rate(min_span=1.0) / self.global_quota
+        if self.session_quota:
+            load = max(load, session_rate / self.session_quota)
+        if load >= SHED_AT:
+            rate_stage = AdmissionStage.SHED
+        elif load >= JOURNAL_AT:
+            rate_stage = AdmissionStage.JOURNAL
+        else:
+            rate_stage = AdmissionStage.NORMAL
+        return max(rate_stage, self._decayed_level())
+
+    def admit(self, session, n: int) -> int:
+        """Account ``n`` incoming events and return the stage to apply.
+
+        ``session`` supplies its own :class:`RateMeter` (``.rate``);
+        the governor owns the global one."""
+        session_rate = session.rate.rate(min_span=1.0)
+        with self._lock:
+            self._global_rate.tick(n)
+            stage = self._stage_locked(session_rate)
+            self.windows_by_stage[stage] += 1
+            return stage
+
+    def peek(self) -> int:
+        """Current global stage without accounting anything (used to
+        turn away a HELLO while shedding)."""
+        with self._lock:
+            return self._stage_locked(0.0)
+
+    def note_hello_refused(self) -> None:
+        """Account one HELLO turned away while shedding — part of the
+        no-silent-loss ledger: every RETRY-AFTER the daemon ever sends
+        must be visible in some counter."""
+        with self._lock:
+            self.refused_hellos += 1
 
     # -- failure intake ---------------------------------------------------
 
@@ -188,12 +327,15 @@ class ResourceGovernor:
             self.failures_by_errno[name] = self.failures_by_errno.get(name, 0) + 1
             self.failures_by_op[op] = self.failures_by_op.get(op, 0) + 1
             self._last_failure = self._clock.monotonic()
-            if self._level == 0:
-                self._level = 1
+            if self._level == AdmissionStage.NORMAL:
+                self._level = AdmissionStage.JOURNAL_COMPACT
                 self._failures_at_level = 0
             else:
                 self._failures_at_level += 1
-                if self._failures_at_level >= self.escalate_after and self._level < 3:
+                if (
+                    self._failures_at_level >= self.escalate_after
+                    and self._level < AdmissionStage.SHED
+                ):
                     self._level += 1
                     self._failures_at_level = 0
 
@@ -205,15 +347,17 @@ class ResourceGovernor:
         with self._lock:
             self.refused_windows += 1
 
-    def force_pressure(self, level: int) -> None:
-        """Pin the ladder at ``level`` (state-budget enforcement uses
-        this when usage stays over cap after compaction/eviction)."""
+    def force_pressure(self, stage: int) -> None:
+        """Pin the pressure ladder at ``stage`` or above (state-budget
+        enforcement uses this when usage stays over cap after
+        compaction/eviction)."""
         with self._lock:
-            self._level = max(self._level, level)
+            self._level = max(self._level, stage)
             self._last_failure = self._clock.monotonic()
 
     def _decayed_level(self) -> int:
-        """Current level after cooldown decay (caller holds the lock)."""
+        """Current pressure stage after cooldown decay (caller holds the
+        lock)."""
         if self._level and self._last_failure is not None:
             quiet = self._clock.monotonic() - self._last_failure
             steps = int(quiet // self.cooldown)
@@ -227,18 +371,10 @@ class ResourceGovernor:
         return self._level
 
     def pressure_stage(self) -> int:
-        """The admission stage this governor currently demands
-        (:class:`~repro.service.durability.AdmissionStage` value)."""
-        from .durability import AdmissionStage
-
+        """The :class:`AdmissionStage` resource pressure currently
+        demands."""
         with self._lock:
-            level = self._decayed_level()
-        return {
-            0: AdmissionStage.NORMAL,
-            1: AdmissionStage.JOURNAL_COMPACT,
-            2: AdmissionStage.JOURNAL,
-            3: AdmissionStage.SHED,
-        }[level]
+            return self._decayed_level()
 
     # -- state-budget accounting ------------------------------------------
 
@@ -266,12 +402,10 @@ class ResourceGovernor:
     # -- observability ----------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        from .durability import AdmissionStage
-
-        stage = self.pressure_stage()
+        """The resource ledger (STATS ``admission.governor``)."""
         with self._lock:
             return {
-                "pressure_stage": AdmissionStage.name(stage),
+                "pressure_stage": AdmissionStage.name(self._decayed_level()),
                 "failures_by_errno": dict(self.failures_by_errno),
                 "failures_by_op": dict(self.failures_by_op),
                 "compactions": self.compactions,
@@ -282,12 +416,34 @@ class ResourceGovernor:
                 "budget_evictions": self.budget_evictions,
             }
 
+    def admission_stats(self) -> dict[str, Any]:
+        """The daemon's STATS ``admission`` block: the rate ladder's
+        counters with the resource ledger nested under ``governor``."""
+        governor = self.stats()
+        with self._lock:
+            return {
+                "global_events_per_sec": round(self._global_rate.rate(min_span=1.0), 1),
+                "global_quota": self.global_quota,
+                "session_quota": self.session_quota,
+                "stage": AdmissionStage.name(self._stage_locked(0.0)),
+                "windows_by_stage": {
+                    AdmissionStage.name(stage): n
+                    for stage, n in enumerate(self.windows_by_stage)
+                },
+                "refused_hellos": self.refused_hellos,
+                "governor": governor,
+            }
+
 
 __all__ = [
+    "AdmissionStage",
+    "JOURNAL_AT",
     "REAL_FS",
     "RESOURCE_ERRNOS",
+    "RateMeter",
     "RealFS",
     "ResourceGovernor",
     "ResourcePressure",
+    "SHED_AT",
     "is_resource_error",
 ]

@@ -313,9 +313,7 @@ class SessionRouter:
                 row["recovered_sessions"] = stats.get("recovered_sessions", [])
                 row["build"] = stats.get("build")
                 row["frames_skipped"] = stats.get("frames_skipped", 0)
-                governor = stats.get("admission", {}).get(
-                    "governor", stats.get("governor", {})
-                )
+                governor = stats.get("admission", {}).get("governor", {})
                 row["pressure"] = governor.get("pressure_stage")
                 for entry in stats["sessions"]:
                     entry["worker"] = index

@@ -13,14 +13,14 @@ that read it, under the session lock that orders windows.  Backpressure
 is TCP: the thread reads its next frame only after the fold returns,
 so a client that outpaces analysis fills the kernel socket buffers and
 blocks in ``send``.  The only degradation is the daemon's admission
-ladder (:class:`~repro.service.durability.AdmissionStage`): decimate,
-journal-compact, journal-only deferral, shed.
+ladder (:class:`~repro.service.governor.AdmissionStage`):
+journal-compact, journal-only deferral, shed.  Every stage keeps the
+final report exact.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import Any
 
 from ..events.event import RawEvent
@@ -28,12 +28,9 @@ from ..events.profile import site_to_dict
 from ..events.spill import RECORD_SIZE
 from ..testing.clock import SYSTEM_CLOCK, Clock
 from .durability import checkpoint_state
+from .governor import AdmissionStage, RateMeter, ResourcePressure, is_resource_error
 from .protocol import ProtocolError
 from .streaming import StreamingUseCaseEngine
-
-
-#: The DECIMATE admission rung keeps one event in this many.
-ADMISSION_DECIMATE_STRIDE = 10
 
 
 class SessionState:
@@ -42,44 +39,6 @@ class SessionState:
     ACTIVE = "active"  # a connection is attached
     DETACHED = "detached"  # connection lost; waiting for resume or reaper
     FINISHED = "finished"  # FIN received or reaper finalized it
-
-
-class RateMeter:
-    """Sliding-window events/sec estimate (for STATS output)."""
-
-    __slots__ = ("_window", "_samples", "_total", "_clock")
-
-    def __init__(self, window: float = 10.0, clock: Clock = SYSTEM_CLOCK) -> None:
-        self._window = window
-        self._samples: deque[tuple[float, int]] = deque()
-        self._total = 0
-        self._clock = clock
-
-    def tick(self, n: int) -> None:
-        now = self._clock.monotonic()
-        self._samples.append((now, n))
-        self._total += n
-        horizon = now - self._window
-        while self._samples and self._samples[0][0] < horizon:
-            _, dropped = self._samples.popleft()
-            self._total -= dropped
-
-    def rate(self, min_span: float = 0.0) -> float:
-        """Events/sec over the window.  ``min_span`` floors the divisor
-        so a burst in the first milliseconds of traffic reads as an
-        average over at least that long — the admission controller
-        passes 1.0 to keep one early window from tripping SHED."""
-        if not self._samples:
-            return 0.0
-        now = self._clock.monotonic()
-        horizon = now - self._window
-        while self._samples and self._samples[0][0] < horizon:
-            _, dropped = self._samples.popleft()
-            self._total -= dropped
-        if not self._samples:
-            return 0.0
-        span = max(now - self._samples[0][0], min_span, 1e-9)
-        return self._total / span
 
 
 class IngestPipeline:
@@ -101,11 +60,11 @@ class Session:
     With a :class:`~repro.service.durability.SessionJournal` attached,
     every accepted window is journaled *before* the ``received`` cursor
     advances, and two cursors are kept: ``received`` (durably journaled
-    and claimable to the client) and ``applied`` (handed to the engine,
-    or intentionally decimated).  Their difference is the *deferred*
-    backlog of journal-only admission; it is replayed — in journal
-    order, preserving per-instance order — as soon as pressure drops,
-    and always before the final report.
+    and claimable to the client) and ``applied`` (handed to the
+    engine).  Their difference is the *deferred* backlog of
+    journal-only admission; it is replayed — in journal order,
+    preserving per-instance order — as soon as pressure drops, and
+    always before the final report.
     """
 
     def __init__(
@@ -123,12 +82,11 @@ class Session:
         self.received = 0  # stream-index high-water mark (accepted)
         self.applied = 0  # events handed to the engine path
         self.duplicates = 0
-        self.admission_decimated = 0
         self.refused_windows = 0  # windows turned away under resource pressure
         self.forced_checkpoints = 0  # journal-compact rung compactions
         self.recovered = False
         self._governor = governor
-        self.last_stage = 0  # AdmissionStage.NORMAL
+        self.last_stage = AdmissionStage.NORMAL
         #: Wire-protocol version negotiated with the client currently
         #: attached to this session (None until a HELLO negotiates).
         self.proto_version: int | None = None
@@ -139,7 +97,6 @@ class Session:
         self._closed = False
         self._checkpoint_every = checkpoint_every
         self._last_checkpoint = 0
-        self._admission_counter = 0
         self._clock = clock
         self.started_at = clock.wall()
         self.last_seen = clock.monotonic()
@@ -180,10 +137,11 @@ class Session:
         ``received``), which is a hard protocol error.  A window that
         begins below it is a retransmission; the overlap is skipped.
 
-        ``stage`` is the admission controller's verdict for this
-        window (:class:`~repro.service.durability.AdmissionStage`);
-        SHED never reaches here — the daemon refuses the window before
-        calling in.  A journal append that fails on a resource error
+        ``stage`` is the governor's verdict for this window
+        (:class:`~repro.service.governor.AdmissionStage`); SHED never
+        reaches here — the daemon refuses the window before calling in.
+        A session without a journal cannot defer, so it folds every
+        window at once.  A journal append that fails on a resource error
         (disk full, fd exhaustion) raises
         :class:`~repro.service.governor.ResourcePressure` with the
         cursor untouched: the window is *refused*, never half-accepted,
@@ -193,9 +151,6 @@ class Session:
         ``data`` is ``raws`` as received (packed records); the journal
         stores its fresh part as is instead of packing the window again.
         """
-        from .durability import AdmissionStage
-        from .governor import ResourcePressure, is_resource_error
-
         with self._lock:
             self._check_open_locked()
             if self.state == SessionState.FINISHED:
@@ -241,8 +196,8 @@ class Session:
             self.received += len(fresh)
             self.touch()
             self.rate.tick(len(fresh))
-            if self.journal is None and stage >= AdmissionStage.JOURNAL:
-                stage = AdmissionStage.DECIMATE  # cannot defer without a journal
+            if self.journal is None:
+                stage = AdmissionStage.NORMAL  # nothing to defer to or compact
             self.last_stage = stage
             if self.journal is not None and (
                 stage >= AdmissionStage.JOURNAL or self.applied < self.received - len(fresh)
@@ -253,15 +208,11 @@ class Session:
                 if stage < AdmissionStage.JOURNAL:
                     self._drain_deferred_locked()
                 return len(fresh)
-            if stage == AdmissionStage.DECIMATE:
-                fresh, dropped = self._admission_decimate(fresh)
-                self.admission_decimated += dropped
             # Fold under the session lock: the cursor advance and the
             # fold must be atomic or two racing windows could fold out
             # of order.
             self.applied = self.received
-            if fresh:
-                self.engine.feed_window(fresh)
+            self.engine.feed_window(fresh)
             if stage == AdmissionStage.JOURNAL_COMPACT:
                 # Disk-pressure rung: checkpoint *now* — pruning the
                 # journal segments behind it is what frees space.
@@ -269,13 +220,6 @@ class Session:
             else:
                 self._maybe_checkpoint_locked()
         return self.received - start - skip
-
-    def _admission_decimate(self, batch: list[RawEvent]) -> tuple[list[RawEvent], int]:
-        stride = ADMISSION_DECIMATE_STRIDE
-        counter = self._admission_counter
-        kept = [raw for i, raw in enumerate(batch, counter) if i % stride == 0]
-        self._admission_counter = counter + len(batch)
-        return kept, len(batch) - len(kept)
 
     def _drain_deferred_locked(self) -> None:
         """Fold the journal-only backlog (caller holds the lock).
@@ -472,8 +416,6 @@ class Session:
     # -- observability ---------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        from .durability import AdmissionStage
-
         with self._lock:
             engine = self.engine
             return {
@@ -482,11 +424,11 @@ class Session:
                 "received": self.received,
                 "folded": engine.events_folded,
                 "duplicates": self.duplicates,
-                "decimated": self.admission_decimated,
-                # Always 0 (nothing spills since windows fold on the
-                # connection thread).  Kept for one release: the
-                # previous release's `dsspy sessions` indexes
-                # s["spilled"] directly and would fail without it.
+                # Always 0 (no admission stage drops or spills events
+                # any more).  Kept for one release: the previous
+                # release's `dsspy sessions` indexes both directly and
+                # would fail without them.
+                "decimated": 0,
                 "spilled": 0,
                 "refused_windows": self.refused_windows,
                 "forced_checkpoints": self.forced_checkpoints,
@@ -506,7 +448,7 @@ class Session:
                 "pressure": AdmissionStage.name(
                     self._governor.pressure_stage()
                     if self._governor is not None
-                    else 0
+                    else AdmissionStage.NORMAL
                 ),
                 "stage": AdmissionStage.name(self.last_stage),
                 "flagged": {

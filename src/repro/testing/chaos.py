@@ -130,10 +130,9 @@ def regress_state_dir_to_v1(root: str | Path) -> int:
 def _accounted_refusals(stats: dict[str, Any]) -> int:
     """Total refusals the server's ledger accounts for, from a STATS
     payload: governor-refused windows + admission-shed windows +
-    refused HELLOs.  Tolerates either stats shape (admission present
-    or governor alone)."""
+    refused HELLOs."""
     admission = stats.get("admission") or {}
-    governor = admission.get("governor") or stats.get("governor") or {}
+    governor = admission.get("governor") or {}
     shed = (admission.get("windows_by_stage") or {}).get("shed", 0)
     return (
         int(governor.get("refused_windows", 0))
@@ -554,11 +553,11 @@ class ChaosSoak:
         kills = 0
         daemon_box: dict[str, ProfilingDaemon] = {}
         #: Every daemon generation ever started, dead or alive.  The
-        #: refusal counters live on per-daemon admission/governor
-        #: objects that survive crash(), so the trial sums the ledger
-        #: across *all* generations at the end instead of snapshotting
-        #: at kill time — a snapshot race cannot under-account, and no
-        #: generation can escape the sum.
+        #: refusal counters live on each daemon's governor, which
+        #: survives crash(), so the trial sums the ledger across *all*
+        #: generations at the end instead of snapshotting at kill time
+        #: — a snapshot race cannot under-account, and no generation
+        #: can escape the sum.
         generations: list[ProfilingDaemon] = []
         kill_lock = threading.Lock()
 

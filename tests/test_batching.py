@@ -28,6 +28,7 @@ from repro.events import (
     parse_sampling,
     read_spill_raw,
 )
+from repro.events.sampling import _jitter, _salt_from_seed
 from repro.structures import TrackedList
 from repro.usecases import UseCaseEngine
 from repro.usecases.rules import PARALLEL_RULES
@@ -96,22 +97,9 @@ class TestBatchingChannel:
             positions = [r[3] for r in events if r[0] == tid]
             assert positions == list(range(5_000))
 
-    def test_drop_policy_bounds_memory_and_counts_drops(self):
-        channel = BatchingChannel(
-            max_buffered=1_000, policy="drop", flush_interval=0.001
-        )
-        produce = channel.producer()
-        for i in range(20_000):
-            produce(raw(1, i))
-        events = channel.drain()
-        assert len(events) == 1_000
-        assert channel.dropped == 19_000
-        assert channel.pending == 20_000
-
     def test_block_policy_raises_when_pipeline_is_wedged(self):
         channel = BatchingChannel(
             max_buffered=100,
-            policy="block",
             flush_interval=0.001,
             block_timeout=0.2,
         )
@@ -124,8 +112,8 @@ class TestBatchingChannel:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
             BatchingChannel(batch_size=0)
-        with pytest.raises(ValueError, match="policy"):
-            BatchingChannel(policy="panic")
+        with pytest.raises(ValueError, match="max_buffered"):
+            BatchingChannel(max_buffered=0)
 
     def test_collector_integration(self):
         with collecting(channel=BatchingChannel()) as session:
@@ -263,6 +251,38 @@ class TestSamplingPolicies:
         assert pattern(Burst(50, 10, seed=3)) != pattern(Burst(50, 10, seed=4))
         # The burst prefix is seed-independent by construction.
         assert all(Burst(50, 10, seed=9).admit(1) for _ in range(50))
+
+    @pytest.mark.parametrize("keep", [0, 1, 7, 100])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 64])
+    @pytest.mark.parametrize("seed", [None, 0, 5])
+    def test_admitted_sets_equal_the_per_event_jitter_formula(self, keep, n, seed):
+        """Admission hashes once per block, yet admits exactly the
+        events of the per-event rule: offset ``(c - keep) % n`` equals
+        the block's jitter."""
+        salt = _salt_from_seed(seed)
+
+        def reference(iid, total):
+            admitted = []
+            for c in range(total):
+                block, offset = divmod(c - keep, n)
+                if c < keep or offset == _jitter(block, iid, n, salt):
+                    admitted.append(c)
+            return admitted
+
+        policy = Burst(keep, n, seed=seed) if keep else Decimate(n, seed=seed)
+        totals = {1: 1_000, 2: 377, 99: keep + 1}
+        seen = {iid: [] for iid in totals}
+        counters = dict.fromkeys(totals, 0)
+        # Interleave the instances: each one's counter is its own.
+        for step in range(max(totals.values())):
+            for iid, total in totals.items():
+                if step < total:
+                    if policy.admit(iid):
+                        seen[iid].append(counters[iid])
+                    counters[iid] += 1
+        for iid, total in totals.items():
+            assert seen[iid] == reference(iid, total)
+            assert policy.observed(iid) == total
 
     def test_parse_sampling_passes_seed_through(self):
         assert parse_sampling("1/10", seed=5).seed == 5

@@ -11,6 +11,7 @@ of its final record must recover cleanly to a window-boundary prefix.
 
 from __future__ import annotations
 
+import errno
 import json
 import random
 import socket
@@ -22,7 +23,6 @@ import pytest
 
 from repro.events.spill import read_spill_raw
 from repro.service import (
-    AdmissionController,
     AdmissionStage,
     BackoffPolicy,
     ProfilingDaemon,
@@ -37,8 +37,9 @@ from repro.service import (
 )
 from repro.service.client import ServiceClient
 from repro.service.daemon import _remove_stale_unix_socket
+from repro.service.governor import JOURNAL_AT, SHED_AT, RateMeter, ResourceGovernor
 from repro.service.protocol import MessageType, ProtocolError, encode_json
-from repro.service.session import RateMeter, Session
+from repro.service.session import Session
 from repro.testing import (
     FAULT_KINDS,
     ChaosSoak,
@@ -483,22 +484,38 @@ class TestAdmissionController:
 
     def test_ladder_rises_with_load(self):
         clock = SimClock()
-        controller = AdmissionController(session_events_per_sec=100.0, clock=clock)
+        controller = ResourceGovernor(session_events_per_sec=100.0, clock=clock)
         session = self._fake_session(clock)
         # rate() floors the span at 1 s, so at t=0 the running total IS
         # the measured rate; each step pushes it over the next threshold.
         for ticks, expected in (
             (50, AdmissionStage.NORMAL),  # 50/s of a 100/s quota
-            (60, AdmissionStage.DECIMATE),  # 110/s -> load 1.1
-            (150, AdmissionStage.JOURNAL),  # 260/s -> load 2.6
-            (200, AdmissionStage.SHED),  # 460/s -> load 4.6
+            (60, AdmissionStage.JOURNAL),  # 110/s -> load 1.1
+            (250, AdmissionStage.JOURNAL),  # 360/s -> load 3.6
+            (50, AdmissionStage.SHED),  # 410/s -> load 4.1
         ):
             session.rate.tick(ticks)
             assert controller.admit(session, ticks) == expected
 
+    def test_verdict_is_the_worse_of_rate_and_pressure(self):
+        clock = SimClock()
+        controller = ResourceGovernor(session_events_per_sec=100.0, clock=clock)
+        session = self._fake_session(clock)
+        controller.record_failure("journal-append", OSError(errno.ENOSPC, "full"))
+        assert controller.admit(session, 10) == AdmissionStage.JOURNAL_COMPACT
+        session.rate.tick(150)  # load 1.5: the rate ladder is worse
+        assert controller.admit(session, 150) == AdmissionStage.JOURNAL
+        controller.force_pressure(AdmissionStage.SHED)
+        assert controller.peek() == AdmissionStage.SHED
+        stats = controller.admission_stats()
+        assert stats["governor"]["pressure_stage"] == "shed"
+        assert stats["windows_by_stage"] == {
+            "normal": 0, "journal-compact": 1, "journal": 1, "shed": 0,
+        }
+
     def test_load_subsides_with_time(self):
         clock = SimClock()
-        controller = AdmissionController(session_events_per_sec=100.0, clock=clock)
+        controller = ResourceGovernor(session_events_per_sec=100.0, clock=clock)
         session = self._fake_session(clock)
         session.rate.tick(500)
         assert controller.admit(session, 500) == AdmissionStage.SHED
@@ -507,7 +524,7 @@ class TestAdmissionController:
 
     def test_global_quota_protects_against_aggregate_load(self):
         clock = SimClock()
-        controller = AdmissionController(
+        controller = ResourceGovernor(
             global_events_per_sec=10.0, session_events_per_sec=1000.0, clock=clock
         )
         quiet = self._fake_session(clock)
@@ -515,17 +532,22 @@ class TestAdmissionController:
         # 4.5x the 10/s quota even though the session itself is idle.
         assert controller.admit(quiet, 45) == AdmissionStage.SHED
         assert controller.peek() == AdmissionStage.SHED
-        stats = controller.stats()
+        stats = controller.admission_stats()
         assert stats["stage"] == "shed"
         assert stats["windows_by_stage"]["shed"] == 1
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionController(decimate_at=2.0, journal_at=1.0)
+        assert 0 < JOURNAL_AT < SHED_AT
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="global_events_per_sec"):
+                ResourceGovernor(global_events_per_sec=bad)
+            with pytest.raises(ValueError, match="session_events_per_sec"):
+                ResourceGovernor(session_events_per_sec=bad)
 
     def test_stage_names(self):
         assert AdmissionStage.name(AdmissionStage.SHED) == "shed"
         assert "unknown" in AdmissionStage.name(42)
+        assert "unknown" in AdmissionStage.name(-1)
 
 
 class TestSessionDegradation:
@@ -566,15 +588,23 @@ class TestSessionDegradation:
             summarize_report(report),
         )
 
-    def test_journal_stage_without_journal_decimates_instead(self):
+    def test_journal_stage_without_journal_folds_at_once(self):
         trace = generate_trace(16)
         session = Session("nj", StreamingUseCaseEngine())
         for inst in trace.instances:
             session.register(inst.instance_id, inst.kind, None, inst.label)
-        session.ingest(0, trace.events[:100], stage=AdmissionStage.JOURNAL)
-        assert session.deferred == 0, "no journal -> nothing may be deferred"
-        assert session.admission_decimated > 0, "degrades to decimation"
-        assert session.received == 100
+        for start, raws in _windows(trace.events, 64):
+            session.ingest(start, raws, stage=AdmissionStage.JOURNAL)
+            assert session.deferred == 0, "no journal -> nothing may be deferred"
+        assert session.engine.events_folded == len(trace.events)
+        assert session.stats()["decimated"] == 0
+        assert session.stats()["stage"] == "normal"
+        assert not diff_summaries(
+            "batch",
+            summarize_report(run_batch_path(trace)),
+            "journal-less",
+            summarize_report(session.finish()),
+        )
 
 
 class TestDaemonOverload:
@@ -633,9 +663,7 @@ class TestDaemonOverload:
         )
 
     def test_shedding_daemon_turns_away_new_sessions(self):
-        clock = SimClock()
-        controller = AdmissionController(global_events_per_sec=1.0, clock=clock)
-        daemon = ProfilingDaemon(port=0, admission=controller, clock=clock)
+        daemon = ProfilingDaemon(port=0, max_events_per_sec=1.0, clock=SimClock())
         try:
             hot = ServiceClient(daemon.address)
             hot.send_events(0, generate_trace(17).events[:64])
@@ -646,6 +674,77 @@ class TestDaemonOverload:
             hot.close()
         finally:
             daemon.close()
+
+
+class TestExactLadder:
+    """Differential: a quota-limited daemon, journaled or not, whose
+    windows climb through the whole [1x, 4x) band of quota still ends
+    with the batch report and drops no event.  Thinning the in-band
+    windows 1 in 10 changes the report of every seed here but 18."""
+
+    @pytest.mark.parametrize("journaled", [False, True], ids=["no-journal", "journal"])
+    @pytest.mark.parametrize("seed", [5, 7, 16, 17, 18])
+    def test_fin_report_equals_batch_through_the_quota_band(
+        self, tmp_path, seed, journaled
+    ):
+        trace = generate_trace(seed)
+        # The clock never advances, so each meter reads the events so
+        # far over its floored 1 s span: load climbs window by window
+        # to 3.5x quota, through the journal band and short of shed.
+        quota = len(trace.events) / 3.5
+        daemon = ProfilingDaemon(
+            port=0,
+            state_dir=tmp_path / "state" if journaled else None,
+            max_events_per_sec=quota,
+            session_max_events_per_sec=quota,
+            clock=SimClock(),
+        )
+        try:
+            client = ServiceClient(daemon.address, session_id=f"band-{seed}")
+            client.register_instances([i.registration() for i in trace.instances])
+            for start, raws in _windows(trace.events, 32):
+                client.send_events(start, raws)
+            fin = client.fin()
+            client.close()
+            stats = daemon.stats()
+        finally:
+            daemon.close()
+        by_stage = stats["admission"]["windows_by_stage"]
+        assert by_stage["normal"] > 0 and by_stage["journal"] > 0
+        assert by_stage["shed"] == 0
+        (row,) = stats["sessions"]
+        assert row["decimated"] == 0 and row["spilled"] == 0
+        assert fin["received"] == len(trace.events)
+        assert not diff_summaries(
+            "batch",
+            summarize_report(run_batch_path(trace)),
+            "quota-band",
+            summarize_report(fin["report"]),
+        )
+
+    def test_stats_keep_the_keys_older_readers_index(self, tmp_path):
+        """`dsspy sessions`, the fleet router, the chaos ledger and the
+        e2e harness of the previous release read these keys."""
+        with ProfilingDaemon(
+            port=0, state_dir=tmp_path / "state", max_events_per_sec=1e9
+        ) as daemon:
+            client = ServiceClient(daemon.address, session_id="keys")
+            client.send_events(0, generate_trace(3).events[:64])
+            client.heartbeat()
+            stats = daemon.stats()
+            client.close()
+        admission = stats["admission"]
+        assert admission["refused_hellos"] == 0
+        assert admission["windows_by_stage"]["shed"] == 0
+        assert admission["governor"]["pressure_stage"] == "normal"
+        assert admission["governor"]["refused_windows"] == 0
+        assert "governor" not in stats
+        (row,) = stats["sessions"]
+        for key in ("decimated", "spilled"):
+            assert row[key] == 0
+        for key in ("received", "duplicates", "events_per_sec", "deferred",
+                    "stage", "pressure", "refused_windows", "checkpoints"):
+            assert key in row
 
 
 class TestBackoffPolicy:

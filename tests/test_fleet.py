@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import _fleet_supervisor, build_parser
 from repro.events import AccessKind, EventCollector, OperationKind, StructureKind
 from repro.service import (
     FleetCoordinator,
@@ -33,7 +34,7 @@ from repro.service import (
     shard_for,
     walk_state_dir,
 )
-from repro.service.fleet import shard_dir_name
+from repro.service.fleet import _Worker, shard_dir_name
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -355,6 +356,55 @@ class TestResultCache:
 
 
 @pytest.mark.slow
+class TestWorkerCommand:
+    """`dsspy serve --workers N` hands every per-daemon option to its
+    workers (built, never spawned)."""
+
+    def _argv(self, tmp_path, *flags):
+        args = build_parser().parse_args(
+            ["serve", "--workers", "2", "--state-dir", str(tmp_path), *flags]
+        )
+        supervisor = _fleet_supervisor(args)
+        return supervisor.worker_command(_Worker(1, tmp_path / shard_dir_name(1)))
+
+    @staticmethod
+    def _value(argv, flag):
+        assert argv.count(flag) == 1, flag
+        return argv[argv.index(flag) + 1]
+
+    def test_per_daemon_options_reach_every_worker(self, tmp_path):
+        argv = self._argv(
+            tmp_path,
+            "--journal-fsync",
+            "--max-events-per-sec", "5000",
+            "--session-max-events-per-sec", "250.5",
+            "--retry-after", "7.5",
+            "--state-budget", "64M",
+            "--fault-fs", "seed=3",
+        )
+        assert argv[argv.index("repro.cli") + 1] == "serve"
+        assert "--journal-fsync" in argv
+        assert float(self._value(argv, "--max-events-per-sec")) == 5000.0
+        assert float(self._value(argv, "--session-max-events-per-sec")) == 250.5
+        assert float(self._value(argv, "--retry-after")) == 7.5
+        assert int(self._value(argv, "--state-budget")) == 64 * 1024 * 1024
+        assert self._value(argv, "--fault-fs") == "seed=3"
+        assert self._value(argv, "--state-dir") == str(tmp_path / shard_dir_name(1))
+        assert "--workers" not in argv
+        # The worker's own parser takes the argv as is.
+        worker = build_parser().parse_args(argv[argv.index("serve"):])
+        assert worker.state_budget == 64 * 1024 * 1024
+        assert worker.journal_fsync and worker.workers == 1
+
+    def test_defaults_add_no_quota_budget_or_faults(self, tmp_path):
+        argv = self._argv(tmp_path)
+        for flag in ("--journal-fsync", "--max-events-per-sec",
+                     "--session-max-events-per-sec", "--state-budget",
+                     "--fault-fs"):
+            assert flag not in argv
+        assert float(self._value(argv, "--retry-after")) == 2.0
+
+
 class TestSupervisorIntegration:
     """One 2-worker fleet exercised end to end (subprocess workers)."""
 

@@ -11,10 +11,11 @@ import errno
 
 import pytest
 
-from repro.service.durability import AdmissionStage, SessionJournal, recover_session_dir
+from repro.service.durability import SessionJournal, recover_session_dir
 from repro.service.fsck import fsck_session_dir
 from repro.service.governor import (
     RESOURCE_ERRNOS,
+    AdmissionStage,
     RealFS,
     ResourceGovernor,
     is_resource_error,
@@ -89,7 +90,7 @@ class TestPressureLadder:
         gov = ResourceGovernor(clock=SimClock(), escalate_after=1)
         for _ in range(4):
             gov.record_failure("journal-append", _enospc())
-        gov.force_pressure(1)
+        gov.force_pressure(AdmissionStage.JOURNAL_COMPACT)
         assert gov.pressure_stage() == AdmissionStage.SHED
 
     def test_stats_surface_every_ledger_counter(self):

@@ -200,7 +200,7 @@ class TestFirewall:
             TrackedList(collector=HostileCollector())
 
     def test_trip_fails_open_watched_channels(self):
-        channel = BatchingChannel(policy="block", max_buffered=10)
+        channel = BatchingChannel(max_buffered=10)
         try:
             guard = RuntimeGuard(budget=1)
             guard.watch_channel(channel)
