@@ -78,6 +78,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from .cli import configure_bench_parser
+
 SCHEMA_VERSION = 8
 
 #: The machine-normalized metrics the ratchet enforces relatively
@@ -113,8 +115,6 @@ _FLOOR_CORES_SECTION = {
     "fleet_4w_vs_1w": "fleet",
     "whatif_within_band": "whatif",
 }
-
-DEFAULT_BASELINE = "benchmarks/baselines/overhead_baseline.json"
 
 #: A representative raw event (list read at position 5 of 1000).
 _RAW = (0, 1, 0, 5, 1000, 0, None)
@@ -728,119 +728,6 @@ def append_trajectory(doc: dict, path: str | Path, commit: str | None = None) ->
 # -- CLI --------------------------------------------------------------------
 
 
-def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Install the ``bench`` arguments on ``parser`` (shared between
-    ``python -m repro.bench`` and the ``dsspy bench`` subcommand)."""
-    parser.add_argument("--events", type=int, default=100_000)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("-o", "--output", default=None, help="write the JSON doc here")
-    parser.add_argument(
-        "--json", action="store_true", help="print the full JSON doc to stdout"
-    )
-    parser.add_argument(
-        "--input",
-        default=None,
-        metavar="JSON",
-        help="reuse an existing benchmark JSON instead of measuring",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="perf-ratchet mode: fail when a gated metric regressed past "
-        "--max-regression or broke a hard ceiling from the baseline",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        metavar="JSON",
-        help="checked-in baseline for --check",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.10,
-        metavar="FRAC",
-        help="allowed fractional slowdown per gated metric (0.10 = +10%%)",
-    )
-    parser.add_argument(
-        "--append-trajectory",
-        default=None,
-        metavar="CSV",
-        help="append this run to the benchmark-trajectory CSV",
-    )
-    parser.add_argument(
-        "--fleet",
-        action="store_true",
-        help="also run the many-producer fleet scaling benchmark "
-        "(adds the 'fleet' section, fleet_*_vs_1w metrics, and floors)",
-    )
-    parser.add_argument(
-        "--fleet-producers",
-        type=int,
-        default=1000,
-        metavar="N",
-        help="total producer sessions for the fleet benchmark",
-    )
-    parser.add_argument(
-        "--fleet-events",
-        type=int,
-        default=200,
-        metavar="N",
-        help="events recorded per producer session",
-    )
-    parser.add_argument(
-        "--fleet-workers",
-        default="1,2,4,8",
-        metavar="LIST",
-        help="comma-separated fleet sizes to measure",
-    )
-    parser.add_argument(
-        "--fleet-procs",
-        type=int,
-        default=4,
-        metavar="N",
-        help="producer subprocesses the sessions are spread over",
-    )
-    parser.add_argument(
-        "--fleet-concurrency",
-        type=int,
-        default=16,
-        metavar="N",
-        help="concurrent sessions per producer subprocess",
-    )
-    parser.add_argument(
-        "--fleet-curve",
-        default=None,
-        metavar="TXT",
-        help="write the human-readable scaling curve here",
-    )
-    parser.add_argument(
-        "--whatif",
-        action="store_true",
-        help="also run the what-if prediction-accuracy differential "
-        "(adds the 'whatif' section, whatif_within_band, and its floor)",
-    )
-    parser.add_argument(
-        "--whatif-only",
-        action="store_true",
-        help="run ONLY the what-if differential (skip the overhead "
-        "suite) — the CI whatif-accuracy job's fast path",
-    )
-    parser.add_argument(
-        "--whatif-cores",
-        type=int,
-        default=8,
-        metavar="N",
-        help="machine-model core count for the what-if differential",
-    )
-    parser.add_argument(
-        "--whatif-table",
-        default=None,
-        metavar="TXT",
-        help="write the human-readable prediction-accuracy table here",
-    )
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed ``bench`` invocation."""
     whatif_only = getattr(args, "whatif_only", False)
@@ -962,7 +849,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench", description=__doc__.splitlines()[0]
     )
-    configure_parser(parser)
+    configure_bench_parser(parser)
     return run(parser.parse_args(argv))
 
 

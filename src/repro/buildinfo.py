@@ -24,8 +24,10 @@ def build_info() -> dict[str, Any]:
         "proto_min": PROTOCOL_MIN_SUPPORTED,
         "journal_format": JOURNAL_VERSION,
         "checkpoint_format": CHECKPOINT_VERSION,
-        # An older ``dsspy sessions`` indexes build['kernel'] in a newer
-        # daemon's STATS; the one record path is pure python.
+        # Read by no line of this build.  The previous main commit's
+        # ``dsspy sessions`` indexes build['kernel'] in a newer daemon's
+        # STATS, so the key goes in the first change whose previous
+        # commit no longer reads it (docs/operations.md, compat window).
         "kernel": "python",
     }
 
@@ -37,8 +39,7 @@ def format_build_info(info: dict[str, Any] | None = None) -> str:
         f"dsspy {info['package']} "
         f"(proto {info['proto_min']}-{info['proto']}, "
         f"journal v{info['journal_format']}, "
-        f"checkpoint v{info['checkpoint_format']}, "
-        f"kernel {info['kernel']})"
+        f"checkpoint v{info['checkpoint_format']})"
     )
 
 

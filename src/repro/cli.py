@@ -84,7 +84,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     from .instrument import RewriteConfig, run_instrumented_file
     from .usecases import UseCaseEngine, format_summary, format_table_v
-    from .viz import render_profile
 
     if args.load:
         profiles = read_profiles(args.load)
@@ -215,6 +214,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print()
             print(guard_report.describe())
     if args.charts:
+        from .viz import render_profile
+
         for profile in run.collector.nonempty_profiles():
             print()
             print(f"--- {profile} ---")
@@ -669,7 +670,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
     build_note = (
         f" -- dsspy {build['package']}, proto {build['proto']}, "
         f"journal v{build['journal_format']}, "
-        f"checkpoint v{build['checkpoint_format']}, kernel {build['kernel']}"
+        f"checkpoint v{build['checkpoint_format']}"
         if build
         else ""
     )
@@ -1170,9 +1171,143 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return bench_run(args)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from .buildinfo import format_build_info
+#: The committed baseline ``dsspy bench --check`` compares against.
+DEFAULT_BENCH_BASELINE = "benchmarks/baselines/overhead_baseline.json"
 
+
+def configure_bench_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``bench`` arguments on ``parser`` (shared between
+    ``python -m repro.bench`` and the ``dsspy bench`` subcommand).
+    Declared here so that building the ``dsspy`` parser does not import
+    :mod:`repro.bench`."""
+    parser.add_argument("--events", type=int, default=100_000)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("-o", "--output", default=None, help="write the JSON doc here")
+    parser.add_argument(
+        "--json", action="store_true", help="print the full JSON doc to stdout"
+    )
+    parser.add_argument(
+        "--input",
+        default=None,
+        metavar="JSON",
+        help="reuse an existing benchmark JSON instead of measuring",
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="perf-ratchet mode: fail when a gated metric regressed past "
+        "--max-regression or broke a hard ceiling from the baseline",
+    )
+    parser.add_argument(
+        "--baseline",
+        default=DEFAULT_BENCH_BASELINE,
+        metavar="JSON",
+        help="checked-in baseline for --check",
+    )
+    parser.add_argument(
+        "--max-regression",
+        type=float,
+        default=0.10,
+        metavar="FRAC",
+        help="allowed fractional slowdown per gated metric (0.10 = +10%%)",
+    )
+    parser.add_argument(
+        "--append-trajectory",
+        default=None,
+        metavar="CSV",
+        help="append this run to the benchmark-trajectory CSV",
+    )
+    parser.add_argument(
+        "--fleet",
+        action="store_true",
+        help="also run the many-producer fleet scaling benchmark "
+        "(adds the 'fleet' section, fleet_*_vs_1w metrics, and floors)",
+    )
+    parser.add_argument(
+        "--fleet-producers",
+        type=int,
+        default=1000,
+        metavar="N",
+        help="total producer sessions for the fleet benchmark",
+    )
+    parser.add_argument(
+        "--fleet-events",
+        type=int,
+        default=200,
+        metavar="N",
+        help="events recorded per producer session",
+    )
+    parser.add_argument(
+        "--fleet-workers",
+        default="1,2,4,8",
+        metavar="LIST",
+        help="comma-separated fleet sizes to measure",
+    )
+    parser.add_argument(
+        "--fleet-procs",
+        type=int,
+        default=4,
+        metavar="N",
+        help="producer subprocesses the sessions are spread over",
+    )
+    parser.add_argument(
+        "--fleet-concurrency",
+        type=int,
+        default=16,
+        metavar="N",
+        help="concurrent sessions per producer subprocess",
+    )
+    parser.add_argument(
+        "--fleet-curve",
+        default=None,
+        metavar="TXT",
+        help="write the human-readable scaling curve here",
+    )
+    parser.add_argument(
+        "--whatif",
+        action="store_true",
+        help="also run the what-if prediction-accuracy differential "
+        "(adds the 'whatif' section, whatif_within_band, and its floor)",
+    )
+    parser.add_argument(
+        "--whatif-only",
+        action="store_true",
+        help="run ONLY the what-if differential (skip the overhead "
+        "suite) — the CI whatif-accuracy job's fast path",
+    )
+    parser.add_argument(
+        "--whatif-cores",
+        type=int,
+        default=8,
+        metavar="N",
+        help="machine-model core count for the what-if differential",
+    )
+    parser.add_argument(
+        "--whatif-table",
+        default=None,
+        metavar="TXT",
+        help="write the human-readable prediction-accuracy table here",
+    )
+
+
+class _VersionAction(argparse.Action):
+    """``--version``: print the build line on stdout and exit.  The line
+    is formatted only when the flag is given, because
+    :func:`~repro.buildinfo.build_info` imports :mod:`repro.service`."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, help=None):
+        super().__init__(
+            option_strings, dest=dest, default=argparse.SUPPRESS, nargs=0, help=help
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from .buildinfo import format_build_info
+
+        print(format_build_info())
+        parser.exit()
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dsspy",
         description="DSspy: locate parallelization potential in the runtime "
@@ -1180,8 +1315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--version",
-        action="version",
-        version=format_build_info(),
+        action=_VersionAction,
         help="print package, protocol, and on-disk format versions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1374,14 +1508,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=60.0,
         help="seconds a detached session waits for resume before finalizing",
-    )
-    # Hidden and inert: windows fold on the connection thread, so a
-    # client that outpaces analysis is always blocked by TCP.  The
-    # flag stays because a previous release's fleet supervisor passes
-    # `--overflow block` when it respawns workers on new code during a
-    # rolling upgrade; any other value was a queue policy that is gone.
-    serve.add_argument(
-        "--overflow", choices=("block",), default="block", help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--report-dir",
@@ -1717,9 +1843,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="recording-overhead benchmark and CI perf-ratchet",
     )
-    from .bench import configure_parser as _configure_bench
-
-    _configure_bench(bench)
+    configure_bench_parser(bench)
     bench.set_defaults(fn=_cmd_bench)
     return parser
 

@@ -16,7 +16,8 @@ nothing per event.  Analysis iterates :attr:`RuntimeProfile.raws`
 and cached until the next append.  For descriptive statistics and plots
 the profile also exposes parallel numpy arrays (sequence numbers, op
 codes, kinds, positions, sizes, thread ids), built lazily from the
-records and cached the same way.
+records and cached the same way.  numpy itself is imported only there,
+on first use: the record and analysis paths never load it.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .event import AccessEvent, RawEvent, materialize
 from .types import AccessKind, OperationKind, StructureKind
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Sentinel stored in the positions array for whole-structure events.
 NO_POSITION = -1
@@ -229,6 +231,8 @@ class RuntimeProfile:
     # -- vectorized views ----------------------------------------------
 
     def _build_arrays(self) -> dict[str, np.ndarray]:
+        import numpy as np
+
         raws = self._raws
         n = len(raws)
 
@@ -287,10 +291,14 @@ class RuntimeProfile:
 
     def count(self, op: OperationKind) -> int:
         """Number of events with the given compound operation kind."""
+        import numpy as np
+
         return int(np.count_nonzero(self.ops == op))
 
     def count_kind(self, kind: AccessKind) -> int:
         """Number of events with the given trivial read/write kind."""
+        import numpy as np
+
         return int(np.count_nonzero(self.kinds == kind))
 
     @property
@@ -322,6 +330,8 @@ class RuntimeProfile:
         """Distinct thread ids observed, ascending."""
         if not self._raws:
             return []
+        import numpy as np
+
         return [int(t) for t in np.unique(self.threads)]
 
     @property
@@ -358,6 +368,8 @@ class RuntimeProfile:
         """Event count per compound operation kind (zero entries omitted)."""
         if not self._raws:
             return {}
+        import numpy as np
+
         values, counts = np.unique(self.ops, return_counts=True)
         return {OperationKind(int(v)): int(c) for v, c in zip(values, counts)}
 

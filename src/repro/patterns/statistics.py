@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..events.profile import NO_POSITION, RuntimeProfile
 from ..events.types import AccessKind, OperationKind
 
@@ -86,6 +84,8 @@ def compute_stats(profile: RuntimeProfile) -> ProfileStats:
             max_size=0,
             growth=0,
         )
+
+    import numpy as np
 
     kinds = profile.kinds
     read_share = float(np.count_nonzero(kinds == AccessKind.READ)) / n

@@ -8,9 +8,12 @@ loop hammering one index range) pop out immediately.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..events.profile import NO_POSITION, RuntimeProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SHADES = " .:-=+*#%@"
 
@@ -23,6 +26,8 @@ def density_grid(
     Positionless events are excluded; an empty/positionless profile
     yields an all-zero grid.
     """
+    import numpy as np
+
     grid = np.zeros((position_bins, time_bins), dtype=np.int64)
     n = len(profile)
     if n == 0:

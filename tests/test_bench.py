@@ -15,13 +15,13 @@ from pathlib import Path
 import pytest
 
 from repro.bench import (
-    DEFAULT_BASELINE,
     GATED_METRICS,
     SCHEMA_VERSION,
     _TRAJECTORY_FIELDS,
     append_trajectory,
     check,
 )
+from repro.cli import DEFAULT_BENCH_BASELINE
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -127,7 +127,7 @@ class TestCommittedBaseline:
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        return json.loads((REPO / DEFAULT_BASELINE).read_text(encoding="utf-8"))
+        return json.loads((REPO / DEFAULT_BENCH_BASELINE).read_text(encoding="utf-8"))
 
     def test_schema_and_metrics_present(self, baseline):
         assert baseline["schema"] == SCHEMA_VERSION

@@ -524,23 +524,27 @@ class TestParkAndResume:
 
 
 class TestPreviousSupervisorArgv:
-    """During ``dsspy fleet upgrade`` the previous release's supervisor
-    respawns its workers on the new code with the argv it always built,
-    which carries ``--overflow block``; ``serve`` must still accept it."""
+    """During ``dsspy fleet upgrade`` the previous main commit's
+    supervisor respawns its workers on the new code with the argv its
+    ``FleetSupervisor.worker_command`` builds; ``serve`` must accept it.
+    The retired ``--overflow`` flag is not in that argv, so it is gone."""
 
-    #: FleetSupervisor._spawn's worker argv in the release that still
-    #: had the ingest queue, after ``python -m repro.cli``.
+    #: ``FleetSupervisor.worker_command`` of the previous main commit,
+    #: after ``python -m repro.cli``, for ``dsspy serve --workers N
+    #: --report-dir reports --max-events-per-sec 5000 --journal-fsync``.
     PREVIOUS_WORKER_ARGV = [
         "serve",
         "--host", "127.0.0.1",
         "--port", "40123",
         "--state-dir", "fleet/shard-00",
         "--port-file", "fleet/shard-00/port",
-        "--overflow", "block",
         "--checkpoint-every", "50000",
         "--heartbeat-timeout", "30.0",
         "--linger", "60.0",
         "--report-dir", "reports",
+        "--retry-after", "1.0",
+        "--journal-fsync",
+        "--max-events-per-sec", "5000.0",
     ]
 
     def test_previous_worker_argv_parses(self):
@@ -552,18 +556,19 @@ class TestPreviousSupervisorArgv:
             40123, "fleet/shard-00", "fleet/shard-00/port"
         )
         assert (args.checkpoint_every, args.linger) == (50000, 60.0)
+        assert (args.retry_after, args.journal_fsync) == (1.0, True)
+        assert args.max_events_per_sec == 5000.0
 
-    @pytest.mark.parametrize("policy", ["spill", "decimate"])
-    def test_other_overflow_policies_are_refused(self, policy, capsys):
+    @pytest.mark.parametrize("policy", ["block", "spill", "decimate"])
+    def test_overflow_flag_is_gone(self, policy, capsys):
         from repro.cli import build_parser
 
-        argv = ["serve", "--overflow", policy]
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
+            build_parser().parse_args(["serve", "--overflow", policy])
         assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "--overflow" in capsys.readouterr().err
 
-    def test_flag_is_hidden_and_max_pending_is_gone(self, capsys):
+    def test_help_names_neither_overflow_nor_max_pending(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["serve", "--help"])
         out = capsys.readouterr().out
