@@ -24,11 +24,6 @@ def build_info() -> dict[str, Any]:
         "proto_min": PROTOCOL_MIN_SUPPORTED,
         "journal_format": JOURNAL_VERSION,
         "checkpoint_format": CHECKPOINT_VERSION,
-        # Read by no line of this build.  The previous main commit's
-        # ``dsspy sessions`` indexes build['kernel'] in a newer daemon's
-        # STATS, so the key goes in the first change whose previous
-        # commit no longer reads it (docs/operations.md, compat window).
-        "kernel": "python",
     }
 
 

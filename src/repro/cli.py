@@ -242,24 +242,23 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
                 print("no parallel use cases flagged — sequential advice only")
 
     if args.address:
-        # Live path: quiesced engine snapshots over the SNAPSHOT verb.
-        from .service import ProtocolError, fetch_snapshot
+        # Live path: quiesced engine snapshots, one session per SNAPSHOT.
         from .service.durability import engine_from_dict
+        from .service.router import gather_snapshots
 
         try:
-            payload = fetch_snapshot(args.address, session=args.session)
-        except (OSError, ProtocolError, ValueError) as exc:
-            print(f"cannot snapshot {args.address}: {exc}", file=sys.stderr)
-            return 2
-        snapshots = payload.get("snapshots", [])
-        if not snapshots:
-            detail = "; ".join(str(e) for e in payload.get("errors", []))
-            which = f"session {args.session!r}" if args.session else "any session"
-            print(
-                f"{args.address}: no snapshot for {which}"
-                + (f" ({detail})" if detail else ""),
-                file=sys.stderr,
+            snapshots, errors = gather_snapshots(
+                [args.address], timeout=10.0, session=args.session
             )
+        except ValueError as exc:  # a malformed address
+            snapshots, errors = [], [{"error": str(exc)}]
+        if not snapshots:
+            if errors:
+                detail = "; ".join(str(e["error"]) for e in errors)
+                print(f"cannot snapshot {args.address}: {detail}", file=sys.stderr)
+                return 2
+            which = f"session {args.session!r}" if args.session else "any session"
+            print(f"{args.address}: no snapshot for {which}", file=sys.stderr)
             return 1
         for snap in snapshots:
             engine = engine_from_dict(snap["engine"])

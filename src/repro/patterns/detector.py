@@ -13,7 +13,7 @@ from typing import Iterable
 
 from ..events.profile import RuntimeProfile
 from .model import AccessPattern, PatternAnalysis, PatternType
-from .phases import Run, RunSnapshot, segment
+from .phases import Run, segment
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +53,7 @@ _DELETE_BACK = PatternType.DELETE_BACK
 _UNCLASSIFIED = PatternType.UNCLASSIFIED
 
 
-def classify_run(run: Run | RunSnapshot) -> PatternType:
+def classify_run(run: Run) -> PatternType:
     """Map a consistent run onto one of the eight pattern types.
 
     Front/back checks take precedence for insert/delete runs (an
@@ -91,7 +91,7 @@ def classify_run(run: Run | RunSnapshot) -> PatternType:
 
 
 def patterns_from_runs(
-    runs: Iterable[Run | RunSnapshot], config: DetectorConfig
+    runs: Iterable[Run], config: DetectorConfig
 ) -> tuple[AccessPattern, ...]:
     """Classify ``runs`` (in ``start`` order) into access patterns,
     dropping short runs and, unless kept, unclassified ones."""

@@ -16,9 +16,10 @@ opaque single operations counted separately by the use-case rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Any, NamedTuple
+from typing import Any
 
 from ..events.profile import RuntimeProfile
 from ..events.types import OperationKind
@@ -53,7 +54,13 @@ BREAKER_OPS = frozenset(
 
 @dataclass(slots=True)
 class Run:
-    """A maximal consistent event run, before classification."""
+    """A maximal consistent event run, before classification.
+
+    Every field is a scalar, so a shallow copy is a frozen snapshot.
+    ``distinct_positions`` is a count, not a set: a run moves in one
+    direction, so each nonzero step reaches a position it has not
+    touched, and the run has touched 1 plus its nonzero steps.
+    """
 
     category: str
     thread_id: int
@@ -63,85 +70,27 @@ class Run:
     direction: int  # +1 forward, -1 backward, 0 stationary
     first_position: int
     last_position: int
-    positions: set[int] = field(default_factory=set)
+    distinct_positions: int
     size_at_end: int = 0
     all_front: bool = True  # every position == 0
     all_back: bool = True  # every event targeted the (then-)back
 
-    @property
-    def distinct_positions(self) -> int:
-        return len(self.positions)
-
-    def snapshot(self) -> "RunSnapshot":
-        """This run's classification inputs as of now."""
-        return RunSnapshot(
-            self.category,
-            self.thread_id,
-            self.start,
-            self.stop,
-            self.length,
-            self.direction,
-            self.first_position,
-            self.last_position,
-            len(self.positions),
-            self.size_at_end,
-            self.all_front,
-            self.all_back,
-        )
-
     # -- serialization (checkpoint / SNAPSHOT payloads) ------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "category": self.category,
-            "thread_id": self.thread_id,
-            "start": self.start,
-            "stop": self.stop,
-            "length": self.length,
-            "direction": self.direction,
-            "first_position": self.first_position,
-            "last_position": self.last_position,
-            "positions": sorted(self.positions),
-            "size_at_end": self.size_at_end,
-            "all_front": self.all_front,
-            "all_back": self.all_back,
-        }
+        return {name: getattr(self, name) for name in _RUN_FIELDS}
 
     @classmethod
     def from_dict(cls, obj: dict[str, Any]) -> "Run":
-        return cls(
-            category=obj["category"],
-            thread_id=obj["thread_id"],
-            start=obj["start"],
-            stop=obj["stop"],
-            length=obj["length"],
-            direction=obj["direction"],
-            first_position=obj["first_position"],
-            last_position=obj["last_position"],
-            positions=set(obj["positions"]),
-            size_at_end=obj["size_at_end"],
-            all_front=obj["all_front"],
-            all_back=obj["all_back"],
-        )
+        """Accepts every checkpoint generation: v1 and v2 list each
+        distinct position (``positions``) where v3 keeps their count."""
+        if "positions" in obj:
+            obj = {**obj, "distinct_positions": len(obj["positions"])}
+        return cls(*[obj[name] for name in _RUN_FIELDS])
 
 
-class RunSnapshot(NamedTuple):
-    """An open run frozen at one instant: what the classifier reads of a
-    :class:`Run`, so feeding the run further cannot change it."""
-
-    category: str
-    thread_id: int
-    start: int
-    stop: int
-    length: int
-    direction: int
-    first_position: int
-    last_position: int
-    distinct_positions: int
-    size_at_end: int
-    all_front: bool
-    all_back: bool
-
+#: :class:`Run`'s fields, in order: its one field list.
+_RUN_FIELDS = tuple(f.name for f in fields(Run))
 
 _run_start = attrgetter("start")
 
@@ -178,13 +127,11 @@ class RunSegmenter:
         out.sort(key=_run_start)
         return out
 
-    def snapshot(self) -> list[Run | RunSnapshot]:
+    def snapshot(self) -> list[Run]:
         """:meth:`runs`, frozen: closed runs never change, and each open
-        run is copied as a :class:`RunSnapshot`, so later feeding cannot
-        move what the list classifies into."""
-        out = self.completed + [
-            run.snapshot() for run in self.open.values() if run is not None
-        ]
+        run is copied, so later feeding cannot move what the list
+        classifies into."""
+        out = self.completed + [copy(run) for run in self.open.values() if run is not None]
         out.sort(key=_run_start)
         return out
 

@@ -31,8 +31,6 @@ from .durability import (
     SessionScan,
     engine_from_dict,
     engine_to_dict,
-    merge_engine_dicts,
-    merge_engines,
     recover_session,
     recover_session_dir,
     scan_session_dir,
@@ -133,8 +131,6 @@ __all__ = [
     "negotiate_version",
     "parse_address",
     "parse_version_offer",
-    "merge_engine_dicts",
-    "merge_engines",
     "rebalance_state_dir",
     "recover_session",
     "recover_session_dir",

@@ -679,8 +679,8 @@ class ProfilingDaemon:
     def snapshot(self, session_id: str | None = None) -> dict[str, Any]:
         """Serialized engine state of one session (or all of them).
 
-        The payload feeds :func:`~repro.service.durability.merge_engine_dicts`
-        on the fleet coordinator.
+        The payload feeds :meth:`~repro.service.fleet.FleetCoordinator.merge`
+        and ``dsspy whatif --address``.
         """
         with self._sessions_lock:
             if session_id is not None:

@@ -37,7 +37,7 @@ build wrote is never touched.  Daemon start-up, ``dsspy recover``,
 
 Journal segment layout::
 
-    8 bytes   magic  b"DSPYWJ01"
+    8 bytes   magic  b"DSPYWJ" + 2-digit format generation (b"DSPYWJ03")
     records, each:
         1 byte    record type (REC_REGISTER / REC_EVENTS / REC_FIN)
         4 bytes   little-endian uint32 payload length
@@ -53,7 +53,6 @@ a cleanly finished session — its directory is garbage, not state.
 from __future__ import annotations
 
 import json
-import os
 import re
 import shutil
 import struct
@@ -77,15 +76,16 @@ from .protocol import _EVENTS_HEADER
 from .streaming import StreamingUseCaseEngine
 
 #: Every journal segment opens with ``DSPYWJ`` plus two ASCII digits
-#: naming the on-disk format generation that wrote it.  v1 and v2
-#: share the record layout (v2 merely stamps the generation so future
-#: record-format changes have a place to hang a migration); readers
-#: accept every generation up to :data:`JOURNAL_VERSION` and refuse
-#: newer ones with :class:`FutureFormatError` — "needs migration by a
-#: newer build", never "corrupt".
+#: naming the on-disk format generation that wrote it.  v1, v2 and v3
+#: share the record layout (v2 stamps the generation so format changes
+#: have a place to hang a migration; v3 moves in lockstep with the v3
+#: checkpoint); readers accept every generation up to
+#: :data:`JOURNAL_VERSION` and refuse newer ones with
+#: :class:`FutureFormatError` — "needs migration by a newer build",
+#: never "corrupt".
 JOURNAL_MAGIC_PREFIX = b"DSPYWJ"
-JOURNAL_VERSION = 2
-JOURNAL_MAGIC = b"DSPYWJ02"  # stamped on newly opened segments
+JOURNAL_VERSION = 3
+JOURNAL_MAGIC = b"DSPYWJ03"  # stamped on newly opened segments
 _MAGIC_LEN = len(JOURNAL_MAGIC)
 
 
@@ -152,10 +152,11 @@ _SEGMENT_GLOB = "journal-*.wal"
 _CHECKPOINT_NAME = "checkpoint.json"
 #: Checkpoint schema generation.  v1 lacked the ``format`` block; v2
 #: records the writing build's format versions so mixed-version state
-#: directories are diagnosable.  Readers accept v1 and v2; a newer
-#: version is a :class:`FutureFormatError`, never "replay from zero"
-#: (which would silently discard the newer engine state).
-CHECKPOINT_VERSION = 2
+#: directories are diagnosable; v3 stores each run's distinct positions
+#: as a count where v1 and v2 list them.  Readers accept v1 to v3; a
+#: newer version is a :class:`FutureFormatError`, never "replay from
+#: zero" (which would silently discard the newer engine state).
+CHECKPOINT_VERSION = 3
 
 
 # -- registration parsing (shared by daemon ingest and recovery) -------------
@@ -220,63 +221,6 @@ def engine_from_dict(
         fold = InstanceFold.from_dict(fold_obj, max_gap)
         engine._folds[fold.instance_id] = fold
     return engine
-
-
-def merge_engine_dicts(dicts: Iterable[dict[str, Any]]) -> dict[str, Any]:
-    """Merge serialized engine states from disjoint session shards.
-
-    Folds are strictly per-instance and ``report()`` evaluates each
-    instance independently, so a fleet-wide engine is the union of the
-    shards' folds plus summed counters.  The *disjointness* contract is
-    the sharding invariant (a session — and therefore every instance it
-    registers — lives on exactly one worker); a duplicate instance id
-    means two shards claim the same instance and the merge would be
-    silently lossy, so it raises instead.
-    """
-    merged: dict[str, Any] = {
-        "events_folded": 0,
-        "peak_resident_events": 0,
-        "unknown_instance_events": 0,
-        "folds": [],
-    }
-    seen: set[int] = set()
-    folds: list[dict[str, Any]] = []
-    for obj in dicts:
-        merged["events_folded"] += obj["events_folded"]
-        merged["unknown_instance_events"] += obj["unknown_instance_events"]
-        # Peak residency is per-process; the fleet-wide figure is the
-        # worst single shard, not a sum of non-simultaneous peaks.
-        merged["peak_resident_events"] = max(
-            merged["peak_resident_events"], obj["peak_resident_events"]
-        )
-        for fold_obj in obj["folds"]:
-            iid = int(fold_obj["instance_id"])
-            if iid in seen:
-                raise ValueError(
-                    f"instance id {iid} appears in more than one shard; "
-                    "shards must hold disjoint session subsets"
-                )
-            seen.add(iid)
-            folds.append(fold_obj)
-    merged["folds"] = sorted(folds, key=lambda f: int(f["instance_id"]))
-    return merged
-
-
-def merge_engines(
-    engines: Iterable[StreamingUseCaseEngine],
-    *,
-    thresholds: Thresholds = PAPER_THRESHOLDS,
-    detector_config: DetectorConfig | None = None,
-    rules: tuple[Rule, ...] = ALL_RULES,
-) -> StreamingUseCaseEngine:
-    """Fuse quiescent shard engines into one whose ``report()`` equals
-    a single engine fed the union of the shards' streams."""
-    return engine_from_dict(
-        merge_engine_dicts(engine_to_dict(e) for e in engines),
-        thresholds=thresholds,
-        detector_config=detector_config,
-        rules=rules,
-    )
 
 
 def checkpoint_state(session: Any) -> dict[str, Any]:
@@ -975,7 +919,7 @@ def restamped_segment(
     path: str | Path, version: int, *, fs: RealFS | None = None
 ) -> bytes:
     """A segment's bytes with its magic naming format generation
-    ``version`` (v1 and v2 share the record layout)."""
+    ``version`` (every generation shares the record layout)."""
     data = (fs if fs is not None else REAL_FS).read_bytes(path)
     return journal_magic(version) + data[_MAGIC_LEN:]
 

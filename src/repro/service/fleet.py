@@ -500,8 +500,8 @@ class FleetCoordinator:
 
     ``workers`` is a list of addresses or a zero-arg callable returning
     one (the supervisor passes its live list, so restarts are picked
-    up), or the router's one address, whose SNAPSHOT reply already
-    covers every worker.  :meth:`collect` is one merge pass.
+    up), or the router's one address, whose STATS already lists every
+    worker's sessions.  :meth:`collect` is one merge pass.
     """
 
     def __init__(
@@ -534,42 +534,42 @@ class FleetCoordinator:
     ) -> dict[str, Any]:
         """Merge session snapshots into one converged use-case report.
 
-        Instance ids are per-session, so folds are remapped to dense
-        fleet-wide ids before the engine-level merge; ``provenance``
-        maps each merged id back to its origin, and every use case in
-        the merged report carries its ``origin`` inline.
+        Folds are strictly per-instance and ``report()`` evaluates each
+        instance on its own, so the fleet-wide engine is every shard's
+        folds plus summed counters.  Instance ids are only unique per
+        session, so each fold gets a dense fleet-wide id (shards cannot
+        collide); ``provenance`` maps each merged id back to its
+        origin, and every use case in the merged report carries its
+        ``origin`` inline.
         """
         from ..usecases.json_export import report_to_dict
-        from .durability import engine_from_dict, merge_engine_dicts
+        from .durability import engine_from_dict
 
-        remapped: list[dict[str, Any]] = []
+        merged: dict[str, Any] = {
+            "events_folded": 0,
+            "peak_resident_events": 0,
+            "unknown_instance_events": 0,
+            "folds": [],
+        }
         provenance: dict[int, dict[str, Any]] = {}
         sessions: list[dict[str, Any]] = []
-        next_id = 1
         for snap in sorted(snapshots, key=lambda s: s["session"]):
-            folds = []
-            for fold in sorted(
-                snap["engine"]["folds"], key=lambda f: int(f["instance_id"])
-            ):
-                fold = dict(fold)
-                provenance[next_id] = {
+            engine = snap["engine"]
+            merged["events_folded"] += engine["events_folded"]
+            merged["unknown_instance_events"] += engine["unknown_instance_events"]
+            # Peak residency is per-process; the fleet-wide figure is the
+            # worst single shard, not a sum of non-simultaneous peaks.
+            merged["peak_resident_events"] = max(
+                merged["peak_resident_events"], engine["peak_resident_events"]
+            )
+            for fold in sorted(engine["folds"], key=lambda f: int(f["instance_id"])):
+                merged_id = len(provenance) + 1
+                provenance[merged_id] = {
                     "worker": snap.get("worker"),
                     "session": snap["session"],
                     "instance_id": int(fold["instance_id"]),
                 }
-                fold["instance_id"] = next_id
-                next_id += 1
-                folds.append(fold)
-            remapped.append(
-                {
-                    "events_folded": snap["engine"]["events_folded"],
-                    "peak_resident_events": snap["engine"]["peak_resident_events"],
-                    "unknown_instance_events": snap["engine"][
-                        "unknown_instance_events"
-                    ],
-                    "folds": folds,
-                }
-            )
+                merged["folds"].append({**fold, "instance_id": merged_id})
             sessions.append(
                 {
                     "session": snap["session"],
@@ -578,7 +578,6 @@ class FleetCoordinator:
                     "received": snap["received"],
                 }
             )
-        merged_dict = merge_engine_dicts(remapped)
         kwargs: dict[str, Any] = {}
         if self._thresholds is not None:
             kwargs["thresholds"] = self._thresholds
@@ -586,14 +585,13 @@ class FleetCoordinator:
             kwargs["detector_config"] = self._detector_config
         if self._rules is not None:
             kwargs["rules"] = self._rules
-        engine = engine_from_dict(merged_dict, **kwargs)
-        report = report_to_dict(engine.report())
+        report = report_to_dict(engine_from_dict(merged, **kwargs).report())
         for use_case in report["use_cases"]:
             use_case["origin"] = provenance.get(use_case["instance_id"])
         return {
             "sessions": sessions,
-            "events_folded": merged_dict["events_folded"],
-            "unknown_instance_events": merged_dict["unknown_instance_events"],
+            "events_folded": merged["events_folded"],
+            "unknown_instance_events": merged["unknown_instance_events"],
             "report": report,
             "errors": list(errors),
             # A merge with errors is a *partial* view (a worker was

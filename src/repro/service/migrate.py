@@ -5,7 +5,7 @@ chains them until the directory reaches the target generation.  Every
 file rewrite follows the PR 4 barrier discipline — write a
 ``.migrate-tmp`` sibling, fsync it, then :func:`os.replace` over the
 original — so a crash (SIGKILL included) at *any* byte leaves each
-artifact wholly old or wholly new, never a hybrid, and rerunning the
+artifact wholly at one generation, never a hybrid, and rerunning the
 migration completes it.  Mixed per-file versions inside one directory
 are a legal intermediate state: every reader accepts all generations
 up to its own.
@@ -35,7 +35,7 @@ from .governor import REAL_FS, RealFS
 #: Current overall state-format generation (journal and checkpoint
 #: formats move in lockstep; a hop that bumps only one still gets its
 #: own generation number so the chain stays linear).
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 #: Sibling suffix for in-flight rewrites.  Chosen so the temp file can
 #: never pass for a segment or a checkpoint — a crash mid-migration
@@ -75,29 +75,72 @@ def _replace_file(fs: RealFS, path: Path, data: bytes) -> None:
     fs.replace(tmp, path)
 
 
-@migration(1)
-def _migrate_1_to_2(scan: SessionScan, fs: RealFS) -> None:
-    """v1 -> v2: stamp segment headers with their format generation
-    and add the ``format`` build block to the checkpoint.  The record
-    layout is unchanged, so the rewrite is mechanical — which is
-    exactly why this hop exists: it proves the machinery the next
-    record-format change will depend on.  Damaged artifacts are left
-    as they are (fsck, not migrate, handles them); already migrated
-    ones are skipped, so a rerun completes an interrupted migration."""
+def _restamp(
+    scan: SessionScan,
+    fs: RealFS,
+    old: int,
+    rewrite_engine: Callable[[Any], None] | None = None,
+) -> None:
+    """One ``v{old} -> v{old+1}`` hop over the artifacts still at
+    ``old``: restamp each segment header (every generation shares the
+    record layout), and restamp the checkpoint with the ``format``
+    block of the build that migrated it, first passing its engine dict
+    to ``rewrite_engine``.  Artifacts at another generation are
+    skipped, so a rerun completes an interrupted migration; damaged
+    ones are left as they are (fsck, not migrate, handles them)."""
     from ..buildinfo import build_info
 
     for segment in scan.segments:
-        if segment.version == 1:
-            _replace_file(fs, segment.path, restamped_segment(segment.path, 2, fs=fs))
+        if segment.version == old:
+            _replace_file(fs, segment.path, restamped_segment(segment.path, old + 1, fs=fs))
     state = scan.checkpoint_state
-    if state is not None and scan.checkpoint_version == 1:
-        state["version"] = 2
-        state["format"] = build_info()  # the build that migrated it
+    if state is not None and scan.checkpoint_version == old:
+        if rewrite_engine is not None:
+            rewrite_engine(state.get("engine"))
+        state["version"] = old + 1
+        state["format"] = build_info()
         _replace_file(
             fs,
             scan.checkpoint_path,
             json.dumps(state, separators=(",", ":")).encode(),
         )
+
+
+@migration(1)
+def _migrate_1_to_2(scan: SessionScan, fs: RealFS) -> None:
+    """v1 -> v2: stamp segment headers with their format generation
+    and add the ``format`` build block to the checkpoint.  The record
+    layout is unchanged, so the rewrite is mechanical — which is
+    exactly why this hop exists: it proved the machinery the v2 -> v3
+    hop uses."""
+    _restamp(scan, fs, 1)
+
+
+def _count_run_positions(engine: Any) -> None:
+    """Rewrite, in place, every run of a checkpoint's engine dict in
+    the v3 shape (:meth:`~repro.patterns.phases.Run.from_dict` reads
+    the older one); a fold that does not parse is left as it is."""
+    from ..patterns.phases import Run
+
+    for fold in engine.get("folds", ()) if isinstance(engine, dict) else ():
+        try:
+            builders = fold["builders"]
+            for tid, run in builders.items():
+                if run is not None:
+                    builders[tid] = Run.from_dict(run).to_dict()
+            fold["completed_runs"] = [
+                Run.from_dict(run).to_dict() for run in fold["completed_runs"]
+            ]
+        except (KeyError, TypeError, AttributeError):
+            continue
+
+
+@migration(2)
+def _migrate_2_to_3(scan: SessionScan, fs: RealFS) -> None:
+    """v2 -> v3: the checkpoint stores each run's distinct positions
+    as a count where v2 lists them (the count is all any reader uses);
+    segments are only restamped."""
+    _restamp(scan, fs, 2, _count_run_positions)
 
 
 def migrate_session_dir(

@@ -59,30 +59,46 @@ def shard_for(session_id: str, n_workers: int) -> int:
 
 
 def gather_snapshots(
-    addresses: Sequence[str], timeout: float
+    addresses: Sequence[str], timeout: float, session: str | None = None
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-    """SNAPSHOT every address in turn; the per-worker fan-out behind
-    both the router's whole-fleet SNAPSHOT and the fleet coordinator.
+    """SNAPSHOT every session (or just ``session``) of every address,
+    one session per reply: the fan-out behind the router's whole-fleet
+    SNAPSHOT, the fleet coordinator and ``dsspy whatif --address``.
 
-    Each session snapshot is tagged with its address's index unless it
-    already carries a ``worker`` (a coordinator pointed at a router
-    keeps the router's tags).  An unreachable address becomes an error
-    ``{worker, address, error}``; errors a reply carries are kept.
+    Each address's STATS lists its sessions, then each is fetched on
+    its own, so no frame holds more than one session's engine.  A
+    snapshot is tagged with the ``worker`` its STATS row names (a
+    router's rows carry one), else with its address's index.  An
+    unreachable address, a failed fetch and a worker a router's STATS
+    reports down each become an error ``{worker, address, error}``.
     """
-    from .client import fetch_snapshot
+    from .client import fetch_snapshot, fetch_stats
 
     snapshots: list[dict[str, Any]] = []
     errors: list[dict[str, Any]] = []
     for index, address in enumerate(addresses):
         try:
-            reply = fetch_snapshot(address, timeout=timeout)
+            stats = fetch_stats(address, timeout=timeout)
         except (OSError, ProtocolError) as exc:
             errors.append({"worker": index, "address": address, "error": str(exc)})
             continue
-        for snap in reply["snapshots"]:
-            snap.setdefault("worker", index)
-            snapshots.append(snap)
-        errors.extend(reply.get("errors", []))
+        errors.extend(
+            {key: row[key] for key in ("worker", "address", "error")}
+            for row in stats.get("workers", ())
+            if "error" in row
+        )
+        for row in stats["sessions"]:
+            if session is not None and row["session"] != session:
+                continue
+            worker = row.get("worker", index)
+            try:
+                reply = fetch_snapshot(address, session=row["session"], timeout=timeout)
+            except (OSError, ProtocolError) as exc:
+                errors.append({"worker": worker, "address": address, "error": str(exc)})
+                continue
+            for snap in reply["snapshots"]:
+                snap.setdefault("worker", worker)
+                snapshots.append(snap)
     return snapshots, errors
 
 

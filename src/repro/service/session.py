@@ -424,12 +424,6 @@ class Session:
                 "received": self.received,
                 "folded": engine.events_folded,
                 "duplicates": self.duplicates,
-                # Always 0 (no admission stage drops or spills events
-                # any more).  Kept for one release: the previous
-                # release's `dsspy sessions` indexes both directly and
-                # would fail without them.
-                "decimated": 0,
-                "spilled": 0,
                 "refused_windows": self.refused_windows,
                 "forced_checkpoints": self.forced_checkpoints,
                 "append_failures": (

@@ -6,8 +6,11 @@ a day of profiling is billions of events — so
 :class:`~repro.usecases.features.InstanceFold` per registered instance,
 splits each arriving window by instance (keeping every instance's
 order), folds each instance's share in one batched call, and discards
-the window.  Memory is O(instances + runs) plus each run's distinct
-positions (``Run.positions``): a long run holds O(its events).
+the window.  Memory is O(instances + runs) plus each instance's
+write-without-read tail (``InstanceFold.trailing_positions``), whose
+distinct positions never outnumber the instance's largest size.  A run
+holds scalars only, so its length does not grow the fold or its
+checkpoint.
 
 Convergence with batch analysis is by construction, not by
 approximation: the batch :class:`~repro.usecases.engine.UseCaseEngine`

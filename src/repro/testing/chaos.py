@@ -103,12 +103,14 @@ UPGRADE_SEED_SALT = 0x06_AD_E5
 
 
 def regress_state_dir_to_v1(root: str | Path) -> int:
-    """TEST SCAFFOLDING: rewrite a state directory the way the
-    previous (v1) dsspy generation left it — v1 segment magics and v1
-    checkpoints without the ``format`` block.  Real old builds write
-    this shape natively; the chaos ``upgrade`` fault regresses fresh
-    state so every soak trial hands ``migrate`` genuinely old input.
-    Returns the number of files rewritten."""
+    """TEST SCAFFOLDING: rewrite a state directory the way the v1
+    dsspy generation left it — v1 segment magics, and v1 checkpoints
+    without the ``format`` block whose runs list each position they
+    touched (at ``max_gap`` 1, the contiguous range from first to last)
+    instead of counting them.  Real old builds write this shape
+    natively; the chaos ``upgrade`` fault regresses fresh state so
+    every soak trial hands ``migrate`` genuinely old input.  Returns
+    the number of files rewritten."""
     from ..service.durability import restamped_segment, scan_session_dir, walk_state_dir
 
     rewritten = 0
@@ -122,6 +124,12 @@ def regress_state_dir_to_v1(root: str | Path) -> int:
         if state is not None and scan.checkpoint_version not in (None, 1):
             state["version"] = 1
             state.pop("format", None)
+            for fold in state["engine"]["folds"]:
+                runs = [*fold["builders"].values(), *fold["completed_runs"]]
+                for run in filter(None, runs):
+                    ends = sorted((run["first_position"], run["last_position"]))
+                    run["positions"] = list(range(ends[0], ends[1] + 1))
+                    del run["distinct_positions"]
             scan.checkpoint_path.write_text(json.dumps(state, separators=(",", ":")))
             rewritten += 1
     return rewritten

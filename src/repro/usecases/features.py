@@ -6,8 +6,13 @@ them in a single O(1)-per-event pass — the scalar counters of
 :class:`ProfileFeatures`, phase segmentation into the runs of a
 :class:`~repro.patterns.phases.RunSegmenter`, and the happens-before
 :class:`~repro.whatif.dag.LaneSummary` the what-if profiler reads
-(TASKPROF-style work/span, PAPERS.md).  Memory is O(threads + runs) plus
-each run's distinct positions (``Run.positions``): a long run holds O(its events).
+(TASKPROF-style work/span, PAPERS.md).  Memory is O(threads + runs)
+plus the write-without-read tail's distinct positions
+(``InstanceFold.trailing_positions``), which a read empties and which
+never holds more than the instance's largest size: Write-Without-Read
+thresholds their exact count against that size.  A run keeps a count of
+its distinct positions, not the positions, so a long run costs what a
+short one does.
 
 The fold has one entry, :meth:`InstanceFold.fold_raws`: a batch of raw
 event tuples folded in one loop with the whole state in locals.  It is
@@ -482,8 +487,8 @@ class InstanceFold:
                     run.length += 1
                     run.stop = i + 1
                     if delta != 0:
-                        # The previous position is always in the set.
-                        run.positions.add(position)
+                        # One direction: a nonzero step is a new position.
+                        run.distinct_positions += 1
                     run.last_position = position
                     run.size_at_end = size
                     if run.all_front and not at_front:
@@ -493,8 +498,8 @@ class InstanceFold:
                     continue
                 completed.append(run)
             # Positional, in field order (category, thread_id, start,
-            # stop, length, direction, first/last position, positions,
-            # size_at_end, all_front, all_back).
+            # stop, length, direction, first/last position, distinct
+            # positions, size_at_end, all_front, all_back).
             open_runs[thread_id] = run = Run(
                 category,
                 thread_id,
@@ -504,7 +509,7 @@ class InstanceFold:
                 0,
                 position,
                 position,
-                {position},
+                1,
                 size,
                 at_front,
                 size != 0 and at_back,
@@ -542,9 +547,8 @@ class InstanceFold:
         first read.
 
         They are a snapshot: the op counts are copied, closed runs never
-        change, and open runs are kept as
-        :class:`~repro.patterns.phases.RunSnapshot` copies, so
-        folding more events afterwards leaves them as they were.
+        change, and open runs are copied, so folding more events
+        afterwards leaves them as they were.
         ``final=True`` skips those copies, for a caller that folds
         nothing more into this fold (:func:`features_of`).
         """

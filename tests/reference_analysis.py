@@ -15,7 +15,10 @@ keeps two independent implementations to check it against:
   — kept verbatim (bar the names of the segmentation tables, now keyed
   by op code), operating on the production state objects, so the
   batched loop can be compared with it byte for byte through
-  ``InstanceFold.to_dict``.
+  ``InstanceFold.to_dict``.  Where the fold counts a run's distinct
+  positions, the reference's runs (:class:`ReferenceRun`) still keep
+  the set of them and write its size into the count, so the count is
+  checked against a set rather than against itself.
 """
 
 from __future__ import annotations
@@ -57,6 +60,13 @@ def reference_lane_feed(self: LaneSummary, thread_id: int, is_read: bool) -> Non
     self.work += 1
 
 
+class ReferenceRun(Run):
+    """A :class:`Run` that also keeps the set of positions it touched;
+    ``to_dict`` writes only the count."""
+
+    __slots__ = ("positions",)
+
+
 def reference_segmenter_feed(
     self: RunSegmenter, index: int, op: int, position: int | None, size: int, thread_id: int
 ) -> None:
@@ -88,12 +98,13 @@ def reference_segmenter_feed(
             run.stop = index + 1
             run.last_position = position
             run.positions.add(position)
+            run.distinct_positions = len(run.positions)
             run.size_at_end = size
             run.all_front = run.all_front and position == 0
             run.all_back = run.all_back and targets_back
             return
         self.completed.append(run)
-    self.open[thread_id] = Run(
+    self.open[thread_id] = run = ReferenceRun(
         category=category,
         thread_id=thread_id,
         start=index,
@@ -102,11 +113,12 @@ def reference_segmenter_feed(
         direction=0,
         first_position=position,
         last_position=position,
-        positions={position},
+        distinct_positions=1,
         size_at_end=size,
         all_front=position == 0,
         all_back=targets_back,
     )
+    run.positions = {position}
 
 
 def reference_feed(

@@ -597,7 +597,7 @@ class TestSessionDegradation:
             session.ingest(start, raws, stage=AdmissionStage.JOURNAL)
             assert session.deferred == 0, "no journal -> nothing may be deferred"
         assert session.engine.events_folded == len(trace.events)
-        assert session.stats()["decimated"] == 0
+        assert "decimated" not in session.stats()
         assert session.stats()["stage"] == "normal"
         assert not diff_summaries(
             "batch",
@@ -713,7 +713,7 @@ class TestExactLadder:
         assert by_stage["normal"] > 0 and by_stage["journal"] > 0
         assert by_stage["shed"] == 0
         (row,) = stats["sessions"]
-        assert row["decimated"] == 0 and row["spilled"] == 0
+        assert "decimated" not in row and "spilled" not in row
         assert fin["received"] == len(trace.events)
         assert not diff_summaries(
             "batch",
@@ -724,7 +724,9 @@ class TestExactLadder:
 
     def test_stats_keep_the_keys_older_readers_index(self, tmp_path):
         """`dsspy sessions`, the fleet router, the chaos ledger and the
-        e2e harness of the previous release read these keys."""
+        e2e harness of the previous release read these keys.  The
+        always-0 ``decimated`` and ``spilled`` keys are gone: the
+        previous release reads neither."""
         with ProfilingDaemon(
             port=0, state_dir=tmp_path / "state", max_events_per_sec=1e9
         ) as daemon:
@@ -740,8 +742,7 @@ class TestExactLadder:
         assert admission["governor"]["refused_windows"] == 0
         assert "governor" not in stats
         (row,) = stats["sessions"]
-        for key in ("decimated", "spilled"):
-            assert row[key] == 0
+        assert "decimated" not in row and "spilled" not in row
         for key in ("received", "duplicates", "events_per_sec", "deferred",
                     "stage", "pressure", "refused_windows", "checkpoints"):
             assert key in row

@@ -262,6 +262,53 @@ class TestRouter:
         assert merged["errors"]
 
 
+class TestOneSessionPerSnapshotFrame:
+    """``dsspy whatif --address`` and the coordinator fetch one session
+    per SNAPSHOT frame, so a daemon or router holding more sessions
+    than fit in one frame still answers."""
+
+    def test_sessions_that_fit_a_frame_only_one_at_a_time(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.service import protocol
+        from repro.service.protocol import MessageType, ProtocolError, encode_json
+
+        with ProfilingDaemon(port=0, session_linger=30.0) as a, ProfilingDaemon(
+            port=0, session_linger=30.0
+        ) as b, SessionRouter([a.address, b.address]) as router:
+            sids = [
+                *[f"pf-{i}" for i in range(100) if shard_for(f"pf-{i}", 2) == 0][:2],
+                *[f"pf-{i}" for i in range(100) if shard_for(f"pf-{i}", 2) == 1][:2],
+            ]
+            for sid in sids:
+                _ingest(router.address, sid, events=400)
+            # The largest one-session reply (the router's adds its
+            # address) is the ceiling; two sessions in one reply exceed it.
+            limit = max(
+                len(encode_json(MessageType.ACK, fetch_snapshot(router.address, session=sid)))
+                for sid in sids
+            )
+            whole = len(encode_json(MessageType.ACK, fetch_snapshot(a.address)))
+            assert limit < whole
+            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", limit)
+            for address in (a.address, router.address):
+                with pytest.raises(ProtocolError, match="MAX_FRAME_BYTES"):
+                    fetch_snapshot(address)
+
+            for address, expected in ((a.address, sids[:2]), (router.address, sids)):
+                assert main(["whatif", "--address", address]) == 0
+                out = capsys.readouterr().out
+                for sid in expected:
+                    assert f"What-if predictions for session {sid} @ {address}" in out
+
+            direct = FleetCoordinator([a.address, b.address]).collect()
+            via_router = FleetCoordinator([router.address]).collect()
+            for merged in (direct, via_router):
+                assert merged["complete"] is True
+                assert sorted(s["session"] for s in merged["sessions"]) == sorted(sids)
+                assert merged["events_folded"] == 400 * len(sids)
+            assert via_router["report"] == direct["report"]
+
+
 class TestResultCache:
     def test_hit_after_put(self, tmp_path):
         cache = ResultCache(tmp_path)

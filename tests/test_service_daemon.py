@@ -402,5 +402,5 @@ class TestFoldOnConnectionThread:
             (row,) = fetch_stats(daemon.address)["sessions"]
             assert row["folded"] == row["received"] == 600
             assert "pending" not in row and "spill_corrupt_skipped" not in row
-            assert row["spilled"] == 0
+            assert "spilled" not in row
             client.close()

@@ -44,6 +44,7 @@ from repro.service import (
 from repro.service.client import ServiceClient
 from repro.service.durability import (
     _MAGIC_LEN,
+    CHECKPOINT_VERSION,
     JOURNAL_VERSION,
     journal_magic,
     scan_session_dir,
@@ -183,7 +184,8 @@ class TestBuildInfo:
         assert info["proto"] == PROTOCOL_VERSION
         assert info["proto_min"] == PROTOCOL_MIN_SUPPORTED
         assert info["journal_format"] == JOURNAL_VERSION
-        assert info["kernel"] == "python"
+        assert info["checkpoint_format"] == CHECKPOINT_VERSION
+        assert "kernel" not in info
 
     def test_format_build_info_is_one_line(self):
         line = format_build_info()
@@ -348,6 +350,16 @@ class TestFixtureMigration:
         state = _copy_fixture(tmp_path)
         first = migrate_state_dir(state)
         assert first["migrated"] == len(FIXTURE_SESSIONS)
+        assert all(entry["steps"] == ["v1->v2", "v2->v3"] for entry in first["sessions"])
+        # v2 -> v3 turns each run's list of positions into its count.
+        old_fold = json.loads((FIXTURE / "fixture-a" / "checkpoint.json").read_text())
+        new_fold = json.loads((state / "fixture-a" / "checkpoint.json").read_text())
+        old_runs = old_fold["engine"]["folds"][0]["completed_runs"]
+        new_runs = new_fold["engine"]["folds"][0]["completed_runs"]
+        assert old_runs and len(new_runs) == len(old_runs)
+        for old_run, new_run in zip(old_runs, new_runs):
+            assert "positions" not in new_run
+            assert new_run["distinct_positions"] == len(old_run["positions"])
         again = migrate_state_dir(state)
         assert again["migrated"] == 0
         assert all(not entry["steps"] for entry in again["sessions"])
@@ -435,7 +447,7 @@ class TestCrashDuringMigration:
                 # Rerunning the migration sweeps the leftover and
                 # finishes the job.
                 result = migrate_session_dir(work)
-                assert result["steps"] == ["v1->v2"]
+                assert result["steps"] == ["v1->v2", "v2->v3"]
                 assert self._artifact_bytes(work) == new
                 assert not list(work.glob("*" + TMP_SUFFIX))
                 if iteration % 97 == 0:
@@ -453,9 +465,12 @@ class TestCrashDuringMigration:
         old = self._artifact_bytes(directory)
         done = tmp_path / "done"
         shutil.copytree(directory, done)
+        migrate_session_dir(done, to=2)
+        mid = self._artifact_bytes(done)
         migrate_session_dir(done)
         new = self._artifact_bytes(done)
-        total = sum(len(b) for b in new.values())
+        # The budget sweeps the bytes both hops write.
+        total = sum(len(b) for b in (*mid.values(), *new.values()))
         expected = len(trace.events)
 
         for budget in range(1, total + 1, 23):
@@ -473,7 +488,7 @@ class TestCrashDuringMigration:
             # However far the rewrite got, every artifact is exactly
             # one generation — never a byte-mixed hybrid.
             for name, data in self._artifact_bytes(work).items():
-                assert data == old[name] or data == new[name], (
+                assert data in (old[name], mid[name], new[name]), (
                     f"budget={budget}: {name} is a hybrid"
                 )
             recovered = recover_session_dir(work)
