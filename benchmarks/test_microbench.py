@@ -155,17 +155,16 @@ class TestOverheadBudget:
         #
         # BatchingChannel's drainer thread gives every batching run a
         # fast tail in about one run of eight, so a ratio of two minima
-        # is a ratio of two outliers.  Each round times the three
+        # is a ratio of two outliers.  Each round times the two
         # configurations back to back, and the bound holds for the
         # median of the per-round ratios.
         from statistics import median
 
         from repro.bench import _time_record
-        from repro.events import BatchingChannel, Burst, Decimate
+        from repro.events import BatchingChannel, Burst
 
         policies = {
             "batching": None,
-            "batching_decimate10": lambda: Decimate(10),
             "batching_burst1000_10": lambda: Burst(1000, 10),
         }
         ratios: dict[str, list[float]] = {name: [] for name in policies if name != "batching"}

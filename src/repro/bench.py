@@ -203,7 +203,7 @@ def _best_round_robin(measures: dict, repeats: int) -> dict:
 
 def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
     """Measure every transport and sampling tier; return the JSON doc."""
-    from .events import BatchingChannel, Burst, Decimate, SynchronousChannel
+    from .events import BatchingChannel, Burst, SynchronousChannel
     from .runtime import RuntimeGuard
     from .service import ProfilingDaemon, RemoteChannel
 
@@ -214,7 +214,6 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
     recorders = {
         "sync": (lambda: SynchronousChannel(), None),
         "batching": (lambda: BatchingChannel(), None),
-        "batching_decimate10": (lambda: BatchingChannel(), lambda: Decimate(10)),
         "batching_burst1000_10": (lambda: BatchingChannel(), lambda: Burst(1000, 10)),
     }
 

@@ -74,11 +74,30 @@ def _rank_with_predictions(report, cores: int = 8):
     return rank_report(annotate_report(report, machine))
 
 
+#: ``dsspy analyze --sample`` values: the (keep, n) of the
+#: :class:`~repro.events.sampling.Burst` policy each records under, or
+#: ``None`` for full capture.  Every sampled value here is checked
+#: against full capture by ``TestSamplingDetectionFidelity``.
+SAMPLE_POLICIES: dict[str, tuple[int, int] | None] = {
+    "all": None,
+    "burst:1000/10": (1_000, 10),
+}
+
+
+def sampling_policy(spec: str):
+    """A fresh policy for one ``--sample`` value (``None``: full capture)."""
+    params = SAMPLE_POLICIES[spec]
+    if params is None:
+        return None
+    from .events.sampling import Burst
+
+    return Burst(*params)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .events import (
         BatchingChannel,
         SynchronousChannel,
-        parse_sampling,
         read_profiles,
         save_profiles,
     )
@@ -96,8 +115,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.remote and args.spill:
         print("--remote and --spill are mutually exclusive", file=sys.stderr)
         return 2
+    sampling = sampling_policy(args.sample)
+    if sampling is not None and (args.remote or args.save or args.spill):
+        # Each of these re-analyzes the thinned stream elsewhere (the
+        # daemon's fold, --load, whatif TRACE) under the paper's
+        # thresholds, without the policy that recalibrates them.
+        print(
+            f"--sample {args.sample} cannot be combined with --remote, --save "
+            "or --spill: their copy of the capture is re-analyzed without "
+            "the sampling policy",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        sampling = parse_sampling(args.sample, seed=args.sample_seed)
         if args.remote:
             from .service import RemoteChannel
 
@@ -1329,16 +1359,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--sample",
         default="all",
-        metavar="SPEC",
-        help="sampling policy: 'all', '1/N' (decimate), or 'burst:K/N'",
-    )
-    analyze.add_argument(
-        "--sample-seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="seed for the sampling jitter: same seed admits the identical "
-        "event set across runs (omit for the unseeded default)",
+        choices=tuple(SAMPLE_POLICIES),
+        help="'all' records every event (default); 'burst:1000/10' records "
+        "each instance's first 1000 events, then 1 in 10 (local analysis "
+        "only: refused with --remote, --save and --spill)",
     )
     analyze.add_argument(
         "--spill",

@@ -7,8 +7,8 @@ paper): every interaction with an instrumented data structure becomes an
 :class:`RuntimeProfile` per data structure instance.
 
 Recording is one tuple path: :meth:`EventCollector.record` applies the
-firewall and the optional event sampling (:class:`SamplingPolicy` and
-friends), then hands the raw tuple to one of two channels — the
+firewall and the optional :class:`Burst` sampling, then hands the raw
+tuple to one of two channels — the
 default :class:`SynchronousChannel`, or the drainer-threaded
 :class:`BatchingChannel` (optionally spilling to a binary file via
 :mod:`~repro.events.spill`, and the base of the service layer's
@@ -28,14 +28,7 @@ from .collector import (
 from .event import AccessEvent, materialize
 from .merge import merge_archives, merge_profiles
 from .profile import NO_POSITION, AllocationSite, RuntimeProfile
-from .sampling import (
-    RECORD_ALL,
-    Burst,
-    Decimate,
-    RecordAll,
-    SamplingPolicy,
-    parse_sampling,
-)
+from .sampling import Burst
 from .serialize import (
     dump_profiles,
     load_profiles,
@@ -64,16 +57,12 @@ __all__ = [
     "BatchingChannel",
     "Burst",
     "Channel",
-    "Decimate",
     "EventCollector",
     "FRONT",
     "NO_POSITION",
     "OperationKind",
-    "RECORD_ALL",
     "RECORD_SIZE",
-    "RecordAll",
     "RuntimeProfile",
-    "SamplingPolicy",
     "SpillWriter",
     "StructureKind",
     "SynchronousChannel",
@@ -89,7 +78,6 @@ __all__ = [
     "merge_profiles",
     "pack_record",
     "pack_records",
-    "parse_sampling",
     "pop_collector",
     "push_collector",
     "read_profiles",

@@ -31,7 +31,7 @@ from typing import Iterator
 from ..runtime.guard import ACTIVE_GUARD
 from .channel import Channel, SynchronousChannel
 from .profile import AllocationSite, RuntimeProfile, route_records
-from .sampling import RecordAll, SamplingPolicy
+from .sampling import Burst
 from .types import AccessKind, OperationKind, StructureKind
 
 
@@ -50,25 +50,22 @@ class EventCollector:
         Off by default: the analyses need only ordering, and logical
         time keeps experiments deterministic.
     sampling:
-        Optional :class:`~repro.events.sampling.SamplingPolicy` applied
-        before the channel post.  ``None`` (and :class:`RecordAll`)
-        keep the full-capture hot path unchanged — not even a policy
-        call is paid.
+        Optional :class:`~repro.events.sampling.Burst` policy applied
+        before the channel post.  ``None`` (full capture) keeps the hot
+        path unchanged — not even a policy call is paid.
     """
 
     def __init__(
         self,
         channel: Channel | None = None,
         capture_wall_time: bool = False,
-        sampling: SamplingPolicy | None = None,
+        sampling: Burst | None = None,
     ) -> None:
         self._channel: Channel = channel if channel is not None else SynchronousChannel()
         self._post = self._channel.post
         self._on_register = getattr(self._channel, "on_register", None)
         self._tls = threading.local()
         self._capture_wall_time = capture_wall_time
-        if sampling is not None and type(sampling) is RecordAll:
-            sampling = None
         self._sampler = sampling
         self._sampled_out = 0
         self._lock = threading.Lock()
@@ -227,7 +224,7 @@ class EventCollector:
         return self._channel
 
     @property
-    def sampling(self) -> SamplingPolicy | None:
+    def sampling(self) -> Burst | None:
         """The active sampling policy (``None`` means full capture)."""
         return self._sampler
 
@@ -310,7 +307,7 @@ def iter_collectors() -> list[EventCollector]:
 def collecting(
     channel: Channel | None = None,
     capture_wall_time: bool = False,
-    sampling: SamplingPolicy | None = None,
+    sampling: Burst | None = None,
 ) -> Iterator[EventCollector]:
     """Install a fresh collector for the duration of the block.
 

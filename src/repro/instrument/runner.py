@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from ..events.channel import Channel
 from ..events.collector import EventCollector, collecting
 from ..events.profile import RuntimeProfile
-from ..events.sampling import SamplingPolicy
+from ..events.sampling import Burst
 from .rewriter import RewriteConfig, RewriteResult, rewrite_source
 
 if TYPE_CHECKING:
@@ -68,7 +68,7 @@ def run_instrumented(
     args: tuple = (),
     config: RewriteConfig | None = None,
     channel: Channel | None = None,
-    sampling: SamplingPolicy | None = None,
+    sampling: Burst | None = None,
     extra_globals: Mapping[str, Any] | None = None,
     guard: "RuntimeGuard | None" = None,
 ) -> InstrumentedRun:
@@ -114,7 +114,7 @@ def run_instrumented_file(
     args: tuple = (),
     config: RewriteConfig | None = None,
     channel: Channel | None = None,
-    sampling: SamplingPolicy | None = None,
+    sampling: Burst | None = None,
     guard: "RuntimeGuard | None" = None,
 ) -> InstrumentedRun:
     """Instrument and execute a program from disk."""

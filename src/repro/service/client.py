@@ -188,23 +188,20 @@ def fetch_stats(address: str, timeout: float = 10.0) -> dict[str, Any]:
         sock.close()
 
 
-def fetch_snapshot(
-    address: str, session: str | None = None, timeout: float = 10.0
-) -> dict[str, Any]:
-    """One-shot SNAPSHOT query: serialized engine state for merging.
+def fetch_snapshot(address: str, session: str, timeout: float = 10.0) -> dict[str, Any]:
+    """One-shot SNAPSHOT query: one session's serialized engine state.
 
     Like STATS, spoken before HELLO — the fleet coordinator observes a
-    worker without creating a session on it.  ``session`` narrows the
-    reply to one session (the coordinator fetches per-session to stay
-    far below the frame ceiling); ``None`` asks for all of them.
+    worker without creating a session on it.  One session per frame
+    keeps every reply far below the frame ceiling;
+    :func:`~repro.service.router.gather_snapshots` walks all of them.
     """
     family, connect_arg = parse_address(address)
     sock = socket.socket(family, socket.SOCK_STREAM)
     sock.settimeout(timeout)
     try:
         sock.connect(connect_arg)
-        req: dict[str, Any] = {} if session is None else {"session": session}
-        sock.sendall(encode_json(MessageType.SNAPSHOT, req))
+        sock.sendall(encode_json(MessageType.SNAPSHOT, {"session": session}))
         frame = recv_frame(sock)
         if frame is None:
             raise ProtocolError("server closed the connection")

@@ -63,6 +63,7 @@ from .protocol import (
     negotiate_version,
     parse_version_offer,
     recv_frame,
+    snapshot_session,
 )
 from .session import Session, SessionState
 from .streaming import StreamingUseCaseEngine
@@ -329,10 +330,10 @@ class ProfilingDaemon:
                 elif mtype == MessageType.SNAPSHOT:
                     # Like STATS, allowed before HELLO: the fleet
                     # coordinator is an observer, not a producer.
-                    req = decode_json(payload)
                     conn.sendall(
                         encode_json(
-                            MessageType.ACK, self.snapshot(req.get("session"))
+                            MessageType.ACK,
+                            self.snapshot(snapshot_session(decode_json(payload))),
                         )
                     )
                 elif session is None:
@@ -676,21 +677,17 @@ class ProfilingDaemon:
             out["admission"] = self._governor.admission_stats()
         return out
 
-    def snapshot(self, session_id: str | None = None) -> dict[str, Any]:
-        """Serialized engine state of one session (or all of them).
+    def snapshot(self, session_id: str) -> dict[str, Any]:
+        """Serialized engine state of one session (none if unknown).
 
         The payload feeds :meth:`~repro.service.fleet.FleetCoordinator.merge`
         and ``dsspy whatif --address``.
         """
         with self._sessions_lock:
-            if session_id is not None:
-                found = self.sessions.get(session_id)
-                sessions = [found] if found is not None else []
-            else:
-                sessions = list(self.sessions.values())
+            found = self.sessions.get(session_id)
         return {
             "address": self.address,
-            "snapshots": [session.snapshot() for session in sessions],
+            "snapshots": [] if found is None else [found.snapshot()],
         }
 
     # -- lifecycle -------------------------------------------------------

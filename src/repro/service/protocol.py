@@ -175,6 +175,15 @@ def decode_json(payload: bytes) -> dict[str, Any]:
     return obj
 
 
+def snapshot_session(request: dict[str, Any]) -> str:
+    """The session a SNAPSHOT request names.  A SNAPSHOT answers one
+    session per frame, so a request without one is refused."""
+    session = request.get("session")
+    if not isinstance(session, str):
+        raise ProtocolError("SNAPSHOT needs a 'session' key (one session per frame)")
+    return session
+
+
 # -- protocol version negotiation --------------------------------------------
 
 #: Current wire-protocol version of this build.  Version 1 is the

@@ -5,9 +5,10 @@ worker processes.  Clients dial the router as if it were the daemon;
 the router reads the first frame of each connection and either
 
 - **answers it itself** — STATS and SNAPSHOT are observability
-  queries, so the router fans them out to every worker and returns the
-  aggregated view (this is what makes ``dsspy sessions ROUTER_ADDR``
-  and the fleet coordinator work against a single address), or
+  queries: STATS fans out to every worker and returns the aggregated
+  view, and a SNAPSHOT is fetched from the shard that owns its session
+  (this is what makes ``dsspy sessions ROUTER_ADDR`` and the fleet
+  coordinator work against a single address), or
 - **routes the connection** — a HELLO is pinned to the worker chosen
   by :func:`shard_for` over its session id, after which the router is
   a dumb byte pump in both directions until either side hangs up.
@@ -40,6 +41,7 @@ from .protocol import (
     decode_json,
     encode_json,
     recv_frame,
+    snapshot_session,
 )
 
 
@@ -62,8 +64,8 @@ def gather_snapshots(
     addresses: Sequence[str], timeout: float, session: str | None = None
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
     """SNAPSHOT every session (or just ``session``) of every address,
-    one session per reply: the fan-out behind the router's whole-fleet
-    SNAPSHOT, the fleet coordinator and ``dsspy whatif --address``.
+    one session per reply: the fan-out behind the fleet coordinator and
+    ``dsspy whatif --address``.
 
     Each address's STATS lists its sessions, then each is fetched on
     its own, so no frame holds more than one session's engine.  A
@@ -214,10 +216,10 @@ class SessionRouter:
                 if mtype == MessageType.STATS:
                     conn.sendall(encode_json(MessageType.ACK, self.stats()))
                 elif mtype == MessageType.SNAPSHOT:
-                    req = decode_json(payload)
                     conn.sendall(
                         encode_json(
-                            MessageType.ACK, self.snapshot(req.get("session"))
+                            MessageType.ACK,
+                            self.snapshot(snapshot_session(decode_json(payload))),
                         )
                     )
                 elif mtype == MessageType.HELLO:
@@ -347,26 +349,15 @@ class SessionRouter:
             "sessions": sessions,
         }
 
-    def snapshot(self, session_id: str | None = None) -> dict[str, Any]:
-        """Fleet-wide SNAPSHOT: engine states from every worker, in one
-        reply shaped like a single daemon's.  Worker fetch failures are
-        surfaced under ``"errors"`` — a partial merge must be visible."""
+    def snapshot(self, session_id: str) -> dict[str, Any]:
+        """One session's SNAPSHOT, fetched from the shard that owns it,
+        in a reply shaped like a single daemon's."""
         from .client import fetch_snapshot
 
-        if session_id is not None:
-            # Session-narrowed queries go straight to the owning shard.
-            address = self.worker_for(session_id)
-            out = fetch_snapshot(
-                address, session=session_id, timeout=self._connect_timeout
-            )
-            out["address"] = self.address
-            return out
-        snapshots, errors = gather_snapshots(
-            self.workers(), timeout=self._connect_timeout
+        out = fetch_snapshot(
+            self.worker_for(session_id), session_id, timeout=self._connect_timeout
         )
-        out: dict[str, Any] = {"address": self.address, "snapshots": snapshots}
-        if errors:
-            out["errors"] = errors
+        out["address"] = self.address
         return out
 
     # -- lifecycle --------------------------------------------------------

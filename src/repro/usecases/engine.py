@@ -14,7 +14,7 @@ from typing import Mapping
 
 from ..events.collector import EventCollector
 from ..events.profile import RuntimeProfile
-from ..events.sampling import SamplingPolicy
+from ..events.sampling import Burst
 from ..patterns.detector import DetectorConfig, PatternDetector
 from ..patterns.model import PatternAnalysis
 from ..whatif.dag import WorkSpan, fold_profile
@@ -184,14 +184,13 @@ class UseCaseEngine:
     def analyze_collector(self, collector: EventCollector) -> UseCaseReport:
         """Analyze everything a collector captured.
 
-        When the collector recorded under a decimating sampling policy,
-        each instance is routed to the engine that matches how it was
+        When the collector recorded under a :class:`~repro.events.sampling.Burst`
+        policy, each instance is routed to the engine that matches how it was
         captured — callers using the default engine on a sampled
         capture get correct results without knowing about sampling:
 
-        - Instances the policy captured **exactly** (everything under a
-          :class:`~repro.events.sampling.Burst` policy's keep limit)
-          are analyzed with this engine, unmodified.
+        - Instances the policy captured **exactly** (everything under
+          its keep limit) are analyzed with this engine, unmodified.
         - Decimated instances are analyzed with the recalibrated
           :meth:`for_sampling` engine, after dropping the full-rate
           burst prefix from the profile: the prefix over-represents
@@ -208,9 +207,9 @@ class UseCaseEngine:
         profiles = collector.profiles()
         if (
             policy is None
-            or policy.stride <= 1
+            or policy.n <= 1
             or self.thresholds is not PAPER_THRESHOLDS
-            or self.detector.config.max_gap >= 2 * policy.stride - 1
+            or self.detector.config.max_gap >= 2 * policy.n - 1
         ):
             return self.analyze(profiles)
         sampled_engine = UseCaseEngine.for_sampling(policy, rules=self.rules)
@@ -234,7 +233,7 @@ class UseCaseEngine:
     @classmethod
     def for_sampling(
         cls,
-        policy: SamplingPolicy,
+        policy: Burst,
         rules: tuple[Rule, ...] = ALL_RULES,
         thresholds: Thresholds = PAPER_THRESHOLDS,
     ) -> UseCaseEngine:
@@ -246,13 +245,13 @@ class UseCaseEngine:
         and shrinks every event count by ~N, so the paper's
         strict-adjacency detector (``max_gap=1``) and absolute count
         thresholds would both go blind.  This constructor widens
-        ``max_gap`` to ``2*stride - 1`` and recalibrates the thresholds
+        ``max_gap`` to ``2*N - 1`` and recalibrates the thresholds
         via :meth:`~repro.usecases.thresholds.Thresholds.decimated`
         (event counts scale, pattern counts and positional spans don't),
         which is what keeps the detected use-case sets stable between
         full and sampled captures.
         """
-        stride = policy.stride
+        stride = policy.n
         if stride <= 1:
             return cls(thresholds=thresholds, rules=rules)
         return cls(

@@ -17,21 +17,18 @@ from repro.events import (
     AccessKind,
     BatchingChannel,
     Burst,
-    Decimate,
     EventCollector,
     OperationKind,
-    RecordAll,
     SpillWriter,
     StructureKind,
     collecting,
     iter_spill_events,
-    parse_sampling,
     read_spill_raw,
 )
-from repro.events.sampling import _jitter, _salt_from_seed
+from repro.cli import build_parser, sampling_policy
+from repro.events.sampling import _jitter
 from repro.structures import TrackedList
 from repro.usecases import UseCaseEngine
-from repro.usecases.rules import PARALLEL_RULES
 from repro.workloads import EVALUATION_WORKLOADS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -187,23 +184,36 @@ class TestSpill:
         assert len(read_spill_raw(spill)) == recorded
 
 
+def _sample_choices() -> tuple[str, ...]:
+    """The ``--sample`` values ``dsspy analyze`` accepts."""
+    analyze = build_parser()._subparsers._group_actions[0].choices["analyze"]
+    (action,) = [a for a in analyze._actions if a.dest == "sample"]
+    return tuple(action.choices)
+
+
+#: Every sampled ``--sample`` value, read from the parser so that a value
+#: added later cannot skip the fidelity gate.
+SAMPLED_CHOICES = tuple(c for c in _sample_choices() if sampling_policy(c) is not None)
+
+
 class TestSamplingPolicies:
     def test_decimate_rate_is_exactly_one_in_n(self):
-        policy = Decimate(10)
-        admitted = sum(policy.admit(1) for _ in range(10_000))
-        assert admitted == 1_000
+        # Past the burst, the tail keeps exactly 1 event in every 10.
+        policy = Burst(100, 10)
+        admitted = sum(policy.admit(1) for _ in range(10_100))
+        assert admitted == 100 + 1_000
 
     def test_decimate_counts_per_instance(self):
-        policy = Decimate(10)
+        policy = Burst(5, 10)
         for _ in range(100):
             policy.admit(1)
-        assert sum(policy.admit(2) for _ in range(10)) == 1
+        assert sum(policy.admit(2) for _ in range(15)) == 5 + 1
 
     def test_decimate_jitter_breaks_phase_alignment(self):
         # A period-2 op stream strided 1-in-10 would capture only one
-        # phase; jittered decimation must admit both parities.
-        policy = Decimate(10)
-        parities = {i % 2 for i in range(10_000) if policy.admit(1)}
+        # phase; the jittered tail must admit both parities.
+        policy = Burst(100, 10)
+        parities = {i % 2 for i in range(10_100) if policy.admit(1) and i >= 100}
         assert parities == {0, 1}
 
     def test_burst_keeps_first_k_exactly_then_decimates(self):
@@ -214,62 +224,58 @@ class TestSamplingPolicies:
         assert not policy.is_exact(1)
         assert policy.exact_prefix(1) == 100
 
+    def test_burst_tail_keeps_its_jitter(self):
+        # One instance's admitted tail events, pinned: a change to the
+        # jitter hash would move every sampled report.
+        policy = Burst(1_000, 10)
+        admitted = [c for c in range(1_060) if policy.admit(3)]
+        assert admitted[1_000:] == [1002, 1017, 1024, 1039, 1046, 1051]
+
     def test_burst_small_instances_are_exact(self):
         policy = Burst(100, 10)
         assert all(policy.admit(5) for _ in range(100))
         assert policy.is_exact(5)
         assert policy.exact_prefix(5) == 0
 
-    def test_parse_sampling_specs(self):
-        assert isinstance(parse_sampling("all"), RecordAll)
-        assert parse_sampling("1/10").n == 10
-        assert parse_sampling("1:4").n == 4
-        burst = parse_sampling("burst:1000/10")
+    def test_parse_sampling_specs(self, capsys):
+        parser = build_parser()
+        assert _sample_choices() == ("all", "burst:1000/10")
+        assert sampling_policy("all") is None
+        burst = sampling_policy("burst:1000/10")
         assert (burst.keep, burst.n) == (1000, 10)
-        for bad in ("2/10", "sometimes", "burst:", "1/0"):
-            with pytest.raises(ValueError, match="sampling spec"):
-                parse_sampling(bad)
-
-    def test_seeded_decimate_is_bit_reproducible(self):
-        def pattern(policy):
-            return [policy.admit(1) for _ in range(2_000)]
-
-        assert pattern(Decimate(10, seed=7)) == pattern(Decimate(10, seed=7))
-        assert pattern(Decimate(10, seed=7)) != pattern(Decimate(10, seed=8))
-        # No seed reproduces the historic unseeded jitter exactly.
-        assert pattern(Decimate(10)) == pattern(Decimate(10, seed=None))
-
-    def test_seeded_decimate_keeps_exact_rate(self):
-        policy = Decimate(10, seed=7)
-        assert sum(policy.admit(1) for _ in range(10_000)) == 1_000
-
-    def test_seeded_burst_is_bit_reproducible(self):
-        def pattern(policy):
-            return [policy.admit(1) for _ in range(2_000)]
-
-        assert pattern(Burst(50, 10, seed=3)) == pattern(Burst(50, 10, seed=3))
-        assert pattern(Burst(50, 10, seed=3)) != pattern(Burst(50, 10, seed=4))
-        # The burst prefix is seed-independent by construction.
-        assert all(Burst(50, 10, seed=9).admit(1) for _ in range(50))
+        assert burst.describe() == "burst:1000/10"
+        # Any other spelling, 1-in-N decimation under either name
+        # included, is an argparse error, and so is --sample-seed.
+        for argv in (
+            ["--sample", "1/10"],
+            ["--sample", "1:10"],
+            ["--sample", "burst:0/10"],
+            ["--sample", "burst:100/10"],
+            ["--sample", "full"],
+            ["--sample", "1/1"],
+            ["--sample-seed", "7"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(["analyze", "prog.py", *argv])
+            assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("keep", [0, 1, 7, 100])
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 64])
-    @pytest.mark.parametrize("seed", [None, 0, 5])
-    def test_admitted_sets_equal_the_per_event_jitter_formula(self, keep, n, seed):
+    def test_admitted_sets_equal_the_per_event_jitter_formula(self, keep, n):
         """Admission hashes once per block, yet admits exactly the
         events of the per-event rule: offset ``(c - keep) % n`` equals
         the block's jitter."""
-        salt = _salt_from_seed(seed)
 
         def reference(iid, total):
             admitted = []
             for c in range(total):
                 block, offset = divmod(c - keep, n)
-                if c < keep or offset == _jitter(block, iid, n, salt):
+                if c < keep or offset == _jitter(block, iid, n):
                     admitted.append(c)
             return admitted
 
-        policy = Burst(keep, n, seed=seed) if keep else Decimate(n, seed=seed)
+        policy = Burst(keep, n)
         totals = {1: 1_000, 2: 377, 99: keep + 1}
         seen = {iid: [] for iid in totals}
         counters = dict.fromkeys(totals, 0)
@@ -284,50 +290,39 @@ class TestSamplingPolicies:
             assert seen[iid] == reference(iid, total)
             assert policy.observed(iid) == total
 
-    def test_parse_sampling_passes_seed_through(self):
-        assert parse_sampling("1/10", seed=5).seed == 5
-        assert parse_sampling("burst:100/10", seed=5).seed == 5
-        assert parse_sampling("1/10").seed is None
-        assert isinstance(parse_sampling("all", seed=5), RecordAll)
-        assert "seed 5" in parse_sampling("1/10", seed=5).describe()
-
     def test_collector_counts_sampled_out_events(self):
-        collector = EventCollector(sampling=Decimate(10))
+        collector = EventCollector(sampling=Burst(100, 10))
         iid = collector.register_instance(StructureKind.LIST)
-        for i in range(1_000):
-            collector.record(iid, OperationKind.READ, AccessKind.READ, i, 1_000)
+        for i in range(1_100):
+            collector.record(iid, OperationKind.READ, AccessKind.READ, i, 1_100)
         assert collector.sampled_out == 900
-        assert len(collector.finish()[iid]) == 100
+        assert len(collector.finish()[iid]) == 200
 
-    def test_record_all_costs_nothing(self):
-        collector = EventCollector(sampling=RecordAll())
-        assert collector.sampling is None
+
+def _use_cases(collector) -> set[tuple[str, object]]:
+    return {
+        (u.profile.label, u.kind)
+        for u in UseCaseEngine().analyze_collector(collector).use_cases
+    }
 
 
 class TestSamplingDetectionFidelity:
-    """1-in-10 sampling must detect the same use cases as full capture."""
+    """Every ``--sample`` value the CLI accepts must find the same use
+    cases as full capture, with all rules, on the Table V workloads at
+    Table IV's scale (0.5) and at the e2e programs' scale (1.0)."""
 
+    @pytest.mark.parametrize("spec", SAMPLED_CHOICES)
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
     @pytest.mark.parametrize(
         "workload", EVALUATION_WORKLOADS, ids=lambda w: w.name
     )
-    def test_burst_sampling_matches_full_capture(self, workload):
-        engine = UseCaseEngine(rules=PARALLEL_RULES)
+    def test_burst_sampling_matches_full_capture(self, workload, scale, spec):
         with collecting() as full:
-            workload.run_tracked(scale=0.5)
-        full_cases = {
-            (u.profile.label, u.kind)
-            for u in engine.analyze_collector(full).use_cases
-        }
-        with collecting(
-            channel=BatchingChannel(), sampling=Burst(1_000, 10)
-        ) as sampled:
-            workload.run_tracked(scale=0.5)
-        sampled_cases = {
-            (u.profile.label, u.kind)
-            for u in engine.analyze_collector(sampled).use_cases
-        }
+            workload.run_tracked(scale=scale)
+        with collecting(sampling=sampling_policy(spec)) as sampled:
+            workload.run_tracked(scale=scale)
         assert sampled.sampled_out > 0
-        assert sampled_cases == full_cases
+        assert _use_cases(sampled) == _use_cases(full)
 
     def test_decimation_matches_full_capture_on_synthetic_usecases(self):
         from repro.workloads.generators import (
@@ -335,22 +330,20 @@ class TestSamplingDetectionFidelity:
             gen_long_insert,
         )
 
-        engine = UseCaseEngine()
         for generator in (gen_frequent_long_read, gen_long_insert):
             with collecting() as full:
                 generator(label="g")
-            full_kinds = {
-                u.kind for u in engine.analyze_collector(full).use_cases
-            }
-            with collecting(sampling=Decimate(10)) as sampled:
+            # A short burst, so the generated instance's tail is decimated.
+            policy = Burst(100, 10)
+            with collecting(sampling=policy) as sampled:
                 generator(label="g")
-            sampled_kinds = {
-                u.kind for u in engine.analyze_collector(sampled).use_cases
-            }
-            assert sampled_kinds == full_kinds
+            assert not policy.is_exact(sampled.profiles_by_label()["g"].instance_id)
+            full_kinds = {kind for _, kind in _use_cases(full)}
+            assert full_kinds
+            assert {kind for _, kind in _use_cases(sampled)} == full_kinds
 
     def test_for_sampling_recalibrates_detector_and_thresholds(self):
-        engine = UseCaseEngine.for_sampling(Decimate(10))
+        engine = UseCaseEngine.for_sampling(Burst(1_000, 10))
         assert engine.detector.config.max_gap == 19
         assert engine.thresholds.li_long_phase == 10
         # pattern counts and positional spans deliberately don't scale

@@ -254,6 +254,49 @@ class TestAnalyzeRemoteErrorPaths:
         assert "mutually exclusive" in capsys.readouterr().err
 
 
+class TestAnalyzeSampling:
+    """``--sample`` takes ``all`` or ``burst:1000/10``, and only for an
+    analysis that stays in this process."""
+
+    def test_burst_sampling_reports_skipped_events(self, tmp_path, capsys):
+        program = tmp_path / "long.py"
+        program.write_text(
+            "def main():\n"
+            "    xs = []\n"
+            "    for i in range(3000):\n"
+            "        xs.append(i)\n"
+            "    return sum(xs[i] for i in range(3000))\n",
+            encoding="utf-8",
+        )
+        argv = ["analyze", str(program), "--entry", "main", "--sample", "burst:1000/10"]
+        assert main(argv) == 0
+        assert "sampling (burst:1000/10): " in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--sample", "1/10"], ["--sample", "burst:0/10"], ["--sample-seed", "7"]],
+        ids=["decimate", "burst-0", "seed"],
+    )
+    def test_retired_sampling_settings_exit_2(self, legacy_file, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(legacy_file), "--entry", "main", *argv])
+        assert excinfo.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--remote", "--save", "--spill"])
+    def test_sample_refused_where_the_capture_is_reanalyzed(
+        self, legacy_file, tmp_path, capsys, flag
+    ):
+        target = "127.0.0.1:1" if flag == "--remote" else str(tmp_path / "copy")
+        argv = ["analyze", str(legacy_file), "--entry", "main"]
+        rc = main([*argv, "--sample", "burst:1000/10", flag, target])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "cannot be combined with --remote, --save or --spill" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "copy").exists()
+
+
 class TestMalformedHello:
     def test_non_string_session_id_gets_error_frame(self):
         import socket as socket_mod

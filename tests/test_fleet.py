@@ -10,6 +10,7 @@ this suite must stay fast on a 1-core machine; the heavy kill-a-worker
 from __future__ import annotations
 
 import json
+import socket
 import subprocess
 import sys
 import time
@@ -35,6 +36,7 @@ from repro.service import (
     walk_state_dir,
 )
 from repro.service.fleet import _Worker, shard_dir_name
+from repro.service.router import gather_snapshots
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -47,6 +49,20 @@ def _ingest(address: str, session_id: str, events: int = 40) -> None:
     for i in range(events):
         collector.record(iid, OperationKind.READ, AccessKind.READ, i % 10, 10)
     channel.drain()
+
+
+def _sessionless_snapshot(address: str) -> tuple[int, dict]:
+    """Send a SNAPSHOT that names no session; return the reply frame."""
+    from repro.service.client import parse_address
+    from repro.service.protocol import MessageType, decode_json, encode_json, recv_frame
+
+    family, connect_arg = parse_address(address)
+    with socket.socket(family, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10.0)
+        sock.connect(connect_arg)
+        sock.sendall(encode_json(MessageType.SNAPSHOT, {}))
+        rtype, payload = recv_frame(sock)
+    return rtype, decode_json(payload)
 
 
 def _fabricate_session(directory: Path, events: int = 8) -> None:
@@ -129,12 +145,12 @@ class TestSnapshotProtocol:
     def test_snapshot_round_trips_engine_state(self):
         with ProfilingDaemon(port=0, session_linger=30.0) as daemon:
             _ingest(daemon.address, "snap-a")
-            reply = fetch_snapshot(daemon.address)
+            _ingest(daemon.address, "snap-b")
+            reply = fetch_snapshot(daemon.address, "snap-a")
             (snap,) = reply["snapshots"]
             assert snap["session"] == "snap-a"
             assert snap["engine"]["events_folded"] == snap["applied"]
-            narrowed = fetch_snapshot(daemon.address, session="snap-a")
-            assert narrowed["snapshots"][0]["session"] == "snap-a"
+            assert fetch_snapshot(daemon.address, "no-such")["snapshots"] == []
 
     def test_bound_port_satellite(self):
         with ProfilingDaemon(port=0) as daemon:
@@ -171,8 +187,12 @@ class TestRouter:
             "agg-1", "agg-2", "agg-3", "agg-4"
         }
         assert all("worker" in s for s in stats["sessions"])
-        reply = fetch_snapshot(router.address)
-        assert {s["session"] for s in reply["snapshots"]} >= {"agg-1", "agg-4"}
+        snapshots, errors = gather_snapshots([router.address], timeout=10.0)
+        assert errors == []
+        assert {s["session"] for s in snapshots} >= {"agg-1", "agg-4"}
+        # A session-narrowed SNAPSHOT through the router reaches its shard.
+        (snap,) = fetch_snapshot(router.address, "agg-2")["snapshots"]
+        assert snap["session"] == "agg-2"
 
     def test_unreachable_worker_yields_error_frame(self, fleet):
         router, daemons = fleet
@@ -246,11 +266,9 @@ class TestRouter:
             _ingest(router.address, sid, events=8)
         dead_address = daemons[1].address
         daemons[1].close()
-        reply = fetch_snapshot(router.address)
-        assert [(s["session"], s["worker"]) for s in reply["snapshots"]] == [
-            (sid_for_0, 0)
-        ]
-        (error,) = reply["errors"]
+        snapshots, errors = gather_snapshots([router.address], timeout=10.0)
+        assert [(s["session"], s["worker"]) for s in snapshots] == [(sid_for_0, 0)]
+        (error,) = errors
         assert error["worker"] == 1
         assert error["address"] == dead_address
 
@@ -263,14 +281,15 @@ class TestRouter:
 
 
 class TestOneSessionPerSnapshotFrame:
-    """``dsspy whatif --address`` and the coordinator fetch one session
-    per SNAPSHOT frame, so a daemon or router holding more sessions
-    than fit in one frame still answers."""
+    """A SNAPSHOT answers one session per frame, and ``dsspy whatif
+    --address`` and the coordinator fetch one session at a time, so a
+    daemon or router holding more sessions than fit in one frame still
+    answers."""
 
     def test_sessions_that_fit_a_frame_only_one_at_a_time(self, monkeypatch, capsys):
         from repro.cli import main
         from repro.service import protocol
-        from repro.service.protocol import MessageType, ProtocolError, encode_json
+        from repro.service.protocol import MessageType, encode_json
 
         with ProfilingDaemon(port=0, session_linger=30.0) as a, ProfilingDaemon(
             port=0, session_linger=30.0
@@ -283,16 +302,19 @@ class TestOneSessionPerSnapshotFrame:
                 _ingest(router.address, sid, events=400)
             # The largest one-session reply (the router's adds its
             # address) is the ceiling; two sessions in one reply exceed it.
-            limit = max(
-                len(encode_json(MessageType.ACK, fetch_snapshot(router.address, session=sid)))
-                for sid in sids
-            )
-            whole = len(encode_json(MessageType.ACK, fetch_snapshot(a.address)))
-            assert limit < whole
+            replies = {sid: fetch_snapshot(router.address, sid) for sid in sids}
+            limit = max(len(encode_json(MessageType.ACK, r)) for r in replies.values())
+            both = {
+                "address": a.address,
+                "snapshots": [replies[sid]["snapshots"][0] for sid in sids[:2]],
+            }
+            assert limit < len(encode_json(MessageType.ACK, both))
             monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", limit)
+            # A SNAPSHOT must name its session.
             for address in (a.address, router.address):
-                with pytest.raises(ProtocolError, match="MAX_FRAME_BYTES"):
-                    fetch_snapshot(address)
+                rtype, reply = _sessionless_snapshot(address)
+                assert rtype == MessageType.ERROR
+                assert "'session'" in reply["error"]
 
             for address, expected in ((a.address, sids[:2]), (router.address, sids)):
                 assert main(["whatif", "--address", address]) == 0
