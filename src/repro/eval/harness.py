@@ -86,22 +86,24 @@ def evaluate_workload(
     """Run the full DSspy pipeline on one workload."""
     engine = engine if engine is not None else UseCaseEngine(rules=PARALLEL_RULES)
 
+    # Each time is the minimum over ``repeats`` runs: a load spike on a
+    # shared machine only ever lengthens a run, so the fastest run is the
+    # least disturbed estimate of either cost.
     plain_seconds = 0.0
     if measure_slowdown:
+        plain_seconds = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
             workload.run_plain(scale=scale)
-            plain_seconds += time.perf_counter() - start
-        plain_seconds /= repeats
+            plain_seconds = min(plain_seconds, time.perf_counter() - start)
 
-    tracked_seconds = 0.0
+    tracked_seconds = float("inf")
     session = None
     for _ in range(repeats):
         start = time.perf_counter()
         with collecting() as session:
             workload.run_tracked(scale=scale)
-        tracked_seconds += time.perf_counter() - start
-    tracked_seconds /= repeats
+        tracked_seconds = min(tracked_seconds, time.perf_counter() - start)
 
     report = engine.analyze_collector(session)
     outcomes = tuple(apply_all(list(report.use_cases), machine))

@@ -262,10 +262,15 @@ class TestSamplingPolicies:
 
     @pytest.mark.parametrize("keep", [0, 1, 7, 100])
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 64])
-    def test_admitted_sets_equal_the_per_event_jitter_formula(self, keep, n):
+    @pytest.mark.parametrize("extra_iid", [None, 0, 5])
+    def test_admitted_sets_equal_the_per_event_jitter_formula(
+        self, keep, n, extra_iid
+    ):
         """Admission hashes once per block, yet admits exactly the
         events of the per-event rule: offset ``(c - keep) % n`` equals
-        the block's jitter."""
+        the block's jitter.  ``extra_iid`` interleaves one more instance
+        (none, the zero id, or a small id) so the instance term of the
+        hash is checked at more than the fixed ids."""
 
         def reference(iid, total):
             admitted = []
@@ -277,6 +282,8 @@ class TestSamplingPolicies:
 
         policy = Burst(keep, n)
         totals = {1: 1_000, 2: 377, 99: keep + 1}
+        if extra_iid is not None:
+            totals[extra_iid] = 251
         seen = {iid: [] for iid in totals}
         counters = dict.fromkeys(totals, 0)
         # Interleave the instances: each one's counter is its own.

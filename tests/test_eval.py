@@ -20,7 +20,7 @@ from repro.workloads import Mandelbrot, WordWheelSolver
 
 @pytest.fixture(scope="module")
 def mandelbrot_row():
-    return evaluate_workload(Mandelbrot(), scale=0.1, repeats=1)
+    return evaluate_workload(Mandelbrot(), scale=0.1, repeats=3)
 
 
 class TestWorkloadEvaluation:
